@@ -358,11 +358,10 @@ def _write_outputs(prefix: str, payload: dict, header: Sequence[str], rows) -> N
     with open(prefix + ".json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
     with open(prefix + ".csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def run(config: RunConfig) -> int:

@@ -100,7 +100,9 @@ def smallest_eigenpair(op: TridiagonalOperator, tol: float = 1e-10) -> Eigenpair
 
     shift = 0.5 * (lo + hi)
     scale = max(1.0, abs(shift))
-    res_target = 1e-8 * scale
+    # refining the grid cannot push the residual below rounding in ||A||
+    norm_a = float(np.max(np.abs(op.diag))) + 2.0 * abs(op.off)
+    res_target = max(1e-8 * scale, 64.0 * np.finfo(float).eps * norm_a)
     ab = np.zeros((3, n))
     v = np.ones(n) / math.sqrt(float(n))
     last_residual = math.inf

@@ -282,6 +282,8 @@ def vdberg_sweep(
     """Cone-family 2D sweep: ground state, sup-norm statistic, and the
     matching thin-channel one-dimensional quantities, sorted by D."""
     jobs = [(float(d), float(spacing), float(tol)) for d in sorted(set(d_list))]
+    if not jobs:
+        raise ParameterError("vdberg needs at least one domain size D")
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_vdberg_member, jobs))

@@ -58,6 +58,26 @@ def test_eig1d_override_n(tmp_path):
     assert len(lines) == 501
 
 
+def test_eig1d_fine_harmonic_converges(tmp_path):
+    # the residual target follows rounding in ||A|| ~ 4/dx^2 on fine grids
+    prefix = tmp_path / "h"
+    args = ["eig1d", "--out", str(prefix), "--set", "kind=harmonic"]
+    args += ["--set", "interval=-12,12", "--set", "n=100000"]
+    assert main(args) == 0
+    data, lines = load(prefix)
+    dx = data["summary"]["dx"]
+    assert data["summary"]["lambda1"] == pytest.approx(1.0 - dx**2 / 16.0, rel=1e-6)
+    assert len(lines) == 100001
+
+
+def test_csv_bytes(tmp_path):
+    prefix = tmp_path / "cb"
+    args = ["constants", "--out", str(prefix)]
+    args += ["--set", "alpha=0.5", "--set", "beta=0.25", "--set", "gamma=2"]
+    assert main(args) == 1  # infeasible triple: objective is nan
+    assert read_bytes(prefix, ".csv") == b"alpha,beta,gamma,objective\n0.5,0.25,2,nan\n"
+
+
 def test_constants_default_objective(tmp_path):
     prefix = tmp_path / "c"
     assert main(["constants", "--out", str(prefix)]) == 0
@@ -122,6 +142,14 @@ def test_vdberg_quick_and_deterministic(tmp_path):
     assert row["rho"] == pytest.approx(1.0, abs=2e-3)
     assert row["statistic"] > 0
     assert data["config"]["spacing"] == 0.0625
+
+
+def test_vdberg_empty_sizes_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text('{"D": []}')
+    assert main(["vdberg", "--input", str(cfg), "--out", str(tmp_path / "ve")]) == 2
+    assert "input error:" in capsys.readouterr().err
+    assert not (tmp_path / "ve.json").exists()
 
 
 def test_vdberg_bands_hold_for_single_member(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import ndimage
+from scipy.sparse.linalg import eigsh
 
 from specgap.convexdomain import (
     ConvexPolygon,
@@ -150,10 +153,63 @@ def test_domain_monotonicity():
     assert lam_big < lam_small
 
 
+def _box_dirichlet(n, h):
+    return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]) / h**2
+
+
+def test_cone_matches_sparse_shift_invert():
+    grid = rasterize(generate_family("cone", 8.0), 1.0 / 16.0)
+    nx, ny = grid.mask.shape
+    h = grid.spacing
+    box = sp.kron(_box_dirichlet(nx, h), sp.identity(ny)) + sp.kron(
+        sp.identity(nx), _box_dirichlet(ny, h)
+    )
+    active = np.flatnonzero(grid.mask)
+    masked = box.tocsr()[active][:, active].tocsc()
+    reference = eigsh(masked, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = smallest_eigenpair_2d(grid, tol=1e-8)
+    assert pair.lambda1 == pytest.approx(reference, rel=1e-9)
+    assert pair.residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "grid, interior",
+    [
+        # 513 nodes along x, a DST-I length of 4 * 257 before padding; the
+        # border nodes lie on the rectangle's edges and stay inactive
+        (rasterize(rectangle(8.0, 1.0), 1.0 / 64.0), (511, 63)),
+        # active cells fill the bounding box, so the preconditioner is exact
+        (
+            MaskedGrid(
+                spacing=1.0 / 64.0,
+                origin=np.zeros(2),
+                mask=np.ones((63, 31), dtype=bool),
+                activeCount=63 * 31,
+            ),
+            (63, 31),
+        ),
+    ],
+    ids=["prime-dst-axis", "fills-box"],
+)
+def test_rectangles_match_discrete_closed_form(grid, interior):
+    h = grid.spacing
+    exact = sum((2.0 / h**2) * (1.0 - math.cos(math.pi / (m + 1))) for m in interior)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = smallest_eigenpair_2d(grid, tol=1e-8)
+    assert pair.lambda1 == pytest.approx(exact, rel=1e-10)
+    assert pair.residual <= 1e-8
+    assert np.all(pair.u > 0.0)
+
+
 def test_unreachable_tolerance_raises():
     grid = rasterize(square(), 1.0 / 16.0)
-    with pytest.raises(NumericError):
-        smallest_eigenpair_2d(grid, tol=1e-15, max_outer=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            smallest_eigenpair_2d(grid, tol=1e-15, max_outer=1)
 
 
 def test_bad_tolerance_rejected():
