@@ -25,7 +25,7 @@ from .constants import ConstantTriple, is_feasible, objective, search
 from .eigensolve1d import discretize, smallest_eigenpair
 from .errors import GeometryError, NumericError, ParameterError
 from .potential import PotentialSpec, sample
-from .sublevel import functional_value, minimize_functional, width
+from .sublevel import minimize_functional, width_profile
 
 _PI2 = math.pi**2
 
@@ -116,9 +116,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _as_float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"expected a number, got {value!r}") from None
+
+
+def _as_int(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"expected an integer, got {value!r}") from None
+
+
 def _as_float_list(value) -> List[float]:
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+        return [_as_float(v) for v in value]
     if isinstance(value, (int, float, np.integer, np.floating)):
         return [float(value)]
     raise ParameterError(f"expected a number or list of numbers, got {value!r}")
@@ -145,7 +159,7 @@ def _grid_from(cfg: Dict[str, object]):
         params=tuple(_as_float_list(cfg["params"]) if cfg["params"] else ()),
         interval=_interval(cfg["interval"]),
     )
-    return sample(spec, int(cfg["n"]))
+    return sample(spec, _as_int(cfg["n"]))
 
 
 def _cmd_bound(cfg):
@@ -159,15 +173,14 @@ def _cmd_bound(cfg):
         "lower": report.lowerBound,
         "upperSharp": report.upperBoundSharp,
     }
-    rows = []
-    for y in np.unique(grid.values[1:-1]):
-        rows.append([float(y), width(grid, float(y)), functional_value(grid, float(y))])
+    levels, widths, functional = width_profile(grid)
+    rows = zip(levels.tolist(), widths.tolist(), functional.tolist())
     return summary, ["y", "width", "functional"], rows, 0
 
 
 def _cmd_eig1d(cfg):
     grid = _grid_from(cfg)
-    pair = smallest_eigenpair(discretize(grid), tol=float(cfg["tol"]))
+    pair = smallest_eigenpair(discretize(grid), tol=_as_float(cfg["tol"]))
     summary = {
         "lambda1": pair.lambda1,
         "n": grid.n,
@@ -176,13 +189,13 @@ def _cmd_eig1d(cfg):
         "normL2": pair.normL2,
     }
     x = grid.nodes()[1:-1]
-    rows = [[float(xi), float(fi)] for xi, fi in zip(x, pair.f)]
+    rows = zip(x.tolist(), pair.f.tolist())
     return summary, ["x", "f"], rows, 0
 
 
 def _cmd_verify_thm1(cfg):
     suite = pipeline.thm1_suite(_as_str_list(cfg["names"]))
-    rows = pipeline.verify_thm1(suite, slack=float(cfg["slack"]))
+    rows = pipeline.verify_thm1(suite, slack=_as_float(cfg["slack"]))
     all_ok = all(r["pass"] for r in rows)
     summary = {"allPass": int(all_ok), "rows": rows}
     cols = ["potential", "fStar", "lambda1", "lower", "upper", "pass"]
@@ -192,12 +205,12 @@ def _cmd_verify_thm1(cfg):
 
 def _cmd_rearrange_check(cfg):
     rows = pipeline.rearrange_random_suite(
-        count=int(cfg["count"]),
-        seed=int(cfg["seed"]),
-        knots=int(cfg["knots"]),
-        vmax=float(cfg["vmax"]),
+        count=_as_int(cfg["count"]),
+        seed=_as_int(cfg["seed"]),
+        knots=_as_int(cfg["knots"]),
+        vmax=_as_float(cfg["vmax"]),
         interval=_interval(cfg["interval"]),
-        n=int(cfg["n"]),
+        n=_as_int(cfg["n"]),
     )
     failures = sum(1 for r in rows if not r["pass"])
     summary = {"count": len(rows), "failures": failures, "rows": rows}
@@ -217,9 +230,9 @@ def _cmd_rearrange_check(cfg):
 
 
 def _cmd_constants(cfg):
-    budget = int(cfg["budget"] or 0)
+    budget = _as_int(cfg["budget"] or 0)
     if budget > 0:
-        triple, value = search(budget, int(cfg["seed"]))
+        triple, value = search(budget, _as_int(cfg["seed"]))
         summary = {
             "mode": "search",
             "alpha": triple.alpha,
@@ -232,7 +245,9 @@ def _cmd_constants(cfg):
         status = 0
     else:
         triple = ConstantTriple(
-            alpha=float(cfg["alpha"]), beta=float(cfg["beta"]), gamma=float(cfg["gamma"])
+            alpha=_as_float(cfg["alpha"]),
+            beta=_as_float(cfg["beta"]),
+            gamma=_as_float(cfg["gamma"]),
         )
         feasible = is_feasible(triple)
         summary = {
@@ -254,7 +269,7 @@ def _cmd_domain_sweep(cfg):
     rows = pipeline.domain_sweep(
         _as_str_list(cfg["families"]),
         _as_float_list(cfg["D"]),
-        resolution=int(cfg["resolution"]),
+        resolution=_as_int(cfg["resolution"]),
     )
     all_ok = all(r["pass"] for r in rows)
     summary = {"allPass": int(all_ok), "rows": rows}
@@ -280,8 +295,8 @@ def _cmd_domain_sweep(cfg):
 def _cmd_vdberg(cfg):
     rows = pipeline.vdberg_sweep(
         _as_float_list(cfg["D"]),
-        spacing=float(cfg["spacing"]),
-        tol=float(cfg["tol"]),
+        spacing=_as_float(cfg["spacing"]),
+        tol=_as_float(cfg["tol"]),
         workers=int(cfg["workers"]),
     )
     slope = float("nan")
@@ -313,9 +328,9 @@ def _cmd_vdberg(cfg):
 def _cmd_gj_compare(cfg):
     result = pipeline.gj_compare_run(
         _as_float_list(cfg["D"]),
-        spacing=float(cfg["spacing"]),
-        tol=float(cfg["tol"]),
-        rect_error_budget=float(cfg["rectErrorBudget"]),
+        spacing=_as_float(cfg["spacing"]),
+        tol=_as_float(cfg["tol"]),
+        rect_error_budget=_as_float(cfg["rectErrorBudget"]),
     )
     all_ok = bool(result["rectPass"]) and all(r["pass"] for r in result["rows"])
     summary = dict(result)

@@ -1,10 +1,9 @@
 """Smallest Dirichlet eigenpair of -d^2/dx^2 + V on a uniform grid.
 
 The operator is the standard 3-point stencil, a symmetric tridiagonal matrix
-over interior nodes. The eigenvalue comes from bisection driven by a Sturm
-sign count, which is exact in the sense that each bisection step knows the
-number of eigenvalues below the shift. The eigenvector follows from one run
-of inverse iteration at the converged shift.
+over interior nodes. The eigenvalue comes from LAPACK bisection (dstebz).
+The eigenvector follows from inverse iteration at a shift just below it,
+where the shifted matrix is positive definite.
 
 Also here: Rayleigh quotients, the sine test function that witnesses the
 upper bound pi^2/w(y)^2 + y, the sup-norm inequality check, and the shortest
@@ -18,14 +17,13 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
 from specgap.errors import NumericError, ParameterError
 from specgap.potential import PotentialGrid, min_value
 from specgap.sublevel import is_interval_sublevel
 
 _PI2 = math.pi**2
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -54,25 +52,6 @@ def discretize(grid: PotentialGrid) -> TridiagonalOperator:
     return TridiagonalOperator(diag=diag, off=-1.0 / dx**2, dx=dx)
 
 
-def eigenvalue_count_below(op: TridiagonalOperator, y: float) -> int:
-    """Number of eigenvalues strictly below y, by the Sturm sign count.
-
-    A pivot that lands exactly on zero (y hit an eigenvalue of a leading
-    minor) is nudged to a tiny positive value, which keeps the count strict;
-    overflow to inf is harmless because the next step divides by it.
-    """
-    off2 = op.off * op.off
-    count = 0
-    q = math.inf  # first pivot has no coupling term
-    for d in (op.diag - y).tolist():
-        q = d - off2 / q
-        if q == 0.0:
-            q = _TINY
-        if q < 0.0:
-            count += 1
-    return count
-
-
 def _apply(op: TridiagonalOperator, v: np.ndarray) -> np.ndarray:
     out = op.diag * v
     out[:-1] += op.off * v[1:]
@@ -81,58 +60,46 @@ def _apply(op: TridiagonalOperator, v: np.ndarray) -> np.ndarray:
 
 
 def smallest_eigenpair(op: TridiagonalOperator, tol: float = 1e-10) -> Eigenpair1D:
-    """Ground eigenpair: bisected eigenvalue plus inverse-iteration vector.
+    """Ground eigenpair: LAPACK-bisected eigenvalue plus inverse-iteration vector.
 
-    The returned vector is sign-normalized positive and L2-normalized under
-    the quadrature sum(f_i^2) * dx = 1.
+    The shift sits below lambda1, so A - shift is positive definite: its
+    LDL^T solve cannot hit a singular pivot, and it maps positive vectors to
+    positive vectors, so the vector stays positive from the all-ones start.
+    It is L2-normalized under the quadrature sum(f_i^2) * dx = 1.
     """
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     n = op.n
-    lo = float(op.diag.min()) - 2.0 * abs(op.off)
-    hi = float(op.diag.max()) + 2.0 * abs(op.off)
-    while hi - lo > tol * max(1.0, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if eigenvalue_count_below(op, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-
-    shift = 0.5 * (lo + hi)
-    scale = max(1.0, abs(shift))
+    eps = np.finfo(float).eps
+    abstol = tol * max(1.0, abs(float(op.diag.min()) - 2.0 * abs(op.off)))
+    w = eigvalsh_tridiagonal(
+        op.diag, np.full(n - 1, op.off), select="i", select_range=(0, 0),
+        lapack_driver="stebz", tol=abstol,
+    )[0]
     # refining the grid cannot push the residual below rounding in ||A||
     norm_a = float(np.max(np.abs(op.diag))) + 2.0 * abs(op.off)
-    res_target = max(1e-8 * scale, 64.0 * np.finfo(float).eps * norm_a)
-    ab = np.zeros((3, n))
+    shift = w - max(2.0 * abstol, 64.0 * eps * norm_a)
+    res_target = max(1e-8 * max(1.0, abs(w)), 64.0 * eps * norm_a)
+    ab = np.zeros((2, n))
+    ab[0, 1:] = op.off
+    ab[1, :] = op.diag - shift
     v = np.ones(n) / math.sqrt(float(n))
-    last_residual = math.inf
-    for restart in range(6):
-        ab[0, 1:] = op.off
-        ab[1, :] = op.diag - shift
-        ab[2, :-1] = op.off
+    for _ in range(40):
         try:
-            for _ in range(40):
-                x = solve_banded((1, 1), ab, v, overwrite_ab=False, overwrite_b=False)
-                nx = np.linalg.norm(x)
-                if not np.isfinite(nx) or nx == 0.0:
-                    raise np.linalg.LinAlgError("inverse iteration produced a bad vector")
-                v = x / nx
-                tv = _apply(op, v)
-                lam = float(v @ tv)
-                last_residual = float(np.linalg.norm(tv - lam * v))
-                if last_residual <= res_target:
-                    f = v if v[int(np.argmax(np.abs(v)))] > 0 else -v
-                    f = f / math.sqrt(float(np.sum(f * f)) * op.dx)
-                    norm = float(np.sum(f * f) * op.dx)
-                    return Eigenpair1D(lambda1=lam, f=f, normL2=norm, residual=last_residual)
-        except np.linalg.LinAlgError:
-            pass
-        # singular or stagnant solve: nudge the shift inside the bracket
-        shift = shift - (restart + 1) * max(tol * scale, 1e-13 * scale)
-        v = np.ones(n) / math.sqrt(float(n))
+            x = solveh_banded(ab, v)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"A - {shift} is not positive definite: {exc}") from exc
+        v = x / np.linalg.norm(x)
+        tv = _apply(op, v)
+        lam = float(v @ tv)
+        residual = float(np.linalg.norm(tv - lam * v))
+        if residual <= res_target:
+            f = v / math.sqrt(float(np.sum(v * v)) * op.dx)
+            norm = float(np.sum(f * f) * op.dx)
+            return Eigenpair1D(lambda1=lam, f=f, normL2=norm, residual=residual)
     raise NumericError(
         "inverse iteration failed to converge: "
-        f"n={n}, bracket=({lo}, {hi}), last residual={last_residual:.3e}, "
+        f"n={n}, eigenvalue={w}, shift={shift}, last residual={residual:.3e}, "
         f"target={res_target:.3e}"
     )
 

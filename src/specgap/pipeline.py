@@ -35,7 +35,7 @@ from .eigensolve2d import (
 from .errors import ParameterError
 from .potential import PotentialGrid, PotentialSpec, cone_model_potential, min_value, sample
 from .rearrange import chain_slack, verify_chain
-from .sublevel import minimize_functional, width
+from .sublevel import SublevelReport, minimize_functional, width
 
 _PI2 = math.pi**2
 
@@ -73,6 +73,13 @@ def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, Potenti
     return out
 
 
+def _sandwich(lambda1: float, report: SublevelReport, slack: float) -> Tuple[float, bool]:
+    """pi^2 fStar, and whether lower/(1+slack) <= lambda1 <= pi^2 fStar (1+slack)."""
+    upper = _PI2 * report.fStar
+    ok = report.lowerBound / (1.0 + slack) <= lambda1 <= upper * (1.0 + slack)
+    return upper, ok
+
+
 def verify_thm1(
     suite: Sequence[Tuple[str, PotentialGrid]], slack: float = SANDWICH_SLACK
 ) -> List[Dict[str, object]]:
@@ -85,11 +92,7 @@ def verify_thm1(
     for name, grid in suite:
         report = minimize_functional(grid)
         pair = smallest_eigenpair(discretize(grid))
-        upper = _PI2 * report.fStar
-        sandwich_ok = (
-            pair.lambda1 >= report.lowerBound / (1.0 + slack)
-            and pair.lambda1 <= upper * (1.0 + slack)
-        )
+        upper, sandwich_ok = _sandwich(pair.lambda1, report, slack)
         ratio, bound, linf_ok = check_linfty_bound(pair, grid)
         rows.append(
             {
@@ -211,11 +214,7 @@ def domain_sweep(
             grid = gj_potential(hf)
             report = minimize_functional(grid)
             pair = smallest_eigenpair(discretize(grid))
-            upper = _PI2 * report.fStar
-            sandwich_ok = (
-                pair.lambda1 >= report.lowerBound / (1.0 + SANDWICH_SLACK)
-                and pair.lambda1 <= upper * (1.0 + SANDWICH_SLACK)
-            )
+            upper, sandwich_ok = _sandwich(pair.lambda1, report, SANDWICH_SLACK)
             shifted = (pair.lambda1 - _PI2) * scale_l * scale_l
             width_ratio = width(grid, min_value(grid) + 1.0 / (scale_l * scale_l)) / scale_l
             ok = sandwich_ok and 1.0 / 20.0 <= shifted <= 20.0

@@ -56,6 +56,23 @@ def functional_value(grid: PotentialGrid, y: float) -> float:
     return 1.0 / (w * w) + y
 
 
+def _sorted_counts(grid: PotentialGrid, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Number of interior nodes with V <= y for each y in `levels`, and
+    the node indices in value order."""
+    interior = grid.values[1:-1]
+    order = np.argsort(interior, kind="stable")
+    return np.searchsorted(interior[order], levels, side="right"), order
+
+
+def width_profile(grid: PotentialGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every distinct interior sample value y with width(y) and
+    1/width(y)^2 + y there, in one O(n log n) pass."""
+    levels = np.unique(grid.values[1:-1])
+    counts, _ = _sorted_counts(grid, levels)
+    widths = grid.dx * counts
+    return levels, widths, 1.0 / (widths * widths) + levels
+
+
 def _candidate_scan(
     grid: PotentialGrid,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -73,10 +90,7 @@ def _candidate_scan(
     candidates = candidates[candidates > vmin]
     if len(candidates) == 0:
         return None
-    interior = grid.values[1:-1]
-    order = np.argsort(interior, kind="stable")
-    sorted_vals = interior[order]
-    counts = np.searchsorted(sorted_vals, candidates, side="right")
+    counts, order = _sorted_counts(grid, candidates)
     first_idx = np.minimum.accumulate(order)
     last_idx = np.maximum.accumulate(order)
     widths = grid.dx * counts

@@ -232,6 +232,18 @@ def test_bad_set_syntax(tmp_path, capsys):
     assert "noequals" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [("bound", "n=abc"), ("eig1d", "tol=abc"), ("constants", "budget=x"), ("bound", "n=1,2")],
+)
+def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):
+    prefix = tmp_path / "nn"
+    assert main([command, "--out", str(prefix), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: expected")
+    assert not (tmp_path / "nn.json").exists()
+
+
 def test_unknown_command_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

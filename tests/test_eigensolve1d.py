@@ -6,7 +6,6 @@ import pytest
 from specgap.eigensolve1d import (
     check_linfty_bound,
     discretize,
-    eigenvalue_count_below,
     rayleigh_quotient,
     shortest_mass_interval,
     sine_testfunction_bound,
@@ -51,51 +50,30 @@ def test_discretize_shift_moves_diagonal_only():
     assert op1.off == op0.off
 
 
-# ---------- eigenvalue_count_below ----------
+# ---------- smallest_eigenpair ----------
 
 
-def test_count_constant_tridiagonal_closed_form():
-    # eigenvalues of diag 32, off -16 at n=3: 32 - 16*sqrt(2), 32, 32 + 16*sqrt(2)
-    op = discretize(grid_of("squareWell", (0.0, 1.0), 3))
-    assert eigenvalue_count_below(op, 31.0) == 1
-    assert eigenvalue_count_below(op, 9.0) == 0
-    assert eigenvalue_count_below(op, 33.0) == 2
-    assert eigenvalue_count_below(op, 60.0) == 3
-
-
-def test_count_gershgorin_extremes():
-    op = discretize(grid_of("harmonic", (-2.0, 2.0), 25))
-    lo = op.diag.min() - 2 * abs(op.off)
-    hi = op.diag.max() + 2 * abs(op.off)
-    assert eigenvalue_count_below(op, lo) == 0
-    assert eigenvalue_count_below(op, hi) == 25
-
-
-def test_count_matches_dense_solver():
+def test_lambda1_matches_dense_solver():
     rng = np.random.default_rng(7)
     for _ in range(10):
         n = int(rng.integers(8, 60))
         vals = rng.uniform(0.0, 30.0, n + 2)
-        g = PotentialGrid(a=0.0, b=1.0, values=vals)
-        op = discretize(g)
+        op = discretize(PotentialGrid(a=0.0, b=1.0, values=vals))
         dense = np.diag(op.diag) + np.diag(np.full(n - 1, op.off), 1) + np.diag(
             np.full(n - 1, op.off), -1
         )
-        evs = np.linalg.eigvalsh(dense)
-        for y in np.quantile(evs, [0.1, 0.35, 0.6, 0.9]) + 0.123:
-            assert eigenvalue_count_below(op, float(y)) == int((evs < y).sum())
+        lam = smallest_eigenpair(op).lambda1
+        assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-10)
 
 
-def test_count_survives_exact_pivot_hit():
-    # shift exactly equal to a diagonal entry forces a zero pivot on the way
-    op = discretize(grid_of("squareWell", (0.0, 1.0), 5))
-    c = eigenvalue_count_below(op, float(op.diag[0]))
-    dense = np.diag(op.diag) + np.diag(np.full(4, op.off), 1) + np.diag(np.full(4, op.off), -1)
-    evs = np.linalg.eigvalsh(dense)
-    assert c == int((evs < op.diag[0]).sum())
-
-
-# ---------- smallest_eigenpair ----------
+def test_ground_state_positive_in_the_tails():
+    # the tails are tiny, yet they must stay positive rather than carry sign noise
+    for g in [
+        grid_of("quartic", (-12.0, 12.0), 4000),
+        grid_of("harmonic", (-12.0, 12.0), 100000),
+        cone_model_potential(1024.0, 8192),
+    ]:
+        assert np.all(smallest_eigenpair(discretize(g)).f > 0)
 
 
 def test_square_well_matches_discrete_closed_form():

@@ -10,6 +10,7 @@ from specgap.sublevel import (
     is_interval_sublevel,
     minimize_functional,
     width,
+    width_profile,
 )
 
 PI2 = math.pi**2
@@ -197,3 +198,14 @@ def test_scan_is_exact_against_brute_force():
         ys = np.linspace(vals.min() + 1e-9, vals.max() + 1.0, 4000)
         brute = min(functional_value(g, y) for y in ys)
         assert r.fStar <= brute + 1e-12
+
+
+def test_width_profile_equals_per_level_loop():
+    rng = np.random.default_rng(8)
+    grids = [double_well(999), cone_model_potential(32.0, 300), grid_of("squareWell", (0.0, 1.0), 50)]
+    grids.append(PotentialGrid(a=0.0, b=1.0, values=rng.integers(0, 6, 302).astype(float)))
+    for g in grids:
+        levels, widths, functional = width_profile(g)
+        np.testing.assert_array_equal(levels, np.unique(g.values[1:-1]))
+        assert widths.tolist() == [width(g, y) for y in levels.tolist()]
+        assert functional.tolist() == [functional_value(g, y) for y in levels.tolist()]
