@@ -46,13 +46,13 @@ def case2_gradient_term(t: ConstantTriple) -> float:
 
 
 def is_feasible(t: ConstantTriple) -> bool:
-    """alpha in (0,1), beta in (0, pi^2), and gamma past its lower threshold.
+    """alpha in (0,1), beta in (0, pi^2), and finite gamma past its lower threshold.
 
     The gamma constraint is checked in its square-root form
     sqrt(alpha)/2 * (1 - beta/pi^2) >= (1+gamma)^(-1/2), equivalent to
     gamma >= (4/alpha) * (1 - beta/pi^2)^(-2) - 1.
     """
-    if not (0.0 < t.alpha < 1.0 and 0.0 < t.beta < _PI2 and t.gamma > 0.0):
+    if not (0.0 < t.alpha < 1.0 and 0.0 < t.beta < _PI2 and 0.0 < t.gamma < math.inf):
         return False
     return math.sqrt(t.alpha) / 2.0 * (1.0 - t.beta / _PI2) >= (1.0 + t.gamma) ** -0.5
 

@@ -67,15 +67,18 @@ def smallest_eigenpair(op: TridiagonalOperator, tol: float = 1e-10) -> Eigenpair
     positive vectors, so the vector stays positive from the all-ones start.
     It is L2-normalized under the quadrature sum(f_i^2) * dx = 1.
     """
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < 1:
+        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     n = op.n
     eps = np.finfo(float).eps
     abstol = tol * max(1.0, abs(float(op.diag.min()) - 2.0 * abs(op.off)))
-    w = eigvalsh_tridiagonal(
-        op.diag, np.full(n - 1, op.off), select="i", select_range=(0, 0),
-        lapack_driver="stebz", tol=abstol,
-    )[0]
+    try:
+        w = eigvalsh_tridiagonal(
+            op.diag, np.full(n - 1, op.off), select="i", select_range=(0, 0),
+            lapack_driver="stebz", tol=abstol,
+        )[0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"bisection for the lowest eigenvalue failed: {exc}") from exc
     # refining the grid cannot push the residual below rounding in ||A||
     norm_a = float(np.max(np.abs(op.diag))) + 2.0 * abs(op.off)
     shift = w - max(2.0 * abstol, 64.0 * eps * norm_a)

@@ -6,12 +6,12 @@ same numbers the command line reports.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .convexdomain import (
+    ConvexPolygon,
     diameter,
     generate_family,
     gj_potential,
@@ -42,6 +42,15 @@ _PI2 = math.pi**2
 SANDWICH_SLACK = 0.01
 CONE_BENCH_N_FACTOR = 8
 
+# pass bands of the thin-domain checks
+PRODUCT_BAND = (1.0 / 20.0, 20.0)  # (lambda1 - pi^2) L^2, domainSweep and vdberg
+RATIO_BAND = (0.5, 2.0)  # 2D normalized energy over the 1D channel energy
+GJ_RATIO_BAND = (0.25, 4.0)  # channel excess energy over the cone model's
+RECT_ERROR_BUDGET = 1e-2  # 8x1 rectangle: 2D ground state against its 1D profile
+RHO_TOL = 1e-3  # |inradius - 1| of the generated cones
+STAT_SPREAD_MAX = 2.0  # max/min of the sup-norm statistic across D
+SLOPE_MAX = -1.0 / 6.0 + 0.05  # log-log slope of the sup ratio against D
+
 
 def _bench_specs() -> List[Tuple[str, PotentialSpec, int]]:
     rows: List[Tuple[str, PotentialSpec, int]] = [
@@ -56,21 +65,24 @@ def _bench_specs() -> List[Tuple[str, PotentialSpec, int]]:
     return rows
 
 
+THM1_NAMES = tuple(name for name, _, _ in _bench_specs())
+
+
+def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log y against log x; nan for fewer than two points."""
+    if len(xs) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
 def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, PotentialGrid]]:
     """Named nonnegative benchmark potentials for the two-sided check."""
     table = {name: (spec, n) for name, spec, n in _bench_specs()}
-    if names is None:
-        picked = [name for name, _, _ in _bench_specs()]
-    else:
-        unknown = [name for name in names if name not in table]
-        if unknown:
-            raise ParameterError(f"unknown suite members {unknown}; have {sorted(table)}")
-        picked = list(names)
-    out = []
-    for name in picked:
-        spec, n = table[name]
-        out.append((name, sample(spec, n)))
-    return out
+    picked = THM1_NAMES if names is None else list(names)
+    unknown = [name for name in picked if name not in table]
+    if unknown:
+        raise ParameterError(f"unknown suite members {unknown}; have {sorted(table)}")
+    return [(name, sample(*table[name])) for name in picked]
 
 
 def _sandwich(lambda1: float, report: SublevelReport, slack: float) -> Tuple[float, bool]:
@@ -133,11 +145,7 @@ def cone_scaling_run(
                 "product": half_width * math.sqrt(pair.lambda1),
             }
         )
-    slope = float("nan")
-    if len(rows) >= 2:
-        logd = np.log([r["D"] for r in rows])
-        logl = np.log([r["lambda1"] for r in rows])
-        slope = float(np.polyfit(logd, logl, 1)[0])
+    slope = _loglog_slope([r["D"] for r in rows], [r["lambda1"] for r in rows])
     return {"rows": rows, "slope": slope}
 
 
@@ -159,8 +167,8 @@ def rearrange_random_suite(
         raise ParameterError(f"count must be at least 1, got {count}")
     if knots < 2:
         raise ParameterError(f"need at least 2 knots, got {knots}")
-    if vmax <= 0:
-        raise ParameterError(f"vmax must be positive, got {vmax}")
+    if not 0 < vmax < math.inf:
+        raise ParameterError(f"vmax must be positive and finite, got {vmax}")
     rng = np.random.default_rng(seed)
     a, b = float(interval[0]), float(interval[1])
     xs = np.linspace(a, b, knots)
@@ -217,7 +225,7 @@ def domain_sweep(
             upper, sandwich_ok = _sandwich(pair.lambda1, report, SANDWICH_SLACK)
             shifted = (pair.lambda1 - _PI2) * scale_l * scale_l
             width_ratio = width(grid, min_value(grid) + 1.0 / (scale_l * scale_l)) / scale_l
-            ok = sandwich_ok and 1.0 / 20.0 <= shifted <= 20.0
+            ok = sandwich_ok and PRODUCT_BAND[0] <= shifted <= PRODUCT_BAND[1]
             rows.append(
                 {
                     "family": family,
@@ -237,8 +245,7 @@ def domain_sweep(
     return rows
 
 
-def _vdberg_member(args: Tuple[float, float, float]) -> Dict[str, object]:
-    d, spacing, tol = args
+def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
     poly = generate_family("cone", d)
     rho = inradius(poly)
     dm = diameter(poly)
@@ -273,39 +280,52 @@ def _vdberg_member(args: Tuple[float, float, float]) -> Dict[str, object]:
 
 
 def vdberg_sweep(
-    d_list: Sequence[float],
-    spacing: float = 1.0 / 64.0,
-    tol: float = 1e-6,
-    workers: Optional[int] = None,
+    d_list: Sequence[float], spacing: float = 1.0 / 64.0, tol: float = 1e-6
 ) -> List[Dict[str, object]]:
     """Cone-family 2D sweep: ground state, sup-norm statistic, and the
     matching thin-channel one-dimensional quantities, sorted by D."""
-    jobs = [(float(d), float(spacing), float(tol)) for d in sorted(set(d_list))]
-    if not jobs:
+    sizes = sorted(set(d_list))
+    if not sizes:
         raise ParameterError("vdberg needs at least one domain size D")
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_vdberg_member, jobs))
-    else:
-        rows = [_vdberg_member(job) for job in jobs]
-    return rows
+    return [_vdberg_member(float(d), float(spacing), float(tol)) for d in sizes]
+
+
+def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """Verdict on a vdberg sweep.
+
+    Every cone must have inradius 1 and its shifted product and 1D energy
+    ratio in band. The statistic, sup|u| over the bound rho^-1 (rho/D)^(1/6)
+    at unit L2 norm, may vary across sizes by a factor STAT_SPREAD_MAX at
+    most. With two or more sizes the sup ratio must decay at least like
+    D^SLOPE_MAX.
+    """
+    slope = _loglog_slope([r["D"] for r in rows], [r["supRatio"] for r in rows])
+    stats = [r["statistic"] for r in rows]
+    spread = max(stats) / min(stats)
+    ok = (
+        all(abs(r["rho"] - 1.0) <= RHO_TOL for r in rows)
+        and all(PRODUCT_BAND[0] <= r["shiftedProduct"] <= PRODUCT_BAND[1] for r in rows)
+        and all(RATIO_BAND[0] <= r["oneDimRatio"] <= RATIO_BAND[1] for r in rows)
+        and spread <= STAT_SPREAD_MAX
+        and (len(rows) < 2 or slope <= SLOPE_MAX)
+    )
+    return {"allPass": int(ok), "slope": slope, "statSpread": spread}
 
 
 def gj_compare_run(
     d_list: Sequence[float],
     spacing: float = 1.0 / 64.0,
     tol: float = 1e-7,
-    rect_error_budget: float = 1e-2,
+    rect_error_budget: float = RECT_ERROR_BUDGET,
 ) -> Dict[str, object]:
     """Two checks on the thin-channel reduction.
 
     First, on an 8x1 rectangle the 2D ground state must match the
     separable sine profile to within `rect_error_budget`.  Second, for
     cone domains the excess energy above the channel threshold must
-    track the cone model potential's ground energy within a factor 4.
+    track the cone model potential's ground energy within GJ_RATIO_BAND.
+    allPass requires both.
     """
-    from .convexdomain import ConvexPolygon
-
     rect = ConvexPolygon(
         vertices=np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 1.0], [0.0, 1.0]])
     )
@@ -329,12 +349,14 @@ def gj_compare_run(
                 "lambdaGJ": lam_gj,
                 "lambdaModel": lam_model,
                 "ratio": ratio,
-                "pass": int(0.25 <= ratio <= 4.0),
+                "pass": int(GJ_RATIO_BAND[0] <= ratio <= GJ_RATIO_BAND[1]),
             }
         )
+    rect_ok = rect_error <= rect_error_budget
     return {
         "rectError": rect_error,
         "rectBudget": rect_error_budget,
-        "rectPass": int(rect_error <= rect_error_budget),
+        "rectPass": int(rect_ok),
         "rows": rows,
+        "allPass": int(rect_ok and all(r["pass"] for r in rows)),
     }

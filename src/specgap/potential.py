@@ -26,6 +26,18 @@ class PotentialSpec:
     interval: Tuple[float, float]
 
 
+def _check_interval(a: float, b: float, n: int) -> None:
+    """Require b > a and a spacing dx = (b-a)/(n+1) with 1/dx^2 finite and
+    nonzero, as the discretized operator divides by dx^2."""
+    if not b > a:
+        raise ParameterError(f"interval must satisfy b > a, got [{a}, {b}]")
+    dx2 = ((b - a) / (n + 1)) * ((b - a) / (n + 1))
+    if not (0.0 < dx2 < np.inf and 1.0 / dx2 < np.inf):
+        raise ParameterError(
+            f"interval [{a}, {b}] with {n} interior nodes: 1/dx^2 must be finite and nonzero"
+        )
+
+
 @dataclass(frozen=True)
 class PotentialGrid:
     a: float
@@ -36,10 +48,9 @@ class PotentialGrid:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if not self.b > self.a:
-            raise ParameterError(f"interval must satisfy b > a, got [{self.a}, {self.b}]")
         if vals.ndim != 1 or len(vals) < 5:
             raise ParameterError("grid needs at least 3 interior nodes (5 samples)")
+        _check_interval(self.a, self.b, len(vals) - 2)
         if not np.all(np.isfinite(vals)):
             raise ParameterError("grid values must be finite")
         if np.any(vals > self.cap * (1 + 1e-15) + 1e-300):
@@ -109,10 +120,9 @@ def sample(spec: PotentialSpec, n: int, cap: float = DEFAULT_CAP) -> PotentialGr
     Values above the cap (including the cone model's pole) are clamped to it.
     """
     a, b = spec.interval
-    if not b > a:
-        raise ParameterError(f"interval must satisfy b > a, got [{a}, {b}]")
     if n < 3:
         raise ParameterError(f"need at least 3 interior nodes, got {n}")
+    _check_interval(a, b, n)
     if not cap > 0:
         raise ParameterError(f"cap must be positive, got {cap}")
     x = np.linspace(a, b, n + 2)

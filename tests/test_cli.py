@@ -257,16 +257,6 @@ def test_runconfig_api(tmp_path):
     assert data["summary"]["objective"] == pytest.approx(0.004078255, abs=1e-6)
 
 
-def test_workers_env_and_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPECGAP_WORKERS", "2")
-    assert main(["constants", "--out", str(tmp_path / "we")]) == 0
-    data, _ = load(tmp_path / "we")
-    assert data["config"]["workers"] == 2
-    assert main(["constants", "--out", str(tmp_path / "wf"), "--workers", "3"]) == 0
-    data, _ = load(tmp_path / "wf")
-    assert data["config"]["workers"] == 3
-
-
 def test_module_entrypoint_smoke(tmp_path):
     # The child runs in tmp_path, where a relative PYTHONPATH entry such as
     # "src" no longer resolves; point it at the package this process imported.

@@ -102,11 +102,43 @@ def test_vdberg_sweep_small_member():
     assert 0.5 <= row["oneDimRatio"] <= 2.0
 
 
-def test_vdberg_sweep_sorts_and_parallel_matches():
-    seq = pipeline.vdberg_sweep([12.0, 8.0], spacing=1.0 / 16.0, tol=1e-6)
-    assert [r["D"] for r in seq] == [8.0, 12.0]
-    par = pipeline.vdberg_sweep([12.0, 8.0], spacing=1.0 / 16.0, tol=1e-6, workers=2)
-    assert seq == par
+def test_vdberg_sweep_sorts_by_size():
+    rows = pipeline.vdberg_sweep([12.0, 8.0, 12.0], spacing=1.0 / 16.0, tol=1e-6)
+    assert [r["D"] for r in rows] == [8.0, 12.0]
+
+
+def _verdict_rows():
+    # sup ratio ~ D^-1 decays faster than D^SLOPE_MAX; every band holds
+    return [
+        {"D": d, "rho": 1.0, "shiftedProduct": 1.0, "oneDimRatio": 1.0,
+         "statistic": 1.0, "supRatio": 1.0 / d}
+        for d in (8.0, 16.0)
+    ]
+
+
+def test_vdberg_verdict_passes_in_band():
+    verdict = pipeline.vdberg_verdict(_verdict_rows())
+    assert verdict["allPass"] == 1
+    assert verdict["slope"] == pytest.approx(-1.0, rel=1e-12)
+    assert verdict["statSpread"] == 1.0
+    single = pipeline.vdberg_verdict(_verdict_rows()[:1])
+    assert single["allPass"] == 1 and math.isnan(single["slope"])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("rho", 1.0 + 2.0 * pipeline.RHO_TOL),
+        ("shiftedProduct", 2.0 * pipeline.PRODUCT_BAND[1]),
+        ("oneDimRatio", 2.0 * pipeline.RATIO_BAND[1]),
+        ("statistic", 2.0 * pipeline.STAT_SPREAD_MAX),  # spread across D
+        ("supRatio", 1.0),  # flat against D=8's 1/8: slope > SLOPE_MAX
+    ],
+)
+def test_vdberg_verdict_fails_on_one_bad_row(key, value):
+    rows = _verdict_rows()
+    rows[1][key] = value
+    assert pipeline.vdberg_verdict(rows)["allPass"] == 0
 
 
 def test_gj_compare_run_bands():

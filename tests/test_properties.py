@@ -1,13 +1,17 @@
 """The paper's invariants as properties over random piecewise-linear wells."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specgap.cli import main
 from specgap.eigensolve1d import discretize, smallest_eigenpair
-from specgap.potential import PotentialSpec, sample, shift
+from specgap.potential import PotentialGrid, PotentialSpec, sample, shift
 from specgap.sublevel import minimize_functional
 
 PI2 = math.pi**2
@@ -48,3 +52,84 @@ def test_sandwich_on_random_wells(grid):
     f_star = minimize_functional(grid).fStar
     lam = smallest_eigenpair(discretize(grid)).lambda1
     assert f_star / 250.0 <= lam <= PI2 * f_star
+
+
+@PROPERTY
+@given(grid=wells(), s=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+def test_scaling(grid, s):
+    # V(x) -> s^2 V(s x) on [a/s, b/s] with the same n
+    scaled = PotentialGrid(a=grid.a / s, b=grid.b / s, values=s * s * grid.values)
+    lam0 = smallest_eigenpair(discretize(grid)).lambda1
+    lam1 = smallest_eigenpair(discretize(scaled)).lambda1
+    assert lam1 == pytest.approx(s * s * lam0, rel=1e-10)
+    f0 = minimize_functional(grid).fStar
+    assert minimize_functional(scaled).fStar == pytest.approx(s * s * f0, rel=1e-10)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e200", "-1e200", "0", "-1", "abc", "true"]),
+)
+_SIZE = st.one_of(st.integers(-5, 5000).map(str), st.sampled_from(["abc", "nan", "inf", "2.5"]))
+_PAIR = st.tuples(_NUMBER, _NUMBER).map(",".join)
+_KINDS = ["squareWell", "linearWell", "harmonic", "quartic", "coneModel", "samples",
+          "piecewiseLinear", "noSuchKind"]
+_PARAMS = st.lists(_NUMBER, min_size=1, max_size=6).map(",".join)
+
+# the keys each fuzzed command takes, with sizes capped so an example stays fast
+_FUZZ = {
+    "bound": {"kind": st.sampled_from(_KINDS), "params": _PARAMS, "interval": _PAIR, "n": _SIZE},
+    "eig1d": {"kind": st.sampled_from(_KINDS), "params": _PARAMS, "interval": _PAIR,
+              "n": _SIZE, "tol": _NUMBER},
+    "constants": {"alpha": _NUMBER, "beta": _NUMBER, "gamma": _NUMBER,
+                  "budget": st.integers(-5, 2000).map(str)},
+    "rearrangeCheck": {"count": st.integers(-1, 2).map(str), "knots": st.integers(-1, 50).map(str),
+                       "vmax": _NUMBER, "interval": _PAIR, "n": _SIZE},
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ)))
+    argv = [command]
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZ[command])), unique=True))
+    for key in keys:
+        argv += ["--set", f"{key}={draw(_FUZZ[command][key])}"]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-3, 2**32)))]
+    return argv
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        return [x for v in obj.values() for x in _numbers(v)]
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    return [obj] if isinstance(obj, float) else []
+
+
+@PROPERTY
+@given(argv=command_lines())
+@example(argv=["rearrangeCheck", "--seed", "-1"])
+@example(argv=["constants", "--set", "budget=5", "--seed", "-1"])
+@example(argv=["rearrangeCheck", "--set", "count=2", "--set", "vmax=nan"])
+@example(argv=["rearrangeCheck", "--set", "count=2", "--set", "vmax=inf"])
+@example(argv=["eig1d", "--set", "interval=0,inf"])
+@example(argv=["bound", "--set", "interval=0,inf"])
+@example(argv=["bound", "--set", "interval=-inf,0"])
+@example(argv=["eig1d", "--set", "interval=0,1e200"])
+@example(argv=["eig1d", "--set", "interval=0,1.3615560046475493e-121"])
+@example(argv=["eig1d", "--set", "tol=inf"])
+@example(argv=["eig1d", "--set", "tol=1e200"])
+@example(argv=["constants", "--set", "gamma=inf"])
+def test_cli_fuzz_exits_cleanly(argv):
+    # any --set values: exit 0, 1 or 2 and no traceback; a run that exits 0
+    # reports only finite numbers
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "fz"
+        status = main(argv + ["--out", str(prefix)])
+        assert status in (0, 1, 2)
+        if status == 0:
+            summary = json.loads(prefix.with_suffix(".json").read_text())["summary"]
+            assert all(math.isfinite(x) for x in _numbers(summary))
