@@ -39,20 +39,6 @@ class RunConfig:
     overrides: Dict[str, object] = field(default_factory=dict)
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _fmt(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
@@ -72,9 +58,23 @@ def _as_float(value) -> float:
 
 def _as_int(value) -> int:
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"expected an integer, got {value!r}") from None
+
+
+# largest accepted sizes, checked before anything is allocated; each admits
+# every command line in the README, the tests and the benchmark workloads
+MAX_SIZE = {"n": 1_000_000, "knots": 10_000, "count": 100_000, "resolution": 4096}
+
+
+def _size(cfg: Dict[str, object], key: str) -> int:
+    value = _as_int(cfg[key])
+    if value > MAX_SIZE[key]:
+        raise ParameterError(f"{key} must be at most {MAX_SIZE[key]}, got {value}")
+    return value
 
 
 def _as_float_list(value) -> List[float]:
@@ -106,7 +106,7 @@ def _grid_from(cfg: Dict[str, object]):
         params=tuple(_as_float_list(cfg["params"]) if cfg["params"] else ()),
         interval=_interval(cfg["interval"]),
     )
-    return sample(spec, _as_int(cfg["n"]))
+    return sample(spec, _size(cfg, "n"))
 
 
 def _bound(cfg):
@@ -150,12 +150,12 @@ def _verify_thm1(cfg):
 
 def _rearrange_check(cfg):
     rows = pipeline.rearrange_random_suite(
-        count=_as_int(cfg["count"]),
+        count=_size(cfg, "count"),
         seed=cfg["seed"],
-        knots=_as_int(cfg["knots"]),
+        knots=_size(cfg, "knots"),
         vmax=_as_float(cfg["vmax"]),
         interval=_interval(cfg["interval"]),
-        n=_as_int(cfg["n"]),
+        n=_size(cfg, "n"),
     )
     failures = sum(1 for r in rows if not r["pass"])
     return {"count": len(rows), "failures": failures, "rows": rows}, None, failures == 0
@@ -185,7 +185,7 @@ def _domain_sweep(cfg):
         pipeline.domain_sweep(
             _as_str_list(cfg["families"]),
             _as_float_list(cfg["D"]),
-            resolution=_as_int(cfg["resolution"]),
+            resolution=_size(cfg, "resolution"),
         )
     )
 
@@ -276,7 +276,8 @@ def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(prefix + ".json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        # numpy scalars: np.float64 subclasses float, the rest go through .item()
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.item())
         fh.write("\n")
     with open(prefix + ".csv", "w") as fh:
         fh.write(header + "\n")
@@ -333,8 +334,8 @@ def run(config: RunConfig) -> int:
         "command": config.command,
         "input": config.input,
         "output": config.output,
-        "config": _plain(resolved),
-        "summary": _plain(summary),
+        "config": resolved,
+        "summary": summary,
     }
     _write_outputs(config.output, payload, command.header, rows)
     return 0 if ok or not resolved.get("checkBands", True) else 1

@@ -22,8 +22,6 @@ from specgap.errors import ParameterError
 _PI2 = math.pi**2
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-REFERENCE_TRIPLE_FIELDS = (99.0 / 100.0, 7.0 / 1000.0, 14.1327)
-
 
 @dataclass(frozen=True)
 class ConstantTriple:
@@ -32,36 +30,49 @@ class ConstantTriple:
     gamma: float
 
 
-def reference_triple() -> ConstantTriple:
-    a, b, g = REFERENCE_TRIPLE_FIELDS
-    return ConstantTriple(alpha=a, beta=b, gamma=g)
+REFERENCE_TRIPLE = ConstantTriple(alpha=99.0 / 100.0, beta=7.0 / 1000.0, gamma=14.1327)
+
+
+def _bracket(alpha: float, beta: float, gamma: float) -> float:
+    """sqrt(alpha)/2 * (1 - beta/pi^2) - (1+gamma)^(-1/2)"""
+    return math.sqrt(alpha) / 2.0 * (1.0 - beta / _PI2) - (1.0 + gamma) ** -0.5
+
+
+def _value(alpha: float, beta: float, gamma: float) -> float:
+    """The objective of the triple, or -inf when it is infeasible.
+
+    Feasible means alpha in (0,1), beta in (0, pi^2), finite positive gamma,
+    and a nonnegative bracket: sqrt(alpha)/2 * (1 - beta/pi^2) >=
+    (1+gamma)^(-1/2), equivalent to gamma >= (4/alpha) * (1 - beta/pi^2)^(-2) - 1.
+    A feasible triple scores at least 0, since every term is nonnegative.
+    """
+    if not (0.0 < alpha < 1.0 and 0.0 < beta < _PI2 and 0.0 < gamma < math.inf):
+        return -math.inf
+    bracket = _bracket(alpha, beta, gamma)
+    if bracket < 0.0:
+        return -math.inf
+    return min(bracket * bracket / gamma, 1.0 - alpha, alpha * beta)
 
 
 def case2_gradient_term(t: ConstantTriple) -> float:
     """(1/gamma) * [sqrt(alpha)/2 * (1 - beta/pi^2) - (1+gamma)^(-1/2)]^2"""
     if not t.gamma > 0:
         raise ParameterError(f"gamma must be positive, got {t.gamma}")
-    bracket = math.sqrt(t.alpha) / 2.0 * (1.0 - t.beta / _PI2) - (1.0 + t.gamma) ** -0.5
+    bracket = _bracket(t.alpha, t.beta, t.gamma)
     return bracket * bracket / t.gamma
 
 
 def is_feasible(t: ConstantTriple) -> bool:
-    """alpha in (0,1), beta in (0, pi^2), and finite gamma past its lower threshold.
-
-    The gamma constraint is checked in its square-root form
-    sqrt(alpha)/2 * (1 - beta/pi^2) >= (1+gamma)^(-1/2), equivalent to
-    gamma >= (4/alpha) * (1 - beta/pi^2)^(-2) - 1.
-    """
-    if not (0.0 < t.alpha < 1.0 and 0.0 < t.beta < _PI2 and 0.0 < t.gamma < math.inf):
-        return False
-    return math.sqrt(t.alpha) / 2.0 * (1.0 - t.beta / _PI2) >= (1.0 + t.gamma) ** -0.5
+    """alpha in (0,1), beta in (0, pi^2), and finite gamma past its lower threshold."""
+    return _value(t.alpha, t.beta, t.gamma) > -math.inf
 
 
 def objective(t: ConstantTriple) -> float:
     """min of the gradient term, 1 - alpha, and alpha*beta, for feasible t."""
-    if not is_feasible(t):
+    value = _value(t.alpha, t.beta, t.gamma)
+    if value == -math.inf:
         raise ParameterError(f"infeasible triple {t}")
-    return min(case2_gradient_term(t), 1.0 - t.alpha, t.alpha * t.beta)
+    return value
 
 
 def _gamma_floor(alpha: float, beta: float) -> float:
@@ -99,13 +110,6 @@ def locally_optimal_gamma(alpha: float, beta: float, iters: int = 80) -> float:
     return g
 
 
-def _safe_objective(alpha: float, beta: float, gamma: float) -> float:
-    t = ConstantTriple(alpha=alpha, beta=beta, gamma=gamma)
-    if not is_feasible(t):
-        return -math.inf
-    return min(case2_gradient_term(t), 1.0 - alpha, alpha * beta)
-
-
 def search(budget: int, seed: int) -> Tuple[ConstantTriple, float]:
     """Best feasible triple found within a budget of objective evaluations.
 
@@ -127,9 +131,8 @@ def search(budget: int, seed: int) -> Tuple[ConstantTriple, float]:
         evals += k
         return True
 
-    ref = reference_triple()
-    best = ref
-    best_val = objective(ref)
+    best = REFERENCE_TRIPLE
+    best_val = objective(best)
     evals += 1
 
     seq = np.random.SeedSequence(seed)
@@ -141,14 +144,14 @@ def search(budget: int, seed: int) -> Tuple[ConstantTriple, float]:
         if not spend(1):
             break
         g = g0 * (1.0 + float(rng.exponential(1.0)))
-        val = _safe_objective(a, b, g)
+        val = _value(a, b, g)
         for _ in range(3):
             # refine gamma along its whole admissible ray
             room = min(30, budget - evals)
             if room < 4:
                 break
             gg, vv, used = _golden_max(
-                lambda x: _safe_objective(a, b, x), g0 * (1.0 + 1e-12), g0 * 100.0, room - 2
+                lambda x: _value(a, b, x), g0 * (1.0 + 1e-12), g0 * 100.0, room - 2
             )
             evals += used
             if vv > val:
@@ -160,7 +163,7 @@ def search(budget: int, seed: int) -> Tuple[ConstantTriple, float]:
                     break
                 na = min(max(a + radius * float(rng.standard_normal()), 1e-6), 1 - 1e-12)
                 nb = max(b * (1.0 + radius * float(rng.standard_normal())), 1e-9)
-                nv = _safe_objective(na, nb, g)
+                nv = _value(na, nb, g)
                 if nv > val:
                     a, b, val = na, nb, nv
                     g0 = _gamma_floor(a, b)

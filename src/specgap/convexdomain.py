@@ -209,6 +209,17 @@ def gj_potential(hf: HeightFunction) -> PotentialGrid:
     return PotentialGrid(a=hf.a, b=hf.b, values=_PI2 / clipped**2, cap=_PI2 / floor**2)
 
 
+def longest_run(mask: np.ndarray) -> tuple[int, int]:
+    """(start, stop) of the first longest run of True in mask; (0, 0) if none."""
+    d = np.diff(np.concatenate(([False], mask, [False])).astype(np.int8))
+    starts = np.flatnonzero(d == 1)
+    if starts.size == 0:
+        return 0, 0
+    ends = np.flatnonzero(d == -1)
+    k = int(np.argmax(ends - starts))
+    return int(starts[k]), int(ends[k])
+
+
 def localization_scale(hf: HeightFunction) -> float:
     """Fixed point of L -> length of the longest run where h >= 1 - 1/L^2.
 
@@ -219,19 +230,10 @@ def localization_scale(hf: HeightFunction) -> float:
     if abs(float(h.max()) - 1.0) > 1e-3:
         raise ParameterError("height profile must peak at 1; normalize first")
     span = hf.b - hf.a
-    step = hf.dx
-
-    def longest_run(level: float) -> float:
-        mask = np.concatenate(([False], h >= level, [False]))
-        d = np.diff(mask.astype(np.int8))
-        starts = np.flatnonzero(d == 1)
-        if starts.size == 0:
-            return 0.0
-        ends = np.flatnonzero(d == -1)
-        return min(float((ends - starts).max()) * step, span)
 
     def excess(scale: float) -> float:
-        return longest_run(1.0 - 1.0 / (scale * scale)) - scale
+        start, stop = longest_run(h >= 1.0 - 1.0 / (scale * scale))
+        return min((stop - start) * hf.dx, span) - scale
 
     if excess(span) >= 0.0:
         return span

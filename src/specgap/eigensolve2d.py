@@ -18,7 +18,7 @@ from scipy import ndimage
 from scipy.fft import dstn, idstn, next_fast_len
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .convexdomain import ConvexPolygon, HeightFunction, inradius, localization_scale
+from .convexdomain import ConvexPolygon, HeightFunction, inradius, localization_scale, longest_run
 from .eigensolve1d import Eigenpair1D
 from .errors import GeometryError, NumericError, ParameterError
 
@@ -52,9 +52,6 @@ class MaskedGrid:
             raise ParameterError("activeCount must match a nonempty mask")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "mask", mask)
-
-    def indices(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.nonzero(self.mask)
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         i, j = np.nonzero(self.mask)
@@ -206,17 +203,12 @@ def gj_profile_error(pair: Eigenpair2D, hf: HeightFunction, profile: Eigenpair1D
     if profile.f.size != hf.h.size - 2:
         raise ParameterError("1D profile grid does not match the height function grid")
     scale = localization_scale(hf)
-    level = 1.0 - 1.0 / (scale * scale)
-    runs = np.concatenate(([False], hf.h >= level, [False]))
-    d = np.diff(runs.astype(np.int8))
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    if starts.size == 0:
+    start, stop = longest_run(hf.h >= 1.0 - 1.0 / (scale * scale))
+    if stop == start:
         raise ParameterError("height function never reaches the localization level")
-    k = int(np.argmax(ends - starts))
     nodes = hf.nodes()
-    x_lo = nodes[starts[k]]
-    x_hi = nodes[ends[k] - 1]
+    x_lo = nodes[start]
+    x_hi = nodes[stop - 1]
     center = 0.5 * (x_lo + x_hi)
     quarter = 0.25 * (x_hi - x_lo)
     xa, ya = pair.grid.points()

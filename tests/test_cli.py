@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import specgap
-from specgap.cli import RunConfig, main, run
+from specgap.cli import MAX_SIZE, RunConfig, main, run
 
 
 PI2 = math.pi**2
@@ -234,7 +234,19 @@ def test_bad_set_syntax(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, setting",
-    [("bound", "n=abc"), ("eig1d", "tol=abc"), ("constants", "budget=x"), ("bound", "n=1,2")],
+    [
+        ("bound", "n=abc"),
+        ("eig1d", "tol=abc"),
+        ("constants", "budget=x"),
+        ("bound", "n=1,2"),
+        # non-integral sizes are rejected, not truncated
+        ("eig1d", "n=999.9"),
+        ("rearrangeCheck", "count=2.5"),
+        ("rearrangeCheck", "knots=8.5"),
+        ("domainSweep", "resolution=256.5"),
+        ("constants", "budget=1.5"),
+        ("constants", "seed=1.5"),
+    ],
 )
 def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):
     prefix = tmp_path / "nn"
@@ -242,6 +254,21 @@ def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):
     err = capsys.readouterr().err
     assert err.startswith("input error: expected")
     assert not (tmp_path / "nn.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("bound", "n"), ("eig1d", "n"), ("rearrangeCheck", "n"), ("rearrangeCheck", "knots"),
+     ("rearrangeCheck", "count"), ("domainSweep", "resolution")],
+)
+@pytest.mark.parametrize("over", [1, "9" * 401])
+def test_size_over_its_cap_is_input_error(tmp_path, capsys, command, key, over):
+    # checked before anything is allocated; never run at the cap itself
+    value = MAX_SIZE[key] + 1 if over == 1 else over
+    prefix = tmp_path / "big"
+    assert main([command, "--out", str(prefix), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {key} must be at most")
+    assert not (tmp_path / "big.json").exists()
 
 
 def test_unknown_command_exits_two():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from specgap import pipeline
+from specgap import pipeline, rearrange
 from specgap.potential import PotentialGrid
 
 
@@ -78,6 +78,21 @@ def test_rearrange_suite_deterministic_and_passing():
         assert row["lambdaRearranged"] <= row["lambdaOriginal"] + row["slack"]
     other = pipeline.rearrange_random_suite(count=3, seed=12)
     assert other != first
+
+
+def test_rearrange_suite_solves_each_draw_twice(monkeypatch):
+    # one ground state for the drawn well, one eigenvalue for its rearrangement
+    solve = rearrange.smallest_eigenpair
+    calls = []
+
+    def counting(op, *args, **kwargs):
+        calls.append(op.n)
+        return solve(op, *args, **kwargs)
+
+    monkeypatch.setattr(rearrange, "smallest_eigenpair", counting)
+    monkeypatch.setattr(pipeline, "smallest_eigenpair", counting)
+    pipeline.rearrange_random_suite(count=3, seed=11, n=200)
+    assert len(calls) == 6
 
 
 def test_vdberg_sweep_small_member():

@@ -123,6 +123,9 @@ def _numbers(obj):
 @example(argv=["eig1d", "--set", "tol=inf"])
 @example(argv=["eig1d", "--set", "tol=1e200"])
 @example(argv=["constants", "--set", "gamma=inf"])
+@example(argv=["eig1d", "--set", "n=999.9"])
+@example(argv=["bound", "--set", "n=" + "9" * 401])
+@example(argv=["rearrangeCheck", "--set", "knots=" + "9" * 401])
 def test_cli_fuzz_exits_cleanly(argv):
     # any --set values: exit 0, 1 or 2 and no traceback; a run that exits 0
     # reports only finite numbers

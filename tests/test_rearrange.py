@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from specgap.eigensolve1d import discretize, smallest_eigenpair
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.rearrange import (
+    _center_out_positions,
     chain_slack,
     symmetric_decreasing,
     symmetric_increasing,
@@ -25,6 +28,16 @@ def test_decreasing_five_point_layout():
     out = symmetric_decreasing(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), dx=1.0)
     # descending values at positions center, right, left, right, left
     np.testing.assert_array_equal(out, [1.0, 3.0, 5.0, 4.0, 2.0])
+
+
+def test_center_out_positions_match_placement_loop():
+    # the placement rule stepped node by node: center, then right/left pairs
+    for m in range(1, 40):
+        center = (m - 1) // 2 if m % 2 == 1 else m // 2 - 1
+        expected = [center]
+        for step in range(1, m):
+            expected += [center + step, center - step]
+        np.testing.assert_array_equal(_center_out_positions(m), expected[:m])
 
 
 def test_decreasing_stable_ties():
@@ -124,3 +137,21 @@ def test_chain_slack_scales_with_dx():
     assert s2 < s1
     vrange = g1.values.max() - g1.values.min()
     assert s1 == pytest.approx(10.0 * g1.dx * vrange * np.max(np.abs(f1)) ** 2, rel=1e-12)
+
+
+def test_report_slack_is_chain_slack_of_the_ground_state():
+    g = _random_piecewise_grid(np.random.default_rng(7), n=200)
+    r = verify_chain(g)
+    assert r.slack == chain_slack(g, smallest_eigenpair(discretize(g)).f)
+    assert r.holds
+
+
+@pytest.mark.parametrize(
+    "field, other",
+    [("hlRight", "hlLeft"), ("psLeft", "psRight"), ("lambdaRearranged", "lambdaOriginal")],
+)
+def test_report_fails_when_one_comparison_passes_slack(field, other):
+    r = verify_chain(_random_piecewise_grid(np.random.default_rng(7), n=200))
+    assert r.holds
+    broken = dataclasses.replace(r, **{field: getattr(r, other) + 2.0 * r.slack})
+    assert not broken.holds
