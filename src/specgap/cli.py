@@ -301,6 +301,8 @@ def _resolve(config: RunConfig) -> Dict[str, object]:
             raise ParameterError(
                 f"{config.input}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
             ) from None
+        except ValueError as exc:  # an integer past Python's digit limit, or bad UTF-8
+            raise ParameterError(f"{config.input}: {exc}") from None
         except OSError as exc:
             raise ParameterError(f"cannot read {config.input}: {exc}") from None
     for layer in layers:

@@ -175,6 +175,8 @@ def normalize_gj(
     would land in the right half, the polygon is mirrored in x first, so
     reflected inputs produce identical profiles.
     """
+    if resolution < 1:
+        raise ParameterError(f"resolution must be at least 1, got {resolution}")
     _, k = minimal_width(poly)
     v = poly.vertices
     edge = v[(k + 1) % len(v)] - v[k]

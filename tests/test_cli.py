@@ -222,6 +222,33 @@ def test_malformed_json_input(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # json.load refuses integers of more than 4300 digits with a ValueError
+        (b'{"n": ' + b"9" * 5000 + b"}", "digits"),
+        (b'\xff\xfe{"n": 5}', "utf-8"),
+    ],
+    ids=["huge-integer", "not-utf-8"],
+)
+def test_unparsable_input_is_input_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main(["bound", "--input", str(cfg), "--out", str(tmp_path / "h")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
+    assert not (tmp_path / "h.json").exists()
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_non_positive_resolution_is_input_error(tmp_path, capsys, resolution):
+    prefix = tmp_path / "r"
+    args = ["domainSweep", "--out", str(prefix), "--set", f"resolution={resolution}"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("input error: resolution must be at least 1")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_unknown_config_key(tmp_path, capsys):
     assert main(["bound", "--out", str(tmp_path / "u"), "--set", "bogus=3"]) == 2
     assert "bogus" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -18,6 +19,7 @@ from specgap.eigensolve1d import discretize, smallest_eigenpair
 from specgap.eigensolve2d import (
     Eigenpair2D,
     MaskedGrid,
+    _multigrid,
     gj_profile_error,
     rasterize,
     smallest_eigenpair_2d,
@@ -41,6 +43,16 @@ def square(side=1.0):
 
 def rectangle(w, h):
     return ConvexPolygon(vertices=np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]]))
+
+
+def thin_strip():
+    # a 127 x 7 active strip in a 129 x 33 box: the shorter side has 32
+    # intervals, so the V-cycle coarsens 3 times to spacing 8 h, and no
+    # node (8 i, 8 j) lies in columns 1..7
+    mask = np.zeros((129, 33), dtype=bool)
+    mask[1:128, 1:8] = True
+    assert not mask[::8, ::8].any()
+    return MaskedGrid(spacing=1.0 / 64.0, origin=np.zeros(2), mask=mask, activeCount=127 * 7)
 
 
 def disk_polygon(radius=1.0, k=256):
@@ -157,15 +169,19 @@ def _box_dirichlet(n, h):
     return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]) / h**2
 
 
-def test_cone_matches_sparse_shift_invert():
-    grid = rasterize(generate_family("cone", 8.0), 1.0 / 16.0)
+def _masked_laplacian(grid):
     nx, ny = grid.mask.shape
     h = grid.spacing
     box = sp.kron(_box_dirichlet(nx, h), sp.identity(ny)) + sp.kron(
         sp.identity(nx), _box_dirichlet(ny, h)
     )
     active = np.flatnonzero(grid.mask)
-    masked = box.tocsr()[active][:, active].tocsc()
+    return box.tocsr()[active][:, active].tocsc()
+
+
+def test_cone_matches_sparse_shift_invert():
+    grid = rasterize(generate_family("cone", 8.0), 1.0 / 16.0)
+    masked = _masked_laplacian(grid)
     reference = eigsh(masked, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -190,8 +206,9 @@ def test_cone_matches_sparse_shift_invert():
             ),
             (63, 31),
         ),
+        (thin_strip(), (127, 7)),
     ],
-    ids=["prime-dst-axis", "fills-box"],
+    ids=["prime-dst-axis", "fills-box", "empty-coarsest"],
 )
 def test_rectangles_match_discrete_closed_form(grid, interior):
     h = grid.spacing
@@ -202,6 +219,43 @@ def test_rectangles_match_discrete_closed_form(grid, interior):
     assert pair.lambda1 == pytest.approx(exact, rel=1e-10)
     assert pair.residual <= 1e-8
     assert np.all(pair.u > 0.0)
+
+
+def test_cone_converges_in_few_iterations():
+    # the box-only preconditioner took 125 iterations here
+    pair = smallest_eigenpair_2d(rasterize(generate_family("cone", 16.0), 1.0 / 64.0))
+    assert 0 < pair.iterations <= 45
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [rasterize(generate_family("cone", 8.0), 1.0 / 16.0), thin_strip()],
+    ids=["cone", "empty-coarsest"],
+)
+def test_vcycle_is_symmetric_positive_definite(grid):
+    apply_a, vcycle = _multigrid(grid.mask, grid.spacing**2)
+    masked = _masked_laplacian(grid)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, grid.activeCount))
+        mx, my = vcycle(x), vcycle(y)
+        assert mx @ y == pytest.approx(x @ my, rel=1e-12)
+        assert mx @ x > 0.0
+        # the operator shares the cycle's finest arrays and stays exact
+        np.testing.assert_allclose(apply_a(x), masked @ x, rtol=1e-12, atol=1e-9)
+
+
+def test_solve_leaves_no_reference_cycles():
+    # the solver's arrays must go when it returns, not at the next garbage
+    # collection, or a sweep's peak memory grows with each domain it solves
+    grid = rasterize(generate_family("cone", 8.0), 1.0 / 16.0)
+    gc.collect()
+    gc.disable()
+    try:
+        smallest_eigenpair_2d(grid)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unreachable_tolerance_raises():
