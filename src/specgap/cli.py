@@ -6,11 +6,12 @@ computation, and writes two files: <prefix>.json with a summary plus
 the fully resolved configuration, and <prefix>.csv with the row data.
 
 COMMANDS is the one table of subcommands: each entry holds the defaults,
-the runner and the CSV header. Every pass band lives in `pipeline`; this
-module only resolves configuration and does I/O.
+the runner and the CSV header. Every pass band is a fixed constant in
+`pipeline`, never a config key; this module only resolves configuration
+and does I/O.
 
-Exit status: 0 on success, 1 when a scientific check fails (unless
-checkBands is false) or the numerics break down, 2 on bad input.
+Exit status: 0 on success, 1 when a scientific check fails or the
+numerics break down, 2 on bad input.
 """
 
 import argparse
@@ -40,17 +41,13 @@ class RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+    return value if isinstance(value, str) else format(value, ".17g")
 
 
 def _as_float(value) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"expected a number, got {value!r}") from None
@@ -58,7 +55,7 @@ def _as_float(value) -> float:
 
 def _as_int(value) -> int:
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -81,7 +78,7 @@ def _as_float_list(value) -> List[float]:
     if isinstance(value, (list, tuple)):
         return [_as_float(v) for v in value]
     if isinstance(value, (int, float, np.integer, np.floating)):
-        return [float(value)]
+        return [_as_float(value)]
     raise ParameterError(f"expected a number or list of numbers, got {value!r}")
 
 
@@ -145,7 +142,7 @@ def _all_pass(rows):
 
 def _verify_thm1(cfg):
     suite = pipeline.thm1_suite(_as_str_list(cfg["names"]))
-    return _all_pass(pipeline.verify_thm1(suite, slack=_as_float(cfg["slack"])))
+    return _all_pass(pipeline.verify_thm1(suite))
 
 
 def _rearrange_check(cfg):
@@ -203,7 +200,6 @@ def _gj_compare(cfg):
         _as_float_list(cfg["D"]),
         spacing=_as_float(cfg["spacing"]),
         tol=_as_float(cfg["tol"]),
-        rect_error_budget=_as_float(cfg["rectErrorBudget"]),
     )
     rows = [["rectProfile", 8.0, result["rectError"], result["rectPass"]]]
     rows += [["coneRatio", r["D"], r["ratio"], r["pass"]] for r in result["rows"]]
@@ -215,7 +211,7 @@ class Command(NamedTuple):
 
     The runner takes the resolved config and returns (summary, rows, ok).
     rows=None stands for the header's columns of summary["rows"]; ok=False
-    exits 1 unless the config sets checkBands to false.
+    exits 1. Every default key is read by the runner, and none is a band.
     """
 
     defaults: Dict[str, object]
@@ -229,7 +225,7 @@ COMMANDS: Dict[str, Command] = {
     "bound": Command(_GRID, _bound, "y,width,functional"),
     "eig1d": Command(dict(_GRID, tol=1e-10), _eig1d, "x,f"),
     "verifyThm1": Command(
-        {"names": list(pipeline.THM1_NAMES), "slack": pipeline.SANDWICH_SLACK},
+        {"names": list(pipeline.THM1_NAMES)},
         _verify_thm1,
         "potential,fStar,lambda1,lower,upper,pass",
     ),
@@ -248,23 +244,17 @@ COMMANDS: Dict[str, Command] = {
             "families": ["cone", "stadium", "isoTriangle"],
             "D": [16.0, 64.0, 256.0],
             "resolution": 256,
-            "checkBands": True,
         },
         _domain_sweep,
         "family,D,inradius,diameter,minWidth,L,lambda1,lower,upper,widthRatio,shiftedProduct,pass",
     ),
     "vdberg": Command(
-        {"D": [8.0, 16.0, 32.0, 64.0], "spacing": 1.0 / 64.0, "tol": 1e-6, "checkBands": True},
+        {"D": [8.0, 16.0, 32.0, 64.0], "spacing": 1.0 / 64.0, "tol": 1e-6},
         _vdberg,
         "D,rho,lambda1,supRatio,statistic,L,gjError",
     ),
     "gjCompare": Command(
-        {
-            "D": [16.0, 64.0, 256.0],
-            "spacing": 1.0 / 64.0,
-            "tol": 1e-7,
-            "rectErrorBudget": pipeline.RECT_ERROR_BUDGET,
-        },
+        {"D": [16.0, 64.0, 256.0], "spacing": 1.0 / 64.0, "tol": 1e-7},
         _gj_compare,
         "case,D,value,pass",
     ),
@@ -282,7 +272,7 @@ def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
     with open(prefix + ".csv", "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _resolve(config: RunConfig) -> Dict[str, object]:
@@ -340,15 +330,10 @@ def run(config: RunConfig) -> int:
         "summary": summary,
     }
     _write_outputs(config.output, payload, command.header, rows)
-    return 0 if ok or not resolved.get("checkBands", True) else 1
+    return 0 if ok else 1
 
 
 def _parse_scalar(raw: str):
-    low = raw.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
     try:
         return int(raw)
     except ValueError:

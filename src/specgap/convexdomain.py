@@ -229,8 +229,12 @@ def localization_scale(hf: HeightFunction) -> float:
     found by bisection and capped at b - a.
     """
     h = hf.h
-    if abs(float(h.max()) - 1.0) > 1e-3:
-        raise ParameterError("height profile must peak at 1; normalize first")
+    peak = float(h.max())
+    if abs(peak - 1.0) > 1e-3:
+        raise ParameterError(
+            f"sampled height profile peaks at {peak:.6g}, not 1; normalize the polygon"
+            " first, or sample it at a finer resolution"
+        )
     span = hf.b - hf.a
 
     def excess(scale: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -32,13 +32,14 @@ class MaskedGrid:
     """Uniform node grid over a polygon's bounding box with an interior mask.
 
     mask[i, j] flags the node at origin + (i, j) * spacing; indexing is
-    x-major so CSV exports iterate rows in (i, j) order.
+    x-major so CSV exports iterate rows in (i, j) order. activeCount is
+    the number of flagged nodes, counted from the mask.
     """
 
     spacing: float
     origin: np.ndarray
     mask: np.ndarray
-    activeCount: int
+    activeCount: int = field(init=False)
 
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float)
@@ -50,10 +51,11 @@ class MaskedGrid:
         if mask.ndim != 2 or mask.dtype != np.bool_:
             raise ParameterError("mask must be a 2D boolean array")
         count = int(mask.sum())
-        if self.activeCount != count or count < 1:
-            raise ParameterError("activeCount must match a nonempty mask")
+        if count < 1:
+            raise ParameterError("mask must flag at least one node")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "activeCount", count)
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
         i, j = np.nonzero(self.mask)
@@ -98,18 +100,12 @@ def rasterize(poly: ConvexPolygon, spacing: float) -> MaskedGrid:
         px, py = v[k]
         qx, qy = v[(k + 1) % len(v)]
         inside &= (qx - px) * (gy - py) - (qy - py) * (gx - px) > 0.0
-    count = int(inside.sum())
-    if count == 0:
+    if not inside.any():
         raise GeometryError("rasterization produced no interior nodes")
     _, parts = ndimage.label(inside, structure=_FOUR_CONNECTED)
     if parts != 1:
         raise GeometryError(f"interior nodes split into {parts} components")
-    return MaskedGrid(
-        spacing=float(spacing),
-        origin=np.array([xmin, ymin]),
-        mask=inside,
-        activeCount=count,
-    )
+    return MaskedGrid(spacing=float(spacing), origin=np.array([xmin, ymin]), mask=inside)
 
 
 def _dirichlet_symbol(n: int, h2: float) -> np.ndarray:

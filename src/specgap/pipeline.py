@@ -86,16 +86,15 @@ def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, Potenti
     return [(name, sample(*table[name])) for name in picked]
 
 
-def _sandwich(lambda1: float, report: SublevelReport, slack: float) -> Tuple[float, bool]:
-    """pi^2 fStar, and whether lower/(1+slack) <= lambda1 <= pi^2 fStar (1+slack)."""
+def _sandwich(lambda1: float, report: SublevelReport) -> Tuple[float, bool]:
+    """pi^2 fStar, and whether lambda1 lies between lower and pi^2 fStar,
+    each widened by the factor 1 + SANDWICH_SLACK."""
     upper = _PI2 * report.fStar
-    ok = report.lowerBound / (1.0 + slack) <= lambda1 <= upper * (1.0 + slack)
+    ok = report.lowerBound / (1.0 + SANDWICH_SLACK) <= lambda1 <= upper * (1.0 + SANDWICH_SLACK)
     return upper, ok
 
 
-def verify_thm1(
-    suite: Sequence[Tuple[str, PotentialGrid]], slack: float = SANDWICH_SLACK
-) -> List[Dict[str, object]]:
+def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, object]]:
     """Sandwich lambda1 between the sublevel bounds, potential by potential.
 
     Also records the sup-norm comparison, which is valid because every
@@ -105,7 +104,7 @@ def verify_thm1(
     for name, grid in suite:
         report = minimize_functional(grid)
         pair = smallest_eigenpair(discretize(grid))
-        upper, sandwich_ok = _sandwich(pair.lambda1, report, slack)
+        upper, sandwich_ok = _sandwich(pair.lambda1, report)
         ratio, bound, linf_ok = check_linfty_bound(pair, grid)
         rows.append(
             {
@@ -124,9 +123,7 @@ def verify_thm1(
     return rows
 
 
-def cone_scaling_run(
-    d_list: Sequence[float], n_factor: int = CONE_BENCH_N_FACTOR
-) -> Dict[str, object]:
+def cone_scaling_run(d_list: Sequence[float]) -> Dict[str, object]:
     """Ground energies of the cone model family and their decay rate.
 
     Each row pairs lambda1 with the half-mass width of the ground state,
@@ -135,7 +132,7 @@ def cone_scaling_run(
     """
     rows = []
     for d in sorted(float(v) for v in d_list):
-        grid = cone_model_potential(d, int(round(n_factor * d)))
+        grid = cone_model_potential(d, int(round(CONE_BENCH_N_FACTOR * d)))
         pair = smallest_eigenpair(discretize(grid))
         half_width, _ = shortest_mass_interval(pair.f, grid.dx, 0.5)
         rows.append(
@@ -203,7 +200,7 @@ def domain_sweep(
             grid = gj_potential(hf)
             report = minimize_functional(grid)
             pair = smallest_eigenpair(discretize(grid))
-            upper, sandwich_ok = _sandwich(pair.lambda1, report, SANDWICH_SLACK)
+            upper, sandwich_ok = _sandwich(pair.lambda1, report)
             shifted = (pair.lambda1 - _PI2) * scale_l * scale_l
             width_ratio = width(grid, min_value(grid) + 1.0 / (scale_l * scale_l)) / scale_l
             ok = sandwich_ok and PRODUCT_BAND[0] <= shifted <= PRODUCT_BAND[1]
@@ -294,15 +291,13 @@ def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
 
 
 def gj_compare_run(
-    d_list: Sequence[float],
-    spacing: float = 1.0 / 64.0,
-    tol: float = 1e-7,
-    rect_error_budget: float = RECT_ERROR_BUDGET,
+    d_list: Sequence[float], spacing: float = 1.0 / 64.0, tol: float = 1e-7
 ) -> Dict[str, object]:
     """Two checks on the thin-channel reduction.
 
     First, on an 8x1 rectangle the 2D ground state must match the
-    separable sine profile to within `rect_error_budget`.  Second, for
+    separable sine profile to within RECT_ERROR_BUDGET, which the summary
+    reports as rectBudget next to rectError.  Second, for
     cone domains the excess energy above the channel threshold must
     track the cone model potential's ground energy within GJ_RATIO_BAND.
     allPass requires both.
@@ -333,10 +328,10 @@ def gj_compare_run(
                 "pass": int(GJ_RATIO_BAND[0] <= ratio <= GJ_RATIO_BAND[1]),
             }
         )
-    rect_ok = rect_error <= rect_error_budget
+    rect_ok = rect_error <= RECT_ERROR_BUDGET
     return {
         "rectError": rect_error,
-        "rectBudget": rect_error_budget,
+        "rectBudget": RECT_ERROR_BUDGET,
         "rectPass": int(rect_ok),
         "rows": rows,
         "allPass": int(rect_ok and all(r["pass"] for r in rows)),

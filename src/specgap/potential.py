@@ -130,12 +130,12 @@ def sample(spec: PotentialSpec, n: int, cap: float = DEFAULT_CAP) -> PotentialGr
     return PotentialGrid(a=a, b=b, values=vals, cap=cap)
 
 
-def cone_model_potential(D: float, n: int, cap: float = DEFAULT_CAP) -> PotentialGrid:
-    """Grid for V(x) = D^2/(D-x)^2 - 1 on [0, D], pole clamped at the cap."""
+def cone_model_potential(D: float, n: int) -> PotentialGrid:
+    """Grid for V(x) = D^2/(D-x)^2 - 1 on [0, D], pole clamped at DEFAULT_CAP."""
     if D <= 1:
         raise ParameterError(f"cone model needs D > 1, got {D}")
     spec = PotentialSpec(kind="coneModel", params=[float(D)], interval=(0.0, float(D)))
-    return sample(spec, n, cap=cap)
+    return sample(spec, n)
 
 
 def shift(grid: PotentialGrid, c: float) -> PotentialGrid:

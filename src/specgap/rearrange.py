@@ -50,7 +50,7 @@ def _center_out_positions(m: int) -> np.ndarray:
     return (m - 1) // 2 + np.where(k % 2 == 1, step, -step)
 
 
-def symmetric_decreasing(f: np.ndarray, dx: float) -> np.ndarray:
+def symmetric_decreasing(f: np.ndarray) -> np.ndarray:
     """Equimeasurable rearrangement of |f| peaking at the center node."""
     f = np.abs(np.asarray(f, dtype=float))
     order = np.argsort(-f, kind="stable")
@@ -59,7 +59,7 @@ def symmetric_decreasing(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def symmetric_increasing(V: np.ndarray, dx: float) -> np.ndarray:
+def symmetric_increasing(V: np.ndarray) -> np.ndarray:
     """Equimeasurable rearrangement of V dipping at the center node."""
     V = np.asarray(V, dtype=float)
     order = np.argsort(V, kind="stable")
@@ -91,8 +91,8 @@ def verify_chain(grid: PotentialGrid) -> RearrangementReport:
     f = pair.f
     V = grid.values[1:-1]
 
-    f_star = symmetric_decreasing(f, dx)
-    v_star = symmetric_increasing(V, dx)
+    f_star = symmetric_decreasing(f)
+    v_star = symmetric_increasing(V)
 
     hl_left = float(np.sum(V * f * f) * dx)
     hl_right = float(np.sum(v_star * f_star * f_star) * dx)

@@ -38,7 +38,7 @@ def thm1_result():
 @pytest.fixture(scope="module")
 def cone_scaling_result():
     t0 = time.perf_counter()
-    result = pipeline.cone_scaling_run(CONE_D_1D, n_factor=8)
+    result = pipeline.cone_scaling_run(CONE_D_1D)
     return result, time.perf_counter() - t0
 
 

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import specgap
-from specgap.cli import MAX_SIZE, RunConfig, main, run
+from specgap import pipeline
+from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _fmt, _resolve, main, run
 
 
 PI2 = math.pi**2
@@ -130,7 +132,6 @@ def test_vdberg_quick_and_deterministic(tmp_path):
         "vdberg",
         "--set", "D=8",
         "--set", "spacing=0.0625",
-        "--set", "checkBands=false",
     ]
     assert main(args + ["--out", str(tmp_path / "w1")]) == 0
     assert main(args + ["--out", str(tmp_path / "w2")]) == 0
@@ -174,19 +175,34 @@ def test_gjcompare_quick_pass(tmp_path):
     assert lines[2].startswith("coneRatio,16,")
 
 
-def test_gjcompare_budget_failure_exits_one(tmp_path):
+def test_gjcompare_budget_failure_exits_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "RECT_ERROR_BUDGET", 1e-9)
     prefix = tmp_path / "gf"
-    args = [
-        "gjCompare",
-        "--out", str(prefix),
-        "--set", "D=16",
-        "--set", "spacing=0.03125",
-        "--set", "rectErrorBudget=1e-9",
-    ]
+    args = ["gjCompare", "--out", str(prefix), "--set", "D=16", "--set", "spacing=0.03125"]
     assert main(args) == 1
     data, lines = load(prefix)
     assert data["summary"]["rectPass"] == 0
+    assert data["summary"]["rectBudget"] == 1e-9
     assert len(lines) == 3
+
+
+# a band out of reach fails the verdict: exit 1, and both files are still written
+@pytest.mark.parametrize(
+    "band, value, argv",
+    [
+        ("SANDWICH_SLACK", -0.9, ["verifyThm1", "--set", "names=squareWell"]),
+        ("PRODUCT_BAND", (1e6, 1e7), ["domainSweep", "--set", "families=cone", "--set", "D=16"]),
+        ("PRODUCT_BAND", (1e6, 1e7), ["vdberg", "--set", "D=8", "--set", "spacing=0.0625"]),
+    ],
+    ids=["verifyThm1", "domainSweep", "vdberg"],
+)
+def test_failed_band_exits_one(tmp_path, monkeypatch, band, value, argv):
+    monkeypatch.setattr(pipeline, band, value)
+    prefix = tmp_path / "fb"
+    assert main(argv + ["--out", str(prefix)]) == 1
+    data, lines = load(prefix)
+    assert data["summary"]["allPass"] == 0
+    assert len(lines) == 2  # header and the one row
 
 
 def test_domainsweep_quick(tmp_path):
@@ -240,6 +256,33 @@ def test_unparsable_input_is_input_error(tmp_path, capsys, content, message):
     assert not (tmp_path / "h.json").exists()
 
 
+def test_boolean_input_is_input_error(tmp_path, capsys):
+    # JSON true is a bool, which Python would otherwise read as the integer 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": true}')
+    assert main(["bound", "--input", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("input error: expected an integer, got True")
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "1"),
+        (np.True_, "1"),
+        (np.int64(7), "7"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        ("cone", "cone"),
+    ],
+    ids=["bool", "numpy-bool", "numpy-int", "float", "numpy-float", "nan", "inf", "str"],
+)
+def test_csv_field_format(value, text):
+    assert _fmt(value) == text
+
+
 @pytest.mark.parametrize("resolution", [0, -3])
 def test_non_positive_resolution_is_input_error(tmp_path, capsys, resolution):
     prefix = tmp_path / "r"
@@ -249,9 +292,61 @@ def test_non_positive_resolution_is_input_error(tmp_path, capsys, resolution):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_unknown_config_key(tmp_path, capsys):
-    assert main(["bound", "--out", str(tmp_path / "u"), "--set", "bogus=3"]) == 2
-    assert "bogus" in capsys.readouterr().err
+def test_coarse_resolution_names_resolution(tmp_path, capsys):
+    # the isoTriangle profile sampled at resolution 64 misses its peak of 1
+    prefix = tmp_path / "cr"
+    args = ["domainSweep", "--out", str(prefix)]
+    args += ["--set", "resolution=64", "--set", "families=isoTriangle"]
+    assert main(args) == 2
+    assert "resolution" in capsys.readouterr().err
+    assert not (tmp_path / "cr.json").exists()
+
+
+# pass bands are constants in pipeline, never config keys
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("bound", "bogus=3"),
+        ("verifyThm1", "slack=0.5"),
+        ("gjCompare", "rectErrorBudget=1"),
+        ("vdberg", "checkBands=false"),
+        ("domainSweep", "checkBands=false"),
+    ],
+)
+def test_unknown_config_key(tmp_path, capsys, command, setting):
+    assert main([command, "--out", str(tmp_path / "u"), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: unknown config key")
+    assert setting.partition("=")[0] in err
+    assert not (tmp_path / "u.json").exists()
+
+
+class _ReadRecorder(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# small sizes for the commands whose defaults take seconds
+_GUARD_SETS = {
+    "vdberg": {"D": [8.0], "spacing": 1.0 / 16.0},
+    "gjCompare": {"D": [16.0], "spacing": 1.0 / 32.0},
+    "domainSweep": {"families": ["cone"], "D": [16.0]},
+    "rearrangeCheck": {"count": 2},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_default_key_is_read(command):
+    # a key the runner never reads is an input nothing varies
+    overrides = _GUARD_SETS.get(command, {})
+    cfg = _ReadRecorder(_resolve(RunConfig(command, None, "unused", overrides)))
+    COMMANDS[command].runner(cfg)
+    assert set(COMMANDS[command].defaults) <= cfg.read
 
 
 def test_bad_set_syntax(tmp_path, capsys):
@@ -273,6 +368,9 @@ def test_bad_set_syntax(tmp_path, capsys):
         ("domainSweep", "resolution=256.5"),
         ("constants", "budget=1.5"),
         ("constants", "seed=1.5"),
+        # true/false are names, not numbers
+        ("rearrangeCheck", "vmax=true"),
+        ("eig1d", "n=true"),
     ],
 )
 def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):

@@ -52,7 +52,7 @@ def thin_strip():
     mask = np.zeros((129, 33), dtype=bool)
     mask[1:128, 1:8] = True
     assert not mask[::8, ::8].any()
-    return MaskedGrid(spacing=1.0 / 64.0, origin=np.zeros(2), mask=mask, activeCount=127 * 7)
+    return MaskedGrid(spacing=1.0 / 64.0, origin=np.zeros(2), mask=mask)
 
 
 def disk_polygon(radius=1.0, k=256):
@@ -99,12 +99,7 @@ def test_rasterize_connected_component():
 
 def test_masked_grid_validation():
     with pytest.raises(ParameterError):
-        MaskedGrid(
-            spacing=0.1,
-            origin=np.zeros(2),
-            mask=np.zeros((4, 4), dtype=bool),
-            activeCount=0,
-        )
+        MaskedGrid(spacing=0.1, origin=np.zeros(2), mask=np.zeros((4, 4), dtype=bool))
 
 
 # ---------- smallest_eigenpair_2d ----------
@@ -198,12 +193,7 @@ def test_cone_matches_sparse_shift_invert():
         (rasterize(rectangle(8.0, 1.0), 1.0 / 64.0), (511, 63)),
         # active cells fill the bounding box, so the preconditioner is exact
         (
-            MaskedGrid(
-                spacing=1.0 / 64.0,
-                origin=np.zeros(2),
-                mask=np.ones((63, 31), dtype=bool),
-                activeCount=63 * 31,
-            ),
+            MaskedGrid(spacing=1.0 / 64.0, origin=np.zeros(2), mask=np.ones((63, 31), dtype=bool)),
             (63, 31),
         ),
         (thin_strip(), (127, 7)),

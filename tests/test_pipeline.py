@@ -157,9 +157,8 @@ def test_vdberg_verdict_fails_on_one_bad_row(key, value):
 
 
 def test_gj_compare_run_bands():
-    result = pipeline.gj_compare_run(
-        [16.0], spacing=1.0 / 32.0, tol=1e-7, rect_error_budget=1e-2
-    )
+    result = pipeline.gj_compare_run([16.0], spacing=1.0 / 32.0, tol=1e-7)
+    assert result["rectBudget"] == pipeline.RECT_ERROR_BUDGET == 1e-2
     assert 0 <= result["rectError"] <= 1e-2
     assert result["rectPass"] == 1
     (row,) = result["rows"]

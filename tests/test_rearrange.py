@@ -15,17 +15,17 @@ from specgap.rearrange import (
 
 
 def test_decreasing_odd_center_gets_largest():
-    out = symmetric_decreasing(np.array([1.0, 3.0, 2.0]), dx=1.0)
+    out = symmetric_decreasing(np.array([1.0, 3.0, 2.0]))
     np.testing.assert_array_equal(out, [1.0, 3.0, 2.0])
 
 
 def test_decreasing_even_center_left_of_middle():
-    out = symmetric_decreasing(np.array([4.0, 3.0, 2.0, 1.0]), dx=1.0)
+    out = symmetric_decreasing(np.array([4.0, 3.0, 2.0, 1.0]))
     np.testing.assert_array_equal(out, [2.0, 4.0, 3.0, 1.0])
 
 
 def test_decreasing_five_point_layout():
-    out = symmetric_decreasing(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), dx=1.0)
+    out = symmetric_decreasing(np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
     # descending values at positions center, right, left, right, left
     np.testing.assert_array_equal(out, [1.0, 3.0, 5.0, 4.0, 2.0])
 
@@ -41,40 +41,40 @@ def test_center_out_positions_match_placement_loop():
 
 
 def test_decreasing_stable_ties():
-    out = symmetric_decreasing(np.array([2.0, 1.0, 2.0]), dx=1.0)
+    out = symmetric_decreasing(np.array([2.0, 1.0, 2.0]))
     np.testing.assert_array_equal(out, [1.0, 2.0, 2.0])
 
 
 def test_decreasing_idempotent():
     f = np.array([0.1, 0.7, 1.0, 0.4, 0.2])
-    once = symmetric_decreasing(f, dx=1.0)
-    twice = symmetric_decreasing(once, dx=1.0)
+    once = symmetric_decreasing(f)
+    twice = symmetric_decreasing(once)
     np.testing.assert_array_equal(once, twice)
 
 
 def test_decreasing_preserves_multiset_and_mass():
     rng = np.random.default_rng(5)
     f = rng.uniform(0, 3, 101)
-    out = symmetric_decreasing(f, dx=0.01)
+    out = symmetric_decreasing(f)
     np.testing.assert_array_equal(np.sort(out), np.sort(f))
     assert np.sum(out**2) == pytest.approx(np.sum(f**2), rel=1e-15)
 
 
 def test_decreasing_takes_absolute_value():
-    out = symmetric_decreasing(np.array([-3.0, 1.0, 2.0]), dx=1.0)
+    out = symmetric_decreasing(np.array([-3.0, 1.0, 2.0]))
     np.testing.assert_array_equal(out, [1.0, 3.0, 2.0])
 
 
 def test_increasing_center_gets_smallest():
-    out = symmetric_increasing(np.array([5.0, 0.0, 3.0]), dx=1.0)
+    out = symmetric_increasing(np.array([5.0, 0.0, 3.0]))
     np.testing.assert_array_equal(out, [5.0, 0.0, 3.0])
-    out = symmetric_increasing(np.array([1.0, 2.0, 3.0]), dx=1.0)
+    out = symmetric_increasing(np.array([1.0, 2.0, 3.0]))
     np.testing.assert_array_equal(out, [3.0, 1.0, 2.0])
 
 
 def test_increasing_constant_unchanged():
     v = np.full(7, 4.2)
-    np.testing.assert_array_equal(symmetric_increasing(v, dx=0.5), v)
+    np.testing.assert_array_equal(symmetric_increasing(v), v)
 
 
 def test_increasing_equimeasurable_widths():
@@ -83,7 +83,7 @@ def test_increasing_equimeasurable_widths():
     rng = np.random.default_rng(8)
     vals = rng.uniform(0, 10, 102)
     g = PotentialGrid(a=0.0, b=1.0, values=vals)
-    vstar = symmetric_increasing(vals[1:-1], dx=g.dx)
+    vstar = symmetric_increasing(vals[1:-1])
     gstar = PotentialGrid(a=0.0, b=1.0, values=np.concatenate(([vals.max()], vstar, [vals.max()])))
     for y in np.quantile(vals, [0.1, 0.3, 0.5, 0.8]):
         assert width(g, float(y)) == width(gstar, float(y))
