@@ -3,22 +3,31 @@
 Polygons are counterclockwise vertex arrays.  Normalization rotates the
 thinnest support direction onto the y-axis and rescales so the transverse
 extent is exactly [0, 1]; the vertical-width profile of the result drives
-the one-dimensional reduction of the planar Dirichlet problem.
+the one-dimensional reduction of the planar Dirichlet problem.  All of it
+is plain numpy: the inradius comes from edge collapse, the cone family's
+hull and the isoceles triangle's half-base from closed forms.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog
-from scipy.spatial import ConvexHull
 
 from .errors import GeometryError, ParameterError
 from .potential import PotentialGrid
 
 _PI2 = math.pi**2
+
+# Most nodes a height profile (normalize_gj) or a rasterized bounding box
+# (eigensolve2d.rasterize) may have.  A 2D run peaks at about 100 bytes per
+# box node (mask, multigrid levels, LOBPCG blocks; measured on vdberg cones
+# from D=64 to D=256 at spacing 1/64) and a profile at about 50, so 2^25
+# nodes holds a run under about 3.4 GB.  That is 8 times the box one D
+# doubling past the largest default one (4,097 x 129 nodes) needs.
+MAX_GRID_NODES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -116,25 +125,85 @@ def minimal_width(poly: ConvexPolygon) -> tuple[float, int]:
     return float(widths[k]), k
 
 
+def _collapse_time(normals, offsets, p: int, i: int, q: int) -> float:
+    """Time at which inward-moving line i meets its neighbours p and q.
+
+    Line k at time t is normals[k] . x = offsets[k] - t; the three lines
+    meet where this 3x3 system in (x, y, t) has its solution, by Cramer's
+    rule once line p's row is subtracted from the other two, which keeps
+    nearly parallel neighbours accurate.  The system is singular only if
+    two of the normals are equal, and a negative time means the edge
+    grows as it moves; either way the edge never collapses.
+    """
+    (px, py), (ix, iy), (qx, qy) = normals[p], normals[i], normals[q]
+    ax, ay, bx, by = ix - px, iy - py, qx - px, qy - py
+    det = ax * by - ay * bx
+    if det == 0.0:
+        return math.inf
+    da, db = offsets[i] - offsets[p], offsets[q] - offsets[p]
+    t = offsets[p] + (db * (px * ay - py * ax) - da * (px * by - py * bx)) / det
+    return t if t >= 0.0 else math.inf
+
+
 def inradius(poly: ConvexPolygon) -> float:
-    """Chebyshev radius: the largest disk fitting inside every edge half-plane."""
+    """Radius of the largest disk inside the polygon, by edge collapse.
+
+    Collinear edges are merged first: an edge whose far end lies on the
+    line of the last kept edge (within 1e-12 of the polygon's extent)
+    adds no half-plane, and dropping it leaves every pair of neighbouring
+    lines distinct.  Every line then moves inward at unit speed, and an
+    edge vanishes when it and its two live neighbours meet.  Removing the
+    earliest edge and re-timing only its two neighbours, down to three
+    lines, traces the shrinking polygon (Aggarwal, Guibas, Saxe & Shor,
+    DCG 4, 1989); the inradius is the latest collapse time.
+    """
     v = poly.vertices
-    e = np.roll(v, -1, axis=0) - v
+    ends = np.roll(v, -1, axis=0)
+    e = ends - v
     ln = np.hypot(e[:, 0], e[:, 1])
     outward = np.column_stack([e[:, 1], -e[:, 0]]) / ln[:, None]
-    a_ub = np.column_stack([outward, np.ones(len(v))])
-    b_ub = np.sum(outward * v, axis=1)
-    res = linprog(
-        c=[0.0, 0.0, -1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None), (None, None), (0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise GeometryError(f"Chebyshev center search failed: {res.message}")
-    r = float(res.x[2])
+    all_normals = outward.tolist()
+    all_offsets = np.sum(outward * v, axis=1).tolist()
+    ends = ends.tolist()
     scale = float(max(np.ptp(v[:, 0]), np.ptp(v[:, 1])))
+    m = len(v)
+
+    def on_line(j: int, k: int) -> bool:
+        (nx, ny), (x, y) = all_normals[j], ends[k]
+        return abs(nx * x + ny * y - all_offsets[j]) <= 1e-12 * scale
+
+    # start at an edge that turns away from its predecessor, so the
+    # wrap-around needs no second pass
+    start = next((k for k in range(m) if not on_line(k - 1, k)), 0)
+    kept = [start]
+    for k in range(start + 1, start + m):
+        if not on_line(kept[-1], k % m):
+            kept.append(k % m)
+    if len(kept) < 3:
+        raise GeometryError("degenerate polygon: near-zero inradius")
+    normals = [all_normals[k] for k in kept]
+    offsets = [all_offsets[k] for k in kept]
+    m = len(kept)
+    prev = [(k - 1) % m for k in range(m)]
+    succ = [(k + 1) % m for k in range(m)]
+    times = [_collapse_time(normals, offsets, prev[k], k, succ[k]) for k in range(m)]
+    heap = [(t, k) for k, t in enumerate(times) if t < math.inf]
+    heapq.heapify(heap)
+    r = 0.0
+    while m > 3 and heap:
+        t, k = heapq.heappop(heap)
+        if t != times[k]:  # re-timed or removed since it was queued
+            continue
+        r = max(r, t)
+        times[k] = math.inf
+        p, q = prev[k], succ[k]
+        succ[p], prev[q] = q, p
+        m -= 1
+        for j in (p, q):
+            times[j] = _collapse_time(normals, offsets, prev[j], j, succ[j])
+            if times[j] < math.inf:
+                heapq.heappush(heap, (times[j], j))
+    r = max([r] + [t for t in times if t < math.inf])  # the last three meet together
     if r <= 1e-9 * scale:
         raise GeometryError("degenerate polygon: near-zero inradius")
     return r
@@ -173,7 +242,8 @@ def normalize_gj(
     The boundary graphs f1, f2 are sampled by vertical-line clipping on a
     uniform x-grid with spacing about 1/resolution.  If the widest section
     would land in the right half, the polygon is mirrored in x first, so
-    reflected inputs produce identical profiles.
+    reflected inputs produce identical profiles.  A profile of more than
+    MAX_GRID_NODES nodes is rejected before it is allocated.
     """
     if resolution < 1:
         raise ParameterError(f"resolution must be at least 1, got {resolution}")
@@ -187,7 +257,12 @@ def normalize_gj(
     s = 1.0 / (w[:, 1].max() - ymin)
     u = (w - [w[:, 0].min(), ymin]) * s
     length = float(u[:, 0].max())
-    n = max(4, int(round(length * resolution)) - 1)
+    n = max(4, int(round(min(length * resolution, MAX_GRID_NODES))) - 1)
+    if n + 2 > MAX_GRID_NODES:
+        raise ParameterError(
+            f"a height profile of length {length:g} at resolution {resolution} needs more"
+            f" than MAX_GRID_NODES = {MAX_GRID_NODES} nodes"
+        )
     x = np.linspace(0.0, length, n + 2)
     f1, f2 = _boundary_graphs(u, x)
     h = np.maximum(f2 - f1, 0.0)
@@ -258,9 +333,10 @@ def generate_family(kind: str, diameter_target: float) -> ConvexPolygon:
     """Convex test domains with unit inradius and a prescribed diameter.
 
     cone: hull of a 256-gon unit disk and an apex placed so the measured
-    diameter equals the target.  stadium: two 128-segment unit half-disk
-    caps joined by straight sides.  isoTriangle: isoceles triangle whose
-    equal sides have the target length and whose incircle radius is 1.
+    diameter equals the target, in the vertex order of scipy's ConvexHull.
+    stadium: two 128-segment unit half-disk caps joined by straight sides.
+    isoTriangle: isoceles triangle whose equal sides have the target length
+    and whose incircle radius is 1.
     """
     D = float(diameter_target)
     if not math.isfinite(D) or D <= 2.0:
@@ -268,9 +344,15 @@ def generate_family(kind: str, diameter_target: float) -> ConvexPolygon:
     if kind == "cone":
         ang = 2.0 * np.pi * np.arange(256) / 256.0
         disk = np.column_stack([np.cos(ang), np.sin(ang)])
-        pts = np.vstack([disk, [D - 1.0, 0.0]])
-        hull = ConvexHull(pts)
-        return ConvexPolygon(vertices=pts[hull.vertices])
+        apex = np.array([D - 1.0, 0.0])
+        # edge k runs from disk[k] to disk[k + 1]; drop every vertex whose
+        # two edges both face the apex, and start where qhull does: at the
+        # last kept vertex below the axis, then the apex, counterclockwise
+        e = np.roll(disk, -1, axis=0) - disk
+        w = apex - disk
+        faces = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0] < 0.0
+        kept = np.flatnonzero(~(faces & np.roll(faces, 1)))
+        return ConvexPolygon(vertices=np.vstack([disk[kept[-1]], apex, disk[kept[:-1]]]))
     if kind == "stadium":
         c = 0.5 * D - 1.0
         th_right = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 129)
@@ -284,13 +366,20 @@ def generate_family(kind: str, diameter_target: float) -> ConvexPolygon:
         return ConvexPolygon(vertices=caps)
     if kind == "isoTriangle":
         # half-base t of a unit-incircle isoceles triangle with equal
-        # sides D solves t^2 (D - t) = t + D; infeasible once D^2 <= 12
-        def incircle_gap(t: float) -> float:
-            return t * t * (D - t) - t - D
-
-        if incircle_gap(0.5 * D) <= 0.0:
+        # sides D solves t^2 (D - t) = t + D; infeasible once D^2 <= 12.
+        # Of the cubic's roots one lies in (1, D/2], one above D/2, and
+        # one is negative.  The wanted one is about 1 + 1/D, which rounds
+        # to 1 once D passes about 4.5e15
+        half = 0.5 * D
+        if half * half * half - half - D <= 0.0:
             raise GeometryError("diameter too small for a unit-inradius isoceles triangle")
-        t = brentq(incircle_gap, 1.0 + 1e-9, 0.5 * D)
+        roots = np.roots([-1.0, D, -1.0, -D])
+        wanted = roots.real[(roots.imag == 0.0) & (roots.real > 1.0) & (roots.real <= half)]
+        if wanted.size != 1:
+            raise GeometryError(
+                f"diameter {D:g} is beyond float precision for a unit-inradius isoceles triangle"
+            )
+        t = float(wanted[0])
         ell = math.sqrt(D * D - t * t)
         return ConvexPolygon(vertices=np.array([[0.0, -t], [ell, 0.0], [0.0, t]]))
     raise ParameterError(f"unknown family kind: {kind!r}")

@@ -5,7 +5,8 @@ polygon are active and all outside neighbors are held at zero.  The smallest
 eigenpair of the matrix-free five-point stencil on active cells comes from
 LOBPCG (Knyazev 2001) preconditioned by one geometric multigrid V-cycle
 (Knyazev & Neymeyr, ETNA 15, 2003) whose coarsest level is the exact
-inverse of the bounding box's Dirichlet Laplacian, by type-I sine transforms.
+inverse of the bounding box's Dirichlet Laplacian, by type-I sine transforms
+taken from numpy's real FFT.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
-from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .convexdomain import ConvexPolygon, HeightFunction, inradius, localization_scale, longest_run
+from .convexdomain import (
+    MAX_GRID_NODES,
+    ConvexPolygon,
+    HeightFunction,
+    inradius,
+    localization_scale,
+    longest_run,
+)
 from .eigensolve1d import Eigenpair1D
 from .errors import GeometryError, NumericError, ParameterError
-
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,9 @@ def rasterize(poly: ConvexPolygon, spacing: float) -> MaskedGrid:
     """Mark grid nodes strictly inside the polygon.
 
     Spacing coarser than a quarter inradius leaves too few cells across the
-    thin direction for the stencil to see the domain shape and is rejected.
+    thin direction for the stencil to see the domain shape and is rejected,
+    and so is a bounding box of more than MAX_GRID_NODES nodes, before
+    anything is allocated. The interior nodes must be 4-connected.
     """
     if not (isinstance(spacing, (int, float)) and math.isfinite(spacing) and spacing > 0):
         raise ParameterError("spacing must be positive and finite")
@@ -89,8 +95,16 @@ def rasterize(poly: ConvexPolygon, spacing: float) -> MaskedGrid:
     v = poly.vertices
     xmin, ymin = v.min(axis=0)
     xmax, ymax = v.max(axis=0)
-    nx = int(math.ceil((xmax - xmin) / spacing - 1e-9)) + 1
-    ny = int(math.ceil((ymax - ymin) / spacing - 1e-9)) + 1
+    # clamped at the cap first, so a huge box is never rounded to an integer
+    nx, ny = (
+        int(math.ceil(min(extent / spacing, MAX_GRID_NODES) - 1e-9)) + 1
+        for extent in (xmax - xmin, ymax - ymin)
+    )
+    if nx * ny > MAX_GRID_NODES:
+        raise ParameterError(
+            f"spacing {spacing:g} over a {xmax - xmin:g} x {ymax - ymin:g} box needs more"
+            f" than MAX_GRID_NODES = {MAX_GRID_NODES} grid nodes"
+        )
     x = xmin + spacing * np.arange(nx)
     y = ymin + spacing * np.arange(ny)
     inside = np.ones((nx, ny), dtype=bool)
@@ -102,15 +116,54 @@ def rasterize(poly: ConvexPolygon, spacing: float) -> MaskedGrid:
         inside &= (qx - px) * (gy - py) - (qy - py) * (gx - px) > 0.0
     if not inside.any():
         raise GeometryError("rasterization produced no interior nodes")
-    _, parts = ndimage.label(inside, structure=_FOUR_CONNECTED)
+    parts = _components(inside)
     if parts != 1:
         raise GeometryError(f"interior nodes split into {parts} components")
     return MaskedGrid(spacing=float(spacing), origin=np.array([xmin, ymin]), mask=inside)
 
 
+def _components(mask: np.ndarray) -> int:
+    """Number of 4-connected components of a nonempty mask of single-run columns.
+
+    Every column mask[i] of a convex polygon's mask is one run [lo, hi), so
+    the mask is connected when its nonempty columns are consecutive and the
+    runs of neighbouring columns overlap, and each break starts a component.
+    """
+    cols = np.flatnonzero(mask.any(axis=1))
+    lo = np.argmax(mask, axis=1)[cols]
+    hi = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)[cols]
+    breaks = (np.diff(cols) > 1) | (np.maximum(lo[1:], lo[:-1]) >= np.minimum(hi[1:], hi[:-1]))
+    return 1 + int(np.count_nonzero(breaks))
+
+
 def _dirichlet_symbol(n: int, h2: float) -> np.ndarray:
     """Eigenvalues of the three-point Dirichlet stencil on n nodes, ascending."""
     return (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h2
+
+
+def _box_inverse(shape: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse of the unscaled five-point stencil on a zero-padded box.
+
+    The stencil is diagonal in the type-I sine basis, so its inverse is
+    dst(dst(r) / symbol) / (4 (n0 + 1)(n1 + 1)) with the unnormalized DST-I
+    y_k = 2 sum_j a_j sin(pi (j + 1)(k + 1) / (n + 1)) along each axis,
+    read off the real FFT of the odd extension (0, a, 0, -reversed a) as
+    minus its imaginary part.
+    """
+    n0, n1 = shape
+    symbol = np.add.outer(_dirichlet_symbol(n0, 1.0), _dirichlet_symbol(n1, 1.0))
+    scale = 0.25 / ((n0 + 1) * (n1 + 1) * symbol)
+
+    def dst2(a: np.ndarray) -> np.ndarray:
+        for _ in range(2):  # along axis 1, then along axis 0 after a transpose
+            m, n = a.shape
+            z = np.zeros((m, 2 * n + 2))
+            z[:, 1 : n + 1] = a
+            z[:, n + 2 :] = -a[:, ::-1]
+            a = -np.fft.rfft(z)[:, 1 : n + 1].imag.T
+        return a
+
+    return lambda r: dst2(dst2(r) * scale)
 
 
 def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable]:
@@ -121,14 +174,15 @@ def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable]:
     (2^k i, 2^k j) of the zero-padded box, down to 4 to 8 intervals across
     its shorter side.  Two masked Jacobi sweeps (omega 0.8) precede and
     follow the correction P (next level's cycle) P^T r, with bilinear P, or
-    on the coarsest level the box's exact inverse by type-I sine transforms.
+    on the coarsest level the box's exact inverse by type-I sine transforms
+    (_box_inverse).
     The mirrored sweeps contract in the energy norm, so the cycle is SPD.
     """
     levels = max(1, ((min(mask.shape) - 1) // 4).bit_length())
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [padded[:: 1 << k, :: 1 << k] for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape) for m in masks] for _ in range(3))
-    symbol = np.add.outer(*(_dirichlet_symbol(m, 1.0) for m in masks[-1].shape))
+    box_inverse = _box_inverse(masks[-1].shape)
     active = np.ravel_multi_index(np.nonzero(mask), padded.shape)
 
     def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k
@@ -162,7 +216,7 @@ def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable]:
                     v[:-2:2] += v[1::2]
                     v[2::2] += v[1::2]
                 np.multiply(t[::2, ::2], masks[k + 1], out=gs[k + 1])
-        xs[-1] += idstn(dstn(ts[-1], type=1) / symbol, type=1) * masks[-1]
+        xs[-1] += box_inverse(ts[-1]) * masks[-1]
         for k in reversed(range(levels)):  # prolong the correction, post-smooth
             if k + 1 < levels:
                 t = ts[k]

@@ -13,6 +13,7 @@ import pytest
 import specgap
 from specgap import pipeline
 from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _fmt, _resolve, main, run
+from specgap.convexdomain import MAX_GRID_NODES
 
 
 PI2 = math.pi**2
@@ -409,22 +410,68 @@ def test_runconfig_api(tmp_path):
     assert data["summary"]["objective"] == pytest.approx(0.004078255, abs=1e-6)
 
 
-def test_module_entrypoint_smoke(tmp_path):
-    # The child runs in tmp_path, where a relative PYTHONPATH entry such as
-    # "src" no longer resolves; point it at the package this process imported.
+def child_env():
+    # A child may run in another directory, where a relative PYTHONPATH entry
+    # such as "src" no longer resolves; point it at the package this process
+    # imported.
     package_root = str(Path(specgap.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         package_root + os.pathsep + inherited if inherited else package_root
     )
+    return env
+
+
+def test_module_entrypoint_smoke(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "specgap", "constants", "--out", "c"],
         cwd=tmp_path,
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "c.json").exists()
     assert (tmp_path / "c.csv").exists()
+
+
+def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
+    # start-up needs numpy, scipy.linalg and scipy.sparse.linalg only
+    heavy = ("scipy.optimize", "scipy.spatial", "scipy.ndimage", "scipy.fft", "scipy.special")
+    code = (
+        "import sys, specgap.cli; "
+        f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=child_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gjCompare", "--set", "spacing=1e-300"],
+        ["vdberg", "--set", "spacing=1e-300"],
+        # far past the cap, yet a valid cone: rejected at the grid, unallocated
+        ["vdberg", "--set", "D=1e8"],
+        ["domainSweep", "--set", "D=1e8", "--set", "families=cone"],
+        ["gjCompare", "--set", "D=1e8", "--set", "spacing=0.0625"],
+    ],
+)
+def test_grid_over_node_cap_is_input_error(tmp_path, capsys, argv):
+    prefix = tmp_path / "big"
+    assert main(argv + ["--out", str(prefix)]) == 2
+    assert f"MAX_GRID_NODES = {MAX_GRID_NODES}" in capsys.readouterr().err
+    assert not (tmp_path / "big.json").exists()
+
+
+@pytest.mark.parametrize("command", ["gjCompare", "domainSweep", "vdberg"])
+def test_huge_diameter_is_input_error(tmp_path, capsys, command):
+    # the disk's edges vanish next to a 1e300 diameter: no valid polygon
+    prefix = tmp_path / "huge"
+    assert main([command, "--set", "D=1e300", "--out", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "huge.json").exists()

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
+from specgap import convexdomain
 from specgap.convexdomain import (
+    MAX_GRID_NODES,
     ConvexPolygon,
     HeightFunction,
     diameter,
@@ -108,6 +112,108 @@ def test_scaling_exact():
     q = ConvexPolygon(vertices=p.vertices * t)
     assert diameter(q) == pytest.approx(t * diameter(p), rel=1e-12)
     assert inradius(q) == pytest.approx(t * inradius(p), rel=1e-9)
+
+
+def chebyshev_radius(poly):
+    # the reference: the largest disk inside every edge half-plane, by LP
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    outward = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    res = linprog(
+        c=[0.0, 0.0, -1.0],
+        A_ub=np.column_stack([outward, np.ones(len(v))]),
+        b_ub=np.sum(outward * v, axis=1),
+        bounds=[(None, None), (None, None), (0.0, None)],
+        method="highs",
+    )
+    assert res.success
+    return float(res.x[2])
+
+
+@pytest.mark.parametrize(
+    "kind, D",
+    [
+        (kind, D)
+        for kind in ("cone", "stadium", "isoTriangle")
+        for D in (2.5, 4.0, 10.0, 16.0, 64.0, 256.0, 1000.0)
+        if kind != "isoTriangle" or D * D > 12.0  # no unit-incircle triangle shorter
+    ],
+)
+def test_inradius_matches_linprog_on_families(kind, D):
+    poly = generate_family(kind, D)
+    assert inradius(poly) == pytest.approx(chebyshev_radius(poly), rel=1e-12)
+
+
+def test_inradius_matches_linprog_on_random_hulls():
+    rng = np.random.default_rng(20260418)
+    for _ in range(240):
+        count = int(rng.integers(3, 80))
+        pts = rng.normal(size=(count, 2)) * rng.uniform(0.01, 100.0, size=2)
+        pts = pts @ np.linalg.qr(rng.normal(size=(2, 2)))[0] + rng.uniform(-5.0, 5.0, size=2)
+        poly = ConvexPolygon(vertices=pts[ConvexHull(pts).vertices])
+        assert inradius(poly) == pytest.approx(chebyshev_radius(poly), rel=1e-12)
+
+
+def test_inradius_rectangle_with_split_edge():
+    # the bottom edge is two collinear edges: their lines coincide, so
+    # one of them is merged into the other before any edge collapses
+    for w, h, cut in ((3.0, 1.0, 1.0), (3.0, 4.0, 0.5), (1.0, 1.0, 0.25)):
+        poly = ConvexPolygon(
+            vertices=np.array([[0.0, 0.0], [cut, 0.0], [w, 0.0], [w, h], [0.0, h]])
+        )
+        assert inradius(poly) == pytest.approx(0.5 * min(w, h), rel=1e-14)
+        # rotated, the two normals may differ in their last bits
+        for angle in (0.3, 1.0, 2.5):
+            assert inradius(rigid(poly, angle, (1.0, -2.0))) == pytest.approx(
+                0.5 * min(w, h), rel=1e-12
+            )
+
+
+@pytest.mark.parametrize("pieces", [2, 3, 7])
+def test_inradius_rectangle_with_split_short_sides(pieces):
+    # both short sides, which set the radius, are split into collinear
+    # edges; left unmerged, no split edge would ever collapse and the
+    # long sides would be timed against the far walls, giving 1.5
+    cuts = np.linspace(0.0, 1.0, pieces + 1)[1:-1]
+    right = [[3.0, y] for y in cuts]
+    left = [[0.0, y] for y in cuts[::-1]]
+    poly = ConvexPolygon(
+        vertices=np.array([[0.0, 0.0], [3.0, 0.0], *right, [3.0, 1.0], [0.0, 1.0], *left])
+    )
+    assert inradius(poly) == pytest.approx(0.5, rel=1e-14)
+    for angle in (0.3, 1.0, 2.5):
+        assert inradius(rigid(poly, angle, (1.0, -2.0))) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("bend", [1e-9, 1e-7, 1e-4])
+def test_inradius_slightly_bent_edge(bend):
+    # a bottom edge bent outward at its midpoint is two lines, not one:
+    # the disk centred at x = 1.5 touches both of them and the top, so
+    # r = 1.5 (bend + 1 - r) / s with s the length of either bottom edge;
+    # merging the two lines would put it at 0.5.  (The LP reference is off
+    # by 5e-10 at bend 1e-9, within its solver's feasibility tolerance.)
+    poly = ConvexPolygon(
+        vertices=np.array([[0.0, 0.0], [1.5, -bend], [3.0, 0.0], [3.0, 1.0], [0.0, 1.0]])
+    )
+    s = math.hypot(1.5, bend)
+    assert inradius(poly) == pytest.approx(1.5 * (1.0 + bend) / (s + 1.5), rel=1e-14)
+
+
+def test_inradius_truncated_triangle():
+    # the cut y = 2 meets its neighbours' lines above itself, at negative
+    # time, so it never collapses; the disk of radius 1 at (1, 1) touches
+    # the cut, the base and the left side, short of the triangle's incircle
+    poly = ConvexPolygon(vertices=np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 2.0], [0.0, 2.0]]))
+    assert inradius(poly) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 12, 64, 256, 1000, 100_000])
+def test_inradius_regular_polygons(k):
+    # at 100,000 sides neighbouring normals differ by 6e-5, and the three-
+    # line systems have determinants near (2 pi / k)^3, about 2.5e-13
+    assert inradius(regular_polygon(k, radius=2.5)) == pytest.approx(
+        2.5 * math.cos(math.pi / k), rel=1e-13
+    )
 
 
 # ---------- normalize_gj ----------
@@ -253,6 +359,29 @@ def test_stadium_geometry_and_flat_run():
     assert run.max() - run.min() == pytest.approx((10.0 - 2.0) / 2.0, abs=0.05)
 
 
+def test_cone_vertices_match_qhull():
+    # the closed-form hull keeps qhull's vertex order, so every downstream
+    # tie-break (minimal_width, normalize_gj) sees the same polygon
+    ang = 2.0 * np.pi * np.arange(256) / 256.0
+    disk = np.column_stack([np.cos(ang), np.sin(ang)])
+    for D in np.linspace(2.0, 200.0, 1005)[1:]:
+        pts = np.vstack([disk, [D - 1.0, 0.0]])
+        assert np.array_equal(generate_family("cone", D).vertices, pts[ConvexHull(pts).vertices])
+
+
+@pytest.mark.parametrize("D", [3.5, 4.0, 8.0, 16.0, 64.0, 256.0, 1e4])
+def test_iso_triangle_unit_inradius(D):
+    p = generate_family("isoTriangle", D)
+    assert inradius(p) == pytest.approx(1.0, rel=1e-12)
+    assert np.hypot(*(p.vertices[1] - p.vertices[0])) == pytest.approx(D, rel=1e-14)
+
+
+def test_iso_triangle_beyond_float_precision():
+    # the half-base 1 + 1/D rounds to 1: no root in (1, D/2] is left
+    with pytest.raises(GeometryError, match="beyond float precision"):
+        generate_family("isoTriangle", 1e17)
+
+
 def test_iso_triangle_geometry():
     p = generate_family("isoTriangle", 10.0)
     assert len(p.vertices) == 3
@@ -281,6 +410,25 @@ def test_family_members_normalize_cleanly():
         assert np.min(hf.f1) == pytest.approx(0.0, abs=1e-3)
         assert np.max(hf.f2) == pytest.approx(1.0, abs=1e-3)
         assert np.all(hf.f1 >= -1e-3) and np.all(hf.f2 <= 1 + 1e-3)
+
+
+def test_normalize_gj_node_cap():
+    # a 131072 x 1 rectangle at resolution 256 has round(131072 * 256) + 1
+    # = MAX_GRID_NODES + 1 profile nodes: rejected before any is allocated
+    assert 131072 * 256 + 1 == MAX_GRID_NODES + 1
+    with pytest.raises(ParameterError, match="MAX_GRID_NODES"):
+        normalize_gj(rectangle(131072.0, 1.0), resolution=256)
+    with pytest.raises(ParameterError, match="MAX_GRID_NODES"):
+        normalize_gj(rectangle(1e11, 1.0), resolution=4096)
+
+
+def test_normalize_gj_node_cap_is_inclusive(monkeypatch):
+    # 4 x 1 at resolution 8: 33 profile nodes, the cap itself passes
+    monkeypatch.setattr(convexdomain, "MAX_GRID_NODES", 33)
+    assert normalize_gj(rectangle(4.0, 1.0), resolution=8)[1].h.size == 33
+    monkeypatch.setattr(convexdomain, "MAX_GRID_NODES", 32)
+    with pytest.raises(ParameterError, match="more than MAX_GRID_NODES = 32"):
+        normalize_gj(rectangle(4.0, 1.0), resolution=8)
 
 
 # ---------- 1D balancing across the cone-model family ----------

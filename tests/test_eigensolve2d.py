@@ -6,19 +6,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy import ndimage
+from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import eigsh
+from scipy.spatial import ConvexHull
 
+from specgap import eigensolve2d
 from specgap.convexdomain import (
     ConvexPolygon,
     HeightFunction,
     generate_family,
     gj_potential,
+    inradius,
     normalize_gj,
 )
 from specgap.eigensolve1d import discretize, smallest_eigenpair
 from specgap.eigensolve2d import (
+    MAX_GRID_NODES,
     Eigenpair2D,
     MaskedGrid,
+    _box_inverse,
+    _components,
+    _dirichlet_symbol,
     _multigrid,
     gj_profile_error,
     rasterize,
@@ -95,6 +103,90 @@ def test_rasterize_connected_component():
     _, parts = ndimage.label(grid.mask, structure=four)
     assert parts == 1
     assert grid.activeCount == int(grid.mask.sum())
+
+
+def halfplane_mask(v, spacing):
+    # the node rule of rasterize, without its checks
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    nx, ny = (int(math.ceil(e / spacing - 1e-9)) + 1 for e in hi - lo)
+    gx = lo[0] + spacing * np.arange(nx)[:, None]
+    gy = lo[1] + spacing * np.arange(ny)[None, :]
+    inside = np.ones((nx, ny), dtype=bool)
+    for (px, py), (qx, qy) in zip(v, np.roll(v, -1, axis=0)):
+        inside &= (qx - px) * (gy - py) - (qy - py) * (gx - px) > 0.0
+    return inside
+
+
+FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+def test_run_check_matches_label_on_families():
+    for kind in ("cone", "stadium", "isoTriangle"):
+        for d, spacing in ((8.0, 1.0 / 16.0), (16.0, 1.0 / 8.0), (32.0, 1.0 / 5.0)):
+            mask = rasterize(generate_family(kind, d), spacing).mask
+            assert _components(mask) == ndimage.label(mask, structure=FOUR)[1] == 1
+
+
+def test_run_check_matches_label_on_random_polygons():
+    # coarse grids over thin random hulls split into several components
+    rng = np.random.default_rng(11)
+    counts = set()
+    for _ in range(300):
+        pts = rng.normal(size=(int(rng.integers(3, 12)), 2)) * rng.uniform(0.05, 3.0, size=2)
+        v = pts[ConvexHull(pts).vertices]
+        mask = halfplane_mask(v, float(rng.uniform(0.05, 0.6)))
+        if mask.any():
+            expected = ndimage.label(mask, structure=FOUR)[1]
+            assert _components(mask) == expected
+            counts.add(expected)
+    assert {1, 2, 3} <= counts
+
+
+def test_run_check_counts_breaks():
+    mask = np.zeros((6, 5), dtype=bool)
+    mask[0, 1:3] = mask[2, 1:3] = True  # an empty column between equal runs
+    mask[3, 3:5] = True  # touches column 2 only at a corner
+    mask[4, 0:4] = mask[5, 2] = True
+    assert _components(mask) == ndimage.label(mask, structure=FOUR)[1] == 3
+
+
+def test_thin_tilted_tip_splits_components():
+    # a long triangle whose tip runs at slope 1/2: the inradius/4 spacing
+    # rule passes, but the last interior node near the tip is cut off
+    d = np.array([2.0, 1.0]) / math.sqrt(5.0)
+    n = np.array([-d[1], d[0]])
+    poly = ConvexPolygon(vertices=np.array([-d - 1.5 * n, 8.0 * d, -d + 1.5 * n]))
+    spacing = 0.25 * inradius(poly)
+    assert ndimage.label(halfplane_mask(poly.vertices, spacing), structure=FOUR)[1] == 2
+    with pytest.raises(GeometryError, match="split into 2 components"):
+        rasterize(poly, spacing)
+
+
+def test_rasterize_node_cap():
+    # a 2760 x 12152 box at spacing 1 has 2761 * 12153 = MAX_GRID_NODES + 1
+    # nodes: rejected before the mask is allocated
+    assert 2761 * 12153 == MAX_GRID_NODES + 1
+    with pytest.raises(ParameterError, match="MAX_GRID_NODES"):
+        rasterize(rectangle(2760.0, 12152.0), 1.0)
+    with pytest.raises(ParameterError, match="MAX_GRID_NODES"):
+        rasterize(square(), 1e-300)
+
+
+def test_rasterize_node_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(eigensolve2d, "MAX_GRID_NODES", 81)
+    assert rasterize(square(), 1.0 / 8.0).mask.size == 81
+    monkeypatch.setattr(eigensolve2d, "MAX_GRID_NODES", 80)
+    with pytest.raises(ParameterError, match="more than MAX_GRID_NODES = 80"):
+        rasterize(square(), 1.0 / 8.0)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (4, 6), (7, 4), (129, 5), (6, 65), (1, 3), (2, 2)])
+def test_box_inverse_matches_scipy_dst(shape):
+    x = np.random.default_rng(3).standard_normal(shape)
+    symbol = np.add.outer(*(_dirichlet_symbol(m, 1.0) for m in shape))
+    expected = idstn(dstn(x, type=1) / symbol, type=1)
+    got = _box_inverse(shape)(x)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_masked_grid_validation():
