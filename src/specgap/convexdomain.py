@@ -46,8 +46,9 @@ class ConvexPolygon:
         if scale <= 0.0:
             raise GeometryError("polygon has zero extent")
         edges = np.roll(v, -1, axis=0) - v
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= 1e-12 * scale):
-            raise GeometryError("repeated vertices")
+        shortest = float(np.hypot(edges[:, 0], edges[:, 1]).min())
+        if shortest <= 1e-12 * scale:
+            raise GeometryError(f"repeated vertices: edge {shortest:g} against extent {scale:g}")
         nxt = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         if np.any(cross < -1e-9 * scale * scale):
@@ -205,33 +206,29 @@ def inradius(poly: ConvexPolygon) -> float:
                 heapq.heappush(heap, (times[j], j))
     r = max([r] + [t for t in times if t < math.inf])  # the last three meet together
     if r <= 1e-9 * scale:
-        raise GeometryError("degenerate polygon: near-zero inradius")
+        raise GeometryError(f"degenerate polygon: inradius {r:g} against extent {scale:g}")
     return r
 
 
 def _boundary_graphs(v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower/upper boundary y-values of polygon v over each vertical line x."""
-    lo = np.full(x.shape, np.inf)
-    hi = np.full(x.shape, -np.inf)
-    eps = 1e-9 * max(1.0, float(x[-1] - x[0]))
-    m = len(v)
-    for i in range(m):
-        px, py = v[i]
-        qx, qy = v[(i + 1) % m]
-        if abs(qx - px) > eps:
-            left, right = (px, qx) if px < qx else (qx, px)
-            sel = (x >= left - eps) & (x <= right + eps)
-            xs = np.clip(x[sel], left, right)
-            ys = py + (xs - px) * ((qy - py) / (qx - px))
-            lo[sel] = np.minimum(lo[sel], ys)
-            hi[sel] = np.maximum(hi[sel], ys)
-        else:
-            sel = np.abs(x - 0.5 * (px + qx)) <= eps
-            lo[sel] = np.minimum(lo[sel], min(py, qy))
-            hi[sel] = np.maximum(hi[sel], max(py, qy))
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise GeometryError("boundary clipping left uncovered grid nodes")
-    return lo, hi
+    """Lower/upper boundary y-values of convex polygon v over each vertical line x.
+
+    Each is one interpolation along a chain between the ends, the upper one
+    over the negated axis so every edge is read from its first vertex.  A
+    vertex within 1e-9 of the length from an end lies on that end, so a side
+    that rotation left off vertical by rounding still spans the end line.
+    """
+    xs = v[:, 0]
+    tol = 1e-9 * np.ptp(xs)
+    at_left, at_right = xs <= xs.min() + tol, xs >= xs.max() - tol
+
+    def chain(start, stop):
+        i = np.flatnonzero(start & ~np.roll(start, -1))[0]  # last vertex at start
+        j = np.flatnonzero(stop & ~np.roll(stop, 1))[0]  # first vertex at stop
+        return v[(i + np.arange((j - i) % len(v) + 1)) % len(v)]
+
+    lower, upper = chain(at_left, at_right), chain(at_right, at_left)
+    return np.interp(x, lower[:, 0], lower[:, 1]), np.interp(-x, -upper[:, 0], upper[:, 1])
 
 
 def normalize_gj(

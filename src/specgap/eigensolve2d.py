@@ -78,7 +78,7 @@ class Eigenpair2D:
 
 
 def rasterize(poly: ConvexPolygon, spacing: float) -> MaskedGrid:
-    """Mark grid nodes strictly inside the polygon.
+    """Mark grid nodes strictly inside the polygon, one run per grid column.
 
     Spacing coarser than a quarter inradius leaves too few cells across the
     thin direction for the stencil to see the domain shape and is rejected,
@@ -107,31 +107,33 @@ def rasterize(poly: ConvexPolygon, spacing: float) -> MaskedGrid:
         )
     x = xmin + spacing * np.arange(nx)
     y = ymin + spacing * np.arange(ny)
-    inside = np.ones((nx, ny), dtype=bool)
-    gx = x[:, None]
-    gy = y[None, :]
-    for k in range(len(v)):
-        px, py = v[k]
-        qx, qy = v[(k + 1) % len(v)]
-        inside &= (qx - px) * (gy - py) - (qy - py) * (gx - px) > 0.0
-    if not inside.any():
+    # node (x, y) is left of edge p -> q when a(y) = (qx - px)(y - py) exceeds
+    # b(x) = (qy - py)(x - px), as a rounded a - b > 0 is exactly a > b; a is
+    # monotone in y, so each edge cuts column i at one end of its run [lo, hi)
+    lo, hi = np.zeros(nx, dtype=np.intp), np.full(nx, ny, dtype=np.intp)
+    for (px, py), (qx, qy) in zip(v, np.roll(v, -1, axis=0)):
+        a, b = (qx - px) * (y - py), (qy - py) * (x - px)
+        if qx >= px:
+            np.maximum(lo, np.searchsorted(a, b, side="right"), out=lo)
+        else:
+            np.minimum(hi, np.searchsorted(-a, -b, side="left"), out=hi)
+    if not np.any(lo < hi):
         raise GeometryError("rasterization produced no interior nodes")
-    parts = _components(inside)
+    parts = _components(lo, hi)
     if parts != 1:
         raise GeometryError(f"interior nodes split into {parts} components")
-    return MaskedGrid(spacing=float(spacing), origin=np.array([xmin, ymin]), mask=inside)
+    mask = (lo[:, None] <= np.arange(ny)) & (np.arange(ny) < hi[:, None])
+    return MaskedGrid(spacing=float(spacing), origin=np.array([xmin, ymin]), mask=mask)
 
 
-def _components(mask: np.ndarray) -> int:
-    """Number of 4-connected components of a nonempty mask of single-run columns.
+def _components(lo: np.ndarray, hi: np.ndarray) -> int:
+    """Number of 4-connected components of the column runs [lo[i], hi[i]).
 
-    Every column mask[i] of a convex polygon's mask is one run [lo, hi), so
-    the mask is connected when its nonempty columns are consecutive and the
+    The mask is connected when its nonempty columns are consecutive and the
     runs of neighbouring columns overlap, and each break starts a component.
     """
-    cols = np.flatnonzero(mask.any(axis=1))
-    lo = np.argmax(mask, axis=1)[cols]
-    hi = mask.shape[1] - np.argmax(mask[:, ::-1], axis=1)[cols]
+    cols = np.flatnonzero(lo < hi)
+    lo, hi = lo[cols], hi[cols]
     breaks = (np.diff(cols) > 1) | (np.maximum(lo[1:], lo[:-1]) >= np.minimum(hi[1:], hi[:-1]))
     return 1 + int(np.count_nonzero(breaks))
 

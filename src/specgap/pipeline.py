@@ -80,6 +80,8 @@ def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, Potenti
     """Named nonnegative benchmark potentials for the two-sided check."""
     table = {name: (spec, n) for name, spec, n in _bench_specs()}
     picked = THM1_NAMES if names is None else list(names)
+    if not picked:
+        raise ParameterError("verifyThm1 needs at least one suite member name")
     unknown = [name for name in picked if name not in table]
     if unknown:
         raise ParameterError(f"unknown suite members {unknown}; have {sorted(table)}")
@@ -188,9 +190,13 @@ def domain_sweep(
     two-sided eigenvalue sandwich plus a bounded product between the
     energy above the channel threshold and the localization scale.
     """
+    kinds = sorted(set(str(f) for f in families))
+    sizes = sorted(set(float(v) for v in d_list))
+    if not (kinds and sizes):
+        raise ParameterError("domainSweep needs at least one family and one domain size D")
     rows: List[Dict[str, object]] = []
-    for family in sorted(set(str(f) for f in families)):
-        for d in sorted(set(float(v) for v in d_list)):
+    for family in kinds:
+        for d in sizes:
             poly = generate_family(family, d)
             rho = inradius(poly)
             dm = diameter(poly)

@@ -146,10 +146,20 @@ def test_vdberg_quick_and_deterministic(tmp_path):
     assert data["config"]["spacing"] == 0.0625
 
 
-def test_vdberg_empty_sizes_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("vdberg", '{"D": []}'),
+        ("verifyThm1", '{"names": []}'),
+        ("domainSweep", '{"D": []}'),
+        ("domainSweep", '{"families": []}'),
+    ],
+    ids=["vdberg-D", "verifyThm1-names", "domainSweep-D", "domainSweep-families"],
+)
+def test_empty_suite_is_input_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "empty.json"
-    cfg.write_text('{"D": []}')
-    assert main(["vdberg", "--input", str(cfg), "--out", str(tmp_path / "ve")]) == 2
+    cfg.write_text(config)
+    assert main([command, "--input", str(cfg), "--out", str(tmp_path / "ve")]) == 2
     assert "input error:" in capsys.readouterr().err
     assert not (tmp_path / "ve.json").exists()
 
@@ -470,8 +480,13 @@ def test_grid_over_node_cap_is_input_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["gjCompare", "domainSweep", "vdberg"])
 def test_huge_diameter_is_input_error(tmp_path, capsys, command):
-    # the disk's edges vanish next to a 1e300 diameter: no valid polygon
+    # at 1e9 the unit inradius falls under 1e-9 of the cone's length, and
+    # gjCompare's height profile passes the node cap first; at 1e300 the
+    # disk's edges vanish next to it: no valid polygon either way
     prefix = tmp_path / "huge"
-    assert main([command, "--set", "D=1e300", "--out", str(prefix)]) == 2
-    assert capsys.readouterr().err.startswith("input error: ")
-    assert not (tmp_path / "huge.json").exists()
+    at_1e9 = "MAX_GRID_NODES" if command == "gjCompare" else "inradius 1 against extent 1e+09"
+    for d, measured in (("1e9", at_1e9), ("1e300", "against extent 1e+300")):
+        assert main([command, "--set", f"D={d}", "--out", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and measured in err
+        assert not (tmp_path / "huge.json").exists()

@@ -431,6 +431,70 @@ def test_normalize_gj_node_cap_is_inclusive(monkeypatch):
         normalize_gj(rectangle(4.0, 1.0), resolution=8)
 
 
+def clipped_graphs(v, x):
+    # the former per-edge sampler: clip x to every edge, min/max over the
+    # edges, and edges within eps of vertical taken as vertical
+    lo = np.full(x.shape, np.inf)
+    hi = np.full(x.shape, -np.inf)
+    eps = 1e-9 * max(1.0, float(x[-1] - x[0]))
+    for (px, py), (qx, qy) in zip(v, np.roll(v, -1, axis=0)):
+        if abs(qx - px) > eps:
+            left, right = (px, qx) if px < qx else (qx, px)
+            sel = (x >= left - eps) & (x <= right + eps)
+            ys = py + (np.clip(x[sel], left, right) - px) * ((qy - py) / (qx - px))
+            lo[sel] = np.minimum(lo[sel], ys)
+            hi[sel] = np.maximum(hi[sel], ys)
+        else:
+            sel = np.abs(x - 0.5 * (px + qx)) <= eps
+            lo[sel] = np.minimum(lo[sel], min(py, qy))
+            hi[sel] = np.maximum(hi[sel], max(py, qy))
+    return lo, hi
+
+
+def assert_graphs_match_clipped(v, x, tol=2e-16):
+    # near a vertex the clipped min/max of two edges misses the vertex's own
+    # y by rounding, by at most tol; elsewhere the two agree bit for bit
+    f1, f2 = convexdomain._boundary_graphs(v, x)
+    lo, hi = clipped_graphs(v, x)
+    eps = 1e-9 * max(1.0, float(x[-1] - x[0]))
+    xs = np.sort(v[:, 0])
+    k = np.searchsorted(xs, x)
+    near = np.minimum(
+        np.abs(x - xs[np.maximum(k - 1, 0)]), np.abs(x - xs[np.minimum(k, xs.size - 1)])
+    ) <= eps
+    assert np.array_equal(f1[~near], lo[~near]) and np.array_equal(f2[~near], hi[~near])
+    assert np.max(np.abs(f1 - lo)) <= tol and np.max(np.abs(f2 - hi)) <= tol
+    return near
+
+
+@pytest.mark.parametrize("kind", ["cone", "stadium", "isoTriangle"])
+def test_boundary_graphs_match_clipped_on_families(kind):
+    near = 0
+    for D, resolution in ((4.0, 1024), (8.0, 16), (16.0, 256), (64.0, 1024), (1000.0, 16)):
+        poly2, hf = normalize_gj(generate_family(kind, D), resolution=resolution)
+        near += assert_graphs_match_clipped(poly2.vertices, hf.nodes()).sum()
+    assert near > 0  # the end nodes sit on vertices
+
+
+def test_boundary_graphs_match_clipped_on_random_hulls():
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * rng.uniform(0.05, 3.0, size=2)
+        v = pts[ConvexHull(pts).vertices]
+        x = np.linspace(v[:, 0].min(), v[:, 0].max(), int(rng.integers(5, 2000)))
+        assert_graphs_match_clipped(v, x, tol=4 * np.spacing(np.abs(v[:, 1]).max()))
+        poly2, hf = normalize_gj(ConvexPolygon(vertices=v), resolution=int(rng.integers(8, 512)))
+        assert_graphs_match_clipped(poly2.vertices, hf.nodes())
+
+
+@pytest.mark.parametrize("angle", [0.0, np.pi / 6.0, 1.0])
+def test_boundary_graphs_span_vertical_ends(angle):
+    # the short sides end up vertical only up to rounding once rotated; the
+    # end nodes must still see the whole side
+    _, hf = normalize_gj(rigid(rectangle(8.0, 1.0), angle, (2.0, 7.0)), resolution=16)
+    assert np.max(np.abs(hf.h - 1.0)) < 1e-12
+
+
 # ---------- 1D balancing across the cone-model family ----------
 
 

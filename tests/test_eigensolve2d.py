@@ -106,7 +106,7 @@ def test_rasterize_connected_component():
 
 
 def halfplane_mask(v, spacing):
-    # the node rule of rasterize, without its checks
+    # the former rasterize: each edge's half-plane test over the whole box
     lo, hi = v.min(axis=0), v.max(axis=0)
     nx, ny = (int(math.ceil(e / spacing - 1e-9)) + 1 for e in hi - lo)
     gx = lo[0] + spacing * np.arange(nx)[:, None]
@@ -117,14 +117,73 @@ def halfplane_mask(v, spacing):
     return inside
 
 
+def runs(mask):
+    # (lo, hi) of each column's one run of True; (0, 0) for an empty column
+    lo = np.argmax(mask, axis=1)
+    hi = np.where(mask.any(axis=1), mask.shape[1] - np.argmax(mask[:, ::-1], axis=1), 0)
+    j = np.arange(mask.shape[1])
+    assert np.array_equal(mask, (lo[:, None] <= j) & (j < hi[:, None]))
+    return lo, hi
+
+
 FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+def rasterized_like_halfplanes(poly, spacing):
+    # True when rasterize's mask equals the reference bit for bit, False
+    # when both find the interior split
+    expected = halfplane_mask(poly.vertices, spacing)
+    try:
+        mask = rasterize(poly, spacing).mask
+    except GeometryError:
+        assert ndimage.label(expected, structure=FOUR)[1] != 1
+        return False
+    assert mask.dtype == expected.dtype and np.array_equal(mask, expected)
+    return True
+
+
+def test_rasterize_matches_halfplanes_on_families():
+    for kind in ("cone", "stadium", "isoTriangle"):
+        for d in (4.0, 8.0, 16.0, 64.0):
+            poly = generate_family(kind, d)
+            poly2 = normalize_gj(poly)[0]
+            for spacing in (1.0 / 5.0, 1.0 / 7.0, 1.0 / 16.0, 1.0 / 32.0):
+                assert rasterized_like_halfplanes(poly, spacing)
+                assert rasterized_like_halfplanes(poly2, spacing / 4.0)
+
+
+def test_rasterize_matches_halfplanes_on_random_hulls():
+    rng = np.random.default_rng(23)
+    matched = 0
+    for _ in range(300):
+        pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * rng.uniform(0.05, 3.0, size=2)
+        poly = ConvexPolygon(vertices=pts[ConvexHull(pts).vertices])
+        matched += rasterized_like_halfplanes(poly, inradius(poly) * rng.uniform(0.02, 0.25))
+    assert matched > 250
+
+
+def test_rasterize_matches_halfplanes_on_integer_hulls():
+    # integer vertices and spacings 2^-k put many nodes exactly on slanted
+    # edges, where the strict inequality decides
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(800):
+        pts = rng.integers(0, 9, size=(int(rng.integers(3, 12)), 2)).astype(float)
+        if np.linalg.matrix_rank(pts[1:] - pts[0]) < 2:
+            continue
+        poly = ConvexPolygon(vertices=pts[ConvexHull(pts).vertices])
+        rho = inradius(poly)
+        for k in range(6):
+            if 2.0**-k <= 0.25 * rho:
+                checked += rasterized_like_halfplanes(poly, 2.0**-k)
+    assert checked > 3000
 
 
 def test_run_check_matches_label_on_families():
     for kind in ("cone", "stadium", "isoTriangle"):
         for d, spacing in ((8.0, 1.0 / 16.0), (16.0, 1.0 / 8.0), (32.0, 1.0 / 5.0)):
             mask = rasterize(generate_family(kind, d), spacing).mask
-            assert _components(mask) == ndimage.label(mask, structure=FOUR)[1] == 1
+            assert _components(*runs(mask)) == ndimage.label(mask, structure=FOUR)[1] == 1
 
 
 def test_run_check_matches_label_on_random_polygons():
@@ -137,7 +196,7 @@ def test_run_check_matches_label_on_random_polygons():
         mask = halfplane_mask(v, float(rng.uniform(0.05, 0.6)))
         if mask.any():
             expected = ndimage.label(mask, structure=FOUR)[1]
-            assert _components(mask) == expected
+            assert _components(*runs(mask)) == expected
             counts.add(expected)
     assert {1, 2, 3} <= counts
 
@@ -147,7 +206,7 @@ def test_run_check_counts_breaks():
     mask[0, 1:3] = mask[2, 1:3] = True  # an empty column between equal runs
     mask[3, 3:5] = True  # touches column 2 only at a corner
     mask[4, 0:4] = mask[5, 2] = True
-    assert _components(mask) == ndimage.label(mask, structure=FOUR)[1] == 3
+    assert _components(*runs(mask)) == ndimage.label(mask, structure=FOUR)[1] == 3
 
 
 def test_thin_tilted_tip_splits_components():
