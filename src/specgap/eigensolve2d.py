@@ -3,10 +3,13 @@
 Domains are rasterized onto uniform grid nodes; nodes strictly inside the
 polygon are active and all outside neighbors are held at zero.  The smallest
 eigenpair of the matrix-free five-point stencil on active cells comes from
-LOBPCG (Knyazev 2001) preconditioned by one geometric multigrid V-cycle
-(Knyazev & Neymeyr, ETNA 15, 2003) whose coarsest level is the exact
+LOBPCG (Knyazev 2001) preconditioned by one float32 geometric multigrid
+V-cycle (Knyazev & Neymeyr, ETNA 15, 2003) whose coarsest level is the exact
 inverse of the bounding box's Dirichlet Laplacian, by type-I sine transforms
-taken from numpy's real FFT.
+taken from numpy's real FFT.  LOBPCG starts from the ground state of the
+same problem on the grid of twice the spacing, solved loosely in the same
+way and prolonged (full multigrid); the operator, LOBPCG and the final
+residual check are float64.
 """
 
 from __future__ import annotations
@@ -168,43 +171,73 @@ def _box_inverse(shape: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: dst2(dst2(r) * scale)
 
 
-def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable]:
-    """The masked five-point Laplacian and one multigrid V-cycle for it.
+# The full-multigrid start solves the 2h problem only to this relative
+# residual: it supplies a start vector, and a tighter coarse solve (1e-6)
+# saved almost no fine-level iterations on the vdberg cones.
+_COARSE_TOL = 1e-3
+# Below this many nodes across its shorter side, or this many active nodes,
+# a 2h mask is too small to be worth a solve, and LOBPCG starts from ones.
+_FMG_MIN_NODES = 33
 
-    Both act on active-cell vectors in np.nonzero(mask) order.  Level k
-    solves S x = (2^k h)^2 b for the unscaled stencil S on the nodes
-    (2^k i, 2^k j) of the zero-padded box, down to 4 to 8 intervals across
-    its shorter side.  Two masked Jacobi sweeps (omega 0.8) precede and
-    follow the correction P (next level's cycle) P^T r, with bilinear P, or
-    on the coarsest level the box's exact inverse by type-I sine transforms
-    (_box_inverse).
-    The mirrored sweeps contract in the energy norm, so the cycle is SPD.
+
+def _prolong(coarse: np.ndarray, fine: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """fine = P coarse on the mask, by bilinear interpolation from the nodes (2i, 2j).
+
+    fine has shape 2 * coarse.shape - 1 and keeps its own dtype.
+    """
+    fine[::2, ::2] = coarse
+    for v in (fine[:, ::2], fine.T):  # one axis at a time
+        np.add(v[:-2:2], v[2::2], out=v[1::2])
+        v[1::2] *= 0.5
+    fine *= mask
+    return fine
+
+
+def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable, np.ndarray, Callable]:
+    """The masked five-point Laplacian, one float32 multigrid V-cycle for it,
+    the 2h mask, and lift, the prolongation P from that mask.
+
+    The functions act on float64 active-cell vectors in np.nonzero(mask)
+    order.  Level k solves S x = (2^k h)^2 b for the unscaled stencil S on
+    the nodes (2^k i, 2^k j) of the zero-padded box, down to 4 to 8
+    intervals across its shorter side.  Two masked Jacobi sweeps (omega 0.8)
+    precede and follow the correction P (next level's cycle) P^T r, with
+    bilinear P (_prolong), or on the coarsest level the box's exact inverse
+    by type-I sine transforms (_box_inverse).
+    The mirrored sweeps contract in the energy norm, so the cycle is SPD to
+    float32 rounding: its levels are float32 (mixed-precision multigrid:
+    Goeddeke, Strzodka & Turek, IJPEDS 22, 2007), while the operator keeps
+    float64 arrays of its own.  The 2h mask is the padded mask at the nodes
+    (2i, 2j); lift needs two or more levels, which a 2h mask of 3 or more
+    nodes across implies.
     """
     levels = max(1, ((min(mask.shape) - 1) // 4).bit_length())
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [padded[:: 1 << k, :: 1 << k] for k in range(levels)]
-    xs, gs, ts = ([np.zeros(m.shape) for m in masks] for _ in range(3))
+    xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
+    x64, t64 = np.zeros(padded.shape), np.zeros(padded.shape)
     box_inverse = _box_inverse(masks[-1].shape)
     active = np.ravel_multi_index(np.nonzero(mask), padded.shape)
+    coarse = padded[::2, ::2]
 
-    def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k
-        x, t = xs[k], ts[k]
+    def stencil(x: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:  # -S x on m, into t
         np.multiply(x, -4.0, out=t)
         t[1:, :] += x[:-1, :]
         t[:-1, :] += x[1:, :]
         t[:, 1:] += x[:, :-1]
         t[:, :-1] += x[:, 1:]
-        t += gs[k]
-        t *= masks[k]
+        t *= m
         return t
+
+    def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k (g_k is 0 off it)
+        return np.add(stencil(xs[k], ts[k], masks[k]), gs[k], out=ts[k])
 
     def smooth(k: int) -> None:  # one Jacobi sweep: S has diagonal 4
         xs[k] += np.multiply(residual(k), 0.2, out=ts[k])
 
-    def apply_a(v: np.ndarray) -> np.ndarray:  # -residual(x = v, g = 0) / h^2
-        xs[0].ravel()[active] = v.ravel()  # x_0 is free between cycles
-        gs[0].ravel()[active] = 0.0
-        return residual(0).ravel()[active] / -h2
+    def apply_a(v: np.ndarray) -> np.ndarray:
+        x64.ravel()[active] = v.ravel()
+        return stencil(x64, t64, padded).ravel()[active] / -h2
 
     def vcycle(r: np.ndarray) -> np.ndarray:
         gs[0].ravel()[active] = h2 * r.ravel()
@@ -221,45 +254,42 @@ def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable]:
         xs[-1] += box_inverse(ts[-1]) * masks[-1]
         for k in reversed(range(levels)):  # prolong the correction, post-smooth
             if k + 1 < levels:
-                t = ts[k]
-                t[::2, ::2] = xs[k + 1]
-                for v in (t[:, ::2], t.T):  # P
-                    np.add(v[:-2:2], v[2::2], out=v[1::2])
-                    v[1::2] *= 0.5
-                t *= masks[k]
-                xs[k] += t
+                xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
-        return xs[0].ravel()[active]
+        return xs[0].ravel()[active].astype(np.float64)
 
-    return apply_a, vcycle
+    def lift(c: np.ndarray) -> np.ndarray:
+        full = np.zeros(coarse.shape)
+        full[coarse] = c
+        return _prolong(full, np.empty(padded.shape), padded).ravel()[active]
+
+    return apply_a, vcycle, coarse, lift
 
 
-def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 2000) -> Eigenpair2D:
-    """Ground state of the masked five-point Laplacian.
+def _ground_state(
+    mask: np.ndarray, h2: float, tol: float, max_outer: int
+) -> tuple[float, np.ndarray, float, int]:
+    """LOBPCG ground pair of the masked stencil: lambda, unit v, residual, iterations.
 
-    LOBPCG over active-cell vectors in np.nonzero(mask) order, started from
-    the all-ones vector and preconditioned by one multigrid V-cycle
-    (_multigrid).  The masked operator is a principal submatrix of the
-    bounding box's Dirichlet Laplacian, so by Cauchy interlacing the box's
-    smallest eigenvalue bounds lambda1 from below; LOBPCG's absolute stop at
-    tol times that bound gives a relative eigenresidual
-    |A v - lambda v| / lambda <= tol, which is checked again on the result.
-    max_outer caps the LOBPCG iterations; iterations reports how many ran.
+    The start is the ground state on the 2h mask (_multigrid), solved by this
+    function to _COARSE_TOL and prolonged by P (full multigrid: Brandt,
+    Math. Comp. 31, 1977), or the all-ones vector when that mask is below
+    _FMG_MIN_NODES.  The residual |A v - lambda v| / lambda is recomputed in
+    float64 and not checked here; iterations counts this level's only.
     """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ParameterError("tolerance must be positive and finite")
-    mask = grid.mask
-    n = grid.activeCount
-    h2 = grid.spacing * grid.spacing
+    n = int(np.count_nonzero(mask))
     box_min = sum(float(_dirichlet_symbol(m, h2)[0]) for m in mask.shape)
-    apply_a, vcycle = _multigrid(mask, h2)
+    apply_a, vcycle, coarse, lift = _multigrid(mask, h2)
+    start = np.ones(n)
+    if min(coarse.shape) >= _FMG_MIN_NODES and np.count_nonzero(coarse) >= _FMG_MIN_NODES:
+        start = lift(_ground_state(coarse, 4.0 * h2, _COARSE_TOL, max_outer)[1])
     with warnings.catch_warnings():
-        # LOBPCG's own non-convergence notice; the residual check below decides
+        # LOBPCG's own non-convergence notice; the caller's residual check decides
         warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
         _, x, history = lobpcg(
             LinearOperator((n, n), matvec=apply_a, dtype=float),
-            np.ones((n, 1)),
+            start[:, None],
             M=LinearOperator((n, n), matvec=vcycle, dtype=float),
             tol=tol * box_min,
             maxiter=max_outer,
@@ -270,6 +300,28 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 
     av = apply_a(v)
     lam = float(v @ av)
     res = float(np.linalg.norm(av - lam * v)) / lam
+    # the history holds the start, one entry per iteration and a final re-check
+    return lam, v, res, len(history) - 2
+
+
+def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 2000) -> Eigenpair2D:
+    """Ground state of the masked five-point Laplacian.
+
+    LOBPCG over active-cell vectors in np.nonzero(mask) order, preconditioned
+    by one float32 multigrid V-cycle (_multigrid) and started from the
+    prolonged ground state of the 2h grid, solved loosely the same way down
+    to a floor (_ground_state).  The masked operator is a principal
+    submatrix of the bounding box's Dirichlet Laplacian, so by Cauchy
+    interlacing the box's smallest eigenvalue bounds lambda1 from below;
+    LOBPCG's absolute stop at tol times that bound gives a relative
+    eigenresidual |A v - lambda v| / lambda <= tol, which is checked again
+    in float64 on the result.  Only this fine-level check raises.
+    max_outer caps the LOBPCG iterations of each level; iterations reports
+    how many ran on the fine level.
+    """
+    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        raise ParameterError("tolerance must be positive and finite")
+    lam, v, res, iterations = _ground_state(grid.mask, grid.spacing * grid.spacing, tol, max_outer)
     if not res <= tol:
         raise NumericError(
             f"LOBPCG missed tol={tol:g} within {max_outer} iterations (residual {res:.3e})"
@@ -277,8 +329,7 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 
     u = v / grid.spacing
     if float(u.sum()) < 0.0:
         u = -u
-    # the history holds the start, one entry per iteration and a final re-check
-    return Eigenpair2D(lambda1=lam, u=u, residual=res, iterations=len(history) - 2, grid=grid)
+    return Eigenpair2D(lambda1=lam, u=u, residual=res, iterations=iterations, grid=grid)
 
 
 def vdberg_statistic(pair: Eigenpair2D, rho: float, dm: float) -> float:

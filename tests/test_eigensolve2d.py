@@ -21,6 +21,7 @@ from specgap.convexdomain import (
 )
 from specgap.eigensolve1d import discretize, smallest_eigenpair
 from specgap.eigensolve2d import (
+    _FMG_MIN_NODES,
     MAX_GRID_NODES,
     Eigenpair2D,
     MaskedGrid,
@@ -336,6 +337,42 @@ def test_cone_matches_sparse_shift_invert():
     assert pair.residual <= 1e-8
 
 
+def random_hull_grids(seed, count):
+    # hulls of 3 to 30 points, 40 to 100 grid intervals across the box's
+    # shorter side: grids on either side of the full-multigrid floor
+    rng = np.random.default_rng(seed)
+    grids = []
+    while len(grids) < count:
+        pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * rng.uniform(0.3, 3.0, size=2)
+        poly = ConvexPolygon(vertices=pts[ConvexHull(pts).vertices])
+        extent = np.ptp(poly.vertices, axis=0).min()
+        spacing = min(0.25 * inradius(poly), extent / rng.uniform(40.0, 100.0))
+        try:
+            grids.append(rasterize(poly, spacing))
+        except GeometryError:
+            continue
+    return grids
+
+
+def test_full_multigrid_start_matches_sparse_shift_invert():
+    grids = [
+        rasterize(generate_family(kind, 8.0), 1.0 / 32.0)
+        for kind in ("cone", "stadium", "isoTriangle")
+    ] + random_hull_grids(31, 20)
+    recursed = 0
+    for grid in grids:
+        recursed += min(_multigrid(grid.mask, grid.spacing**2)[2].shape) >= _FMG_MIN_NODES
+        reference = eigsh(
+            _masked_laplacian(grid), k=1, sigma=0.0, which="LM", return_eigenvectors=False
+        )[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = smallest_eigenpair_2d(grid, tol=1e-8)
+        assert pair.lambda1 == pytest.approx(reference, rel=1e-9)
+        assert pair.residual <= 1e-8
+    assert recursed >= 8
+
+
 @pytest.mark.parametrize(
     "grid, interior",
     [
@@ -363,9 +400,10 @@ def test_rectangles_match_discrete_closed_form(grid, interior):
 
 
 def test_cone_converges_in_few_iterations():
-    # the box-only preconditioner took 125 iterations here
+    # the box-only preconditioner took 125 iterations here, the V-cycle from
+    # an all-ones start 23, and from the full-multigrid start 14
     pair = smallest_eigenpair_2d(rasterize(generate_family("cone", 16.0), 1.0 / 64.0))
-    assert 0 < pair.iterations <= 45
+    assert 0 < pair.iterations <= 16
 
 
 @pytest.mark.parametrize(
@@ -374,15 +412,16 @@ def test_cone_converges_in_few_iterations():
     ids=["cone", "empty-coarsest"],
 )
 def test_vcycle_is_symmetric_positive_definite(grid):
-    apply_a, vcycle = _multigrid(grid.mask, grid.spacing**2)
+    apply_a, vcycle, _, _ = _multigrid(grid.mask, grid.spacing**2)
     masked = _masked_laplacian(grid)
     rng = np.random.default_rng(7)
     for _ in range(3):
         x, y = rng.standard_normal((2, grid.activeCount))
         mx, my = vcycle(x), vcycle(y)
-        assert mx @ y == pytest.approx(x @ my, rel=1e-12)
+        # the cycle runs in float32, so it is symmetric to float32 rounding
+        assert mx @ y == pytest.approx(x @ my, rel=1e-5)
         assert mx @ x > 0.0
-        # the operator shares the cycle's finest arrays and stays exact
+        # the operator keeps float64 arrays of its own and stays exact
         np.testing.assert_allclose(apply_a(x), masked @ x, rtol=1e-12, atol=1e-9)
 
 
