@@ -26,7 +26,7 @@ import numpy as np
 
 from . import pipeline
 from .constants import ConstantTriple, is_feasible, objective, search
-from .eigensolve1d import discretize, smallest_eigenpair
+from .eigensolve1d import smallest_eigenpair
 from .errors import GeometryError, NumericError, ParameterError
 from .potential import PotentialSpec, sample
 from .sublevel import minimize_functional, width_profile
@@ -123,7 +123,7 @@ def _bound(cfg):
 
 def _eig1d(cfg):
     grid = _grid_from(cfg)
-    pair = smallest_eigenpair(discretize(grid), tol=_as_float(cfg["tol"]))
+    pair = smallest_eigenpair(grid, tol=_as_float(cfg["tol"]))
     summary = {
         "lambda1": pair.lambda1,
         "n": grid.n,
@@ -160,6 +160,8 @@ def _rearrange_check(cfg):
 
 def _constants(cfg):
     budget = _as_int(cfg["budget"] or 0)
+    if budget < 0:
+        raise ParameterError(f"expected a budget of at least 0, got {budget}")
     if budget > 0:
         triple, value = search(budget, cfg["seed"])
         summary = {"mode": "search", "objective": value, "feasible": 1, "budget": budget}

@@ -54,14 +54,6 @@ def _value(alpha: float, beta: float, gamma: float) -> float:
     return min(bracket * bracket / gamma, 1.0 - alpha, alpha * beta)
 
 
-def case2_gradient_term(t: ConstantTriple) -> float:
-    """(1/gamma) * [sqrt(alpha)/2 * (1 - beta/pi^2) - (1+gamma)^(-1/2)]^2"""
-    if not t.gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {t.gamma}")
-    bracket = _bracket(t.alpha, t.beta, t.gamma)
-    return bracket * bracket / t.gamma
-
-
 def is_feasible(t: ConstantTriple) -> bool:
     """alpha in (0,1), beta in (0, pi^2), and finite gamma past its lower threshold."""
     return _value(t.alpha, t.beta, t.gamma) > -math.inf
@@ -96,18 +88,6 @@ def _golden_max(fn, lo: float, hi: float, iters: int) -> Tuple[float, float, int
             f1 = fn(x1)
         evals += 1
     return (x1, f1, evals) if f1 >= f2 else (x2, f2, evals)
-
-
-def locally_optimal_gamma(alpha: float, beta: float, iters: int = 80) -> float:
-    """The gamma maximizing the gradient term for fixed (alpha, beta)."""
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < _PI2):
-        raise ParameterError("need alpha in (0,1) and beta in (0, pi^2)")
-    g0 = _gamma_floor(alpha, beta)
-    if not math.isfinite(g0) or g0 <= 0:
-        raise ParameterError("gamma floor is degenerate for these inputs")
-    fn = lambda g: case2_gradient_term(ConstantTriple(alpha=alpha, beta=beta, gamma=g))
-    g, _, _ = _golden_max(fn, g0 * (1.0 + 1e-12), g0 * 100.0, iters)
-    return g
 
 
 def search(budget: int, seed: int) -> Tuple[ConstantTriple, float]:

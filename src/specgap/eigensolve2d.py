@@ -178,6 +178,9 @@ _COARSE_TOL = 1e-3
 # Below this many nodes across its shorter side, or this many active nodes,
 # a 2h mask is too small to be worth a solve, and LOBPCG starts from ones.
 _FMG_MIN_NODES = 33
+# LOBPCG needs at least five times its block size (one vector) of unknowns;
+# below that scipy switches to a dense solve with another return signature.
+_MIN_ACTIVE = 5
 
 
 def _prolong(coarse: np.ndarray, fine: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -321,6 +324,10 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise ParameterError("tolerance must be positive and finite")
+    if grid.activeCount < _MIN_ACTIVE:
+        raise ParameterError(
+            f"the mask has {grid.activeCount} active nodes; the solver needs at least {_MIN_ACTIVE}"
+        )
     lam, v, res, iterations = _ground_state(grid.mask, grid.spacing * grid.spacing, tol, max_outer)
     if not res <= tol:
         raise NumericError(

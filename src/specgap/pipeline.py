@@ -21,12 +21,7 @@ from .convexdomain import (
     minimal_width,
     normalize_gj,
 )
-from .eigensolve1d import (
-    check_linfty_bound,
-    discretize,
-    shortest_mass_interval,
-    smallest_eigenpair,
-)
+from .eigensolve1d import check_linfty_bound, smallest_eigenpair
 from .eigensolve2d import (
     gj_profile_error,
     rasterize,
@@ -69,13 +64,6 @@ def _bench_specs() -> List[Tuple[str, PotentialSpec, int]]:
 THM1_NAMES = tuple(name for name, _, _ in _bench_specs())
 
 
-def _loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log y against log x; nan for fewer than two points."""
-    if len(xs) < 2:
-        return float("nan")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-
-
 def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, PotentialGrid]]:
     """Named nonnegative benchmark potentials for the two-sided check."""
     table = {name: (spec, n) for name, spec, n in _bench_specs()}
@@ -105,7 +93,7 @@ def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, ob
     rows: List[Dict[str, object]] = []
     for name, grid in suite:
         report = minimize_functional(grid)
-        pair = smallest_eigenpair(discretize(grid))
+        pair = smallest_eigenpair(grid)
         upper, sandwich_ok = _sandwich(pair.lambda1, report)
         ratio, bound, linf_ok = check_linfty_bound(pair, grid)
         rows.append(
@@ -123,30 +111,6 @@ def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, ob
             }
         )
     return rows
-
-
-def cone_scaling_run(d_list: Sequence[float]) -> Dict[str, object]:
-    """Ground energies of the cone model family and their decay rate.
-
-    Each row pairs lambda1 with the half-mass width of the ground state,
-    whose product should stay within a fixed band while lambda1 itself
-    falls like D^(-2/3).
-    """
-    rows = []
-    for d in sorted(float(v) for v in d_list):
-        grid = cone_model_potential(d, int(round(CONE_BENCH_N_FACTOR * d)))
-        pair = smallest_eigenpair(discretize(grid))
-        half_width, _ = shortest_mass_interval(pair.f, grid.dx, 0.5)
-        rows.append(
-            {
-                "D": d,
-                "lambda1": pair.lambda1,
-                "halfMassWidth": half_width,
-                "product": half_width * math.sqrt(pair.lambda1),
-            }
-        )
-    slope = _loglog_slope([r["D"] for r in rows], [r["lambda1"] for r in rows])
-    return {"rows": rows, "slope": slope}
 
 
 def rearrange_random_suite(
@@ -205,7 +169,7 @@ def domain_sweep(
             scale_l = localization_scale(hf)
             grid = gj_potential(hf)
             report = minimize_functional(grid)
-            pair = smallest_eigenpair(discretize(grid))
+            pair = smallest_eigenpair(grid)
             upper, sandwich_ok = _sandwich(pair.lambda1, report)
             shifted = (pair.lambda1 - _PI2) * scale_l * scale_l
             width_ratio = width(grid, min_value(grid) + 1.0 / (scale_l * scale_l)) / scale_l
@@ -241,7 +205,7 @@ def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
 
     poly_n, hf = normalize_gj(poly)
     scale_l = localization_scale(hf)
-    profile = smallest_eigenpair(discretize(gj_potential(hf)))
+    profile = smallest_eigenpair(gj_potential(hf))
     pair_n = smallest_eigenpair_2d(rasterize(poly_n, spacing), tol=tol)
     gj_error = gj_profile_error(pair_n, hf, profile)
 
@@ -281,9 +245,12 @@ def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     ratio in band. The statistic, sup|u| over the bound rho^-1 (rho/D)^(1/6)
     at unit L2 norm, may vary across sizes by a factor STAT_SPREAD_MAX at
     most. With two or more sizes the sup ratio must decay at least like
-    D^SLOPE_MAX.
+    D^SLOPE_MAX; with one size there is no slope, and it is reported as None.
     """
-    slope = _loglog_slope([r["D"] for r in rows], [r["supRatio"] for r in rows])
+    slope = None
+    if len(rows) >= 2:
+        log_d = np.log([r["D"] for r in rows])
+        slope = float(np.polyfit(log_d, np.log([r["supRatio"] for r in rows]), 1)[0])
     stats = [r["statistic"] for r in rows]
     spread = max(stats) / min(stats)
     ok = (
@@ -291,7 +258,7 @@ def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
         and all(PRODUCT_BAND[0] <= r["shiftedProduct"] <= PRODUCT_BAND[1] for r in rows)
         and all(RATIO_BAND[0] <= r["oneDimRatio"] <= RATIO_BAND[1] for r in rows)
         and spread <= STAT_SPREAD_MAX
-        and (len(rows) < 2 or slope <= SLOPE_MAX)
+        and (slope is None or slope <= SLOPE_MAX)
     )
     return {"allPass": int(ok), "slope": slope, "statSpread": spread}
 
@@ -312,7 +279,7 @@ def gj_compare_run(
         vertices=np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 1.0], [0.0, 1.0]])
     )
     rect_n, rect_hf = normalize_gj(rect)
-    rect_profile = smallest_eigenpair(discretize(gj_potential(rect_hf)))
+    rect_profile = smallest_eigenpair(gj_potential(rect_hf))
     rect_pair = smallest_eigenpair_2d(rasterize(rect_n, spacing), tol=tol)
     rect_error = gj_profile_error(rect_pair, rect_hf, rect_profile)
 
@@ -321,9 +288,9 @@ def gj_compare_run(
         poly = generate_family("cone", d)
         t, _ = minimal_width(poly)
         _, hf = normalize_gj(poly)
-        lam_gj = smallest_eigenpair(discretize(gj_potential(hf))).lambda1
+        lam_gj = smallest_eigenpair(gj_potential(hf)).lambda1
         model = cone_model_potential(d, int(round(CONE_BENCH_N_FACTOR * d)))
-        lam_model = smallest_eigenpair(discretize(model)).lambda1
+        lam_model = smallest_eigenpair(model).lambda1
         ratio = ((lam_gj - _PI2) / (t * t)) / lam_model
         rows.append(
             {

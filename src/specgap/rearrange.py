@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from specgap.eigensolve1d import discretize, smallest_eigenpair
+from specgap.eigensolve1d import smallest_eigenpair
 from specgap.potential import PotentialGrid
 
 _SLACK_FACTOR = 10.0
@@ -85,9 +85,8 @@ def verify_chain(grid: PotentialGrid) -> RearrangementReport:
     """Solve for the ground state, rearrange it and the potential, and
     report both sides of each comparison with the grid allowance
     chain_slack. Asserts nothing; see RearrangementReport.holds."""
-    op = discretize(grid)
-    pair = smallest_eigenpair(op)
-    dx = op.dx
+    pair = smallest_eigenpair(grid)
+    dx = grid.dx
     f = pair.f
     V = grid.values[1:-1]
 
@@ -102,7 +101,7 @@ def verify_chain(grid: PotentialGrid) -> RearrangementReport:
     boundary = float(grid.values.max())
     star_values = np.concatenate(([boundary], v_star, [boundary]))
     grid_star = PotentialGrid(a=grid.a, b=grid.b, values=star_values, cap=grid.cap)
-    lambda_star = smallest_eigenpair(discretize(grid_star)).lambda1
+    lambda_star = smallest_eigenpair(grid_star).lambda1
 
     return RearrangementReport(
         hlLeft=hl_left,

@@ -38,24 +38,6 @@ def width(grid: PotentialGrid, y: float) -> float:
     return grid.dx * int(np.count_nonzero(interior <= y))
 
 
-def is_interval_sublevel(grid: PotentialGrid, y: float) -> bool:
-    """True when the interior nodes with V <= y form one nonempty contiguous block."""
-    inside = grid.values[1:-1] <= y
-    count = int(np.count_nonzero(inside))
-    if count == 0:
-        return False
-    idx = np.flatnonzero(inside)
-    return bool(idx[-1] - idx[0] + 1 == count)
-
-
-def functional_value(grid: PotentialGrid, y: float) -> float:
-    """1/width^2 + y, with +inf as the empty-sublevel sentinel."""
-    w = width(grid, y)
-    if w == 0.0:
-        return math.inf
-    return 1.0 / (w * w) + y
-
-
 def _sorted_counts(grid: PotentialGrid, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Number of interior nodes with V <= y for each y in `levels`, and
     the node indices in value order."""
@@ -142,9 +124,3 @@ def minimize_functional(grid: PotentialGrid) -> SublevelReport:
         lowerBound=f_star / 250.0,
         upperBoundSharp=upper_sharp,
     )
-
-
-def eigenvalue_bounds(grid: PotentialGrid) -> Tuple[float, Optional[float]]:
-    """(fStar/250, sharp upper bound or None) for the grid's ground energy."""
-    report = minimize_functional(grid)
-    return report.lowerBound, report.upperBoundSharp

@@ -14,13 +14,39 @@ import pytest
 
 from specgap import pipeline
 from specgap.constants import ConstantTriple, objective
-from specgap.eigensolve1d import discretize, smallest_eigenpair
-from specgap.potential import PotentialSpec, sample
+from specgap.eigensolve1d import smallest_eigenpair
+from specgap.potential import PotentialSpec, cone_model_potential, sample
+from test_eigensolve1d import shortest_mass_interval
 
 PI2 = math.pi**2
 
 CONE_D_1D = [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
 CONE_D_2D = [8.0, 16.0, 32.0, 64.0]
+
+
+def cone_scaling_run(d_list):
+    """Ground energies of the cone model family and their decay rate.
+
+    Each row pairs lambda1 with the half-mass width of the ground state,
+    whose product should stay within a fixed band while lambda1 itself
+    falls like D^(-2/3).
+    """
+    rows = []
+    for d in sorted(float(v) for v in d_list):
+        grid = cone_model_potential(d, int(round(pipeline.CONE_BENCH_N_FACTOR * d)))
+        pair = smallest_eigenpair(grid)
+        half_width, _ = shortest_mass_interval(pair.f, grid.dx, 0.5)
+        rows.append(
+            {
+                "D": d,
+                "lambda1": pair.lambda1,
+                "halfMassWidth": half_width,
+                "product": half_width * math.sqrt(pair.lambda1),
+            }
+        )
+    log_d = np.log([r["D"] for r in rows])
+    slope = float(np.polyfit(log_d, np.log([r["lambda1"] for r in rows]), 1)[0])
+    return {"rows": rows, "slope": slope}
 
 
 def report(num, ok, detail):
@@ -38,7 +64,7 @@ def thm1_result():
 @pytest.fixture(scope="module")
 def cone_scaling_result():
     t0 = time.perf_counter()
-    result = pipeline.cone_scaling_run(CONE_D_1D)
+    result = cone_scaling_run(CONE_D_1D)
     return result, time.perf_counter() - t0
 
 
@@ -52,7 +78,7 @@ def vdberg_result():
 def test_criterion_01_square_well_matches_discrete_closed_form():
     t0 = time.perf_counter()
     grid = sample(PotentialSpec("squareWell", (), (0.0, 1.0)), 1000)
-    pair = smallest_eigenpair(discretize(grid), tol=1e-10)
+    pair = smallest_eigenpair(grid, tol=1e-10)
     elapsed = time.perf_counter() - t0
     dx = grid.dx
     closed = (2.0 / (dx * dx)) * (1.0 - math.cos(math.pi * dx))
@@ -70,7 +96,7 @@ def test_criterion_01_square_well_matches_discrete_closed_form():
 def test_criterion_02_harmonic_ground_energy():
     t0 = time.perf_counter()
     grid = sample(PotentialSpec("harmonic", (0.0,), (-12.0, 12.0)), 4000)
-    pair = smallest_eigenpair(discretize(grid), tol=1e-10)
+    pair = smallest_eigenpair(grid, tol=1e-10)
     elapsed = time.perf_counter() - t0
     err = abs(pair.lambda1 - 1.0)
     ok = err <= 1e-4 and elapsed < 2.0
@@ -216,3 +242,17 @@ def test_criterion_11_rectangle_profile_agreement():
         ok,
         f"8x1 rectangle profile error={err:.2e} <= 1e-2 at spacing 1/64, {elapsed:.1f}s < 60s",
     )
+
+
+def test_cone_scaling_rows_structure():
+    result = cone_scaling_run([16.0, 64.0])
+    rows = result["rows"]
+    assert [r["D"] for r in rows] == [16.0, 64.0]
+    assert rows[0]["lambda1"] > rows[1]["lambda1"] > 0
+    for r in rows:
+        assert r["halfMassWidth"] > 0
+        assert r["product"] == pytest.approx(
+            r["halfMassWidth"] * math.sqrt(r["lambda1"]), rel=1e-12
+        )
+    fit = np.polyfit(np.log([16.0, 64.0]), np.log([r["lambda1"] for r in rows]), 1)
+    assert result["slope"] == pytest.approx(float(fit[0]), rel=1e-12)

@@ -5,9 +5,10 @@ import pytest
 
 from specgap.constants import (
     ConstantTriple,
-    case2_gradient_term,
+    _bracket,
+    _gamma_floor,
+    _golden_max,
     is_feasible,
-    locally_optimal_gamma,
     objective,
     search,
 )
@@ -15,6 +16,21 @@ from specgap.errors import ParameterError
 
 REFERENCE = ConstantTriple(alpha=99.0 / 100.0, beta=7.0 / 1000.0, gamma=14.1327)
 REFERENCE_VALUE = 0.004078255002164759
+
+
+def case2_gradient_term(t):
+    """Test reference: (1/gamma) * [sqrt(alpha)/2 * (1 - beta/pi^2) - (1+gamma)^(-1/2)]^2"""
+    if not t.gamma > 0:
+        raise ParameterError(f"gamma must be positive, got {t.gamma}")
+    bracket = _bracket(t.alpha, t.beta, t.gamma)
+    return bracket * bracket / t.gamma
+
+
+def locally_optimal_gamma(alpha, beta, iters=80):
+    """Test reference: the gamma maximizing the gradient term for fixed (alpha, beta)."""
+    g0 = _gamma_floor(alpha, beta)
+    fn = lambda g: case2_gradient_term(ConstantTriple(alpha=alpha, beta=beta, gamma=g))
+    return _golden_max(fn, g0 * (1.0 + 1e-12), g0 * 100.0, iters)[0]
 
 
 def test_gradient_term_reference_triple():

@@ -499,7 +499,7 @@ def test_boundary_graphs_span_vertical_ends(angle):
 
 
 def test_cone_model_balancing_invariant():
-    from specgap.eigensolve1d import discretize, smallest_eigenpair
+    from specgap.eigensolve1d import smallest_eigenpair
     from specgap.potential import cone_model_potential
     from specgap.sublevel import width
 
@@ -511,5 +511,5 @@ def test_cone_model_balancing_invariant():
         grid = cone_model_potential(D, n)
         w = width(grid, L**-2)
         assert 0.25 <= w / L <= 4.0
-        lam = smallest_eigenpair(discretize(grid)).lambda1
+        lam = smallest_eigenpair(grid).lambda1
         assert 1.0 / 20.0 <= lam * L * L <= 20.0

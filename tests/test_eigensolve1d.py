@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from specgap.eigensolve1d import (
-    check_linfty_bound,
-    discretize,
-    rayleigh_quotient,
-    shortest_mass_interval,
-    sine_testfunction_bound,
-    smallest_eigenpair,
-)
+from specgap.eigensolve1d import check_linfty_bound, smallest_eigenpair
 from specgap.errors import ParameterError
 from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample, shift
-from specgap.sublevel import minimize_functional
+from specgap.sublevel import minimize_functional, width
+from test_sublevel import is_interval_sublevel
 
 PI2 = math.pi**2
 
@@ -27,29 +21,6 @@ def closed_form_well(n):
     return (2.0 / dx**2) * (1.0 - math.cos(math.pi * dx))
 
 
-# ---------- discretize ----------
-
-
-def test_discretize_square_well_coarse():
-    op = discretize(grid_of("squareWell", (0.0, 1.0), 3))
-    np.testing.assert_allclose(op.diag, [32.0, 32.0, 32.0], rtol=1e-15)
-    assert op.off == pytest.approx(-16.0, rel=1e-15)
-    assert op.dx == pytest.approx(0.25)
-
-
-def test_discretize_harmonic_coarse():
-    op = discretize(grid_of("harmonic", (-1.0, 1.0), 3))
-    np.testing.assert_allclose(op.diag, [8.25, 8.0, 8.25], rtol=1e-15)
-    assert op.off == pytest.approx(-4.0, rel=1e-15)
-
-
-def test_discretize_shift_moves_diagonal_only():
-    g = grid_of("harmonic", (-1.0, 1.0), 9)
-    op0, op1 = discretize(g), discretize(shift(g, 2.0))
-    np.testing.assert_allclose(op1.diag, op0.diag + 2.0, rtol=1e-15)
-    assert op1.off == op0.off
-
-
 # ---------- smallest_eigenpair ----------
 
 
@@ -58,11 +29,10 @@ def test_lambda1_matches_dense_solver():
     for _ in range(10):
         n = int(rng.integers(8, 60))
         vals = rng.uniform(0.0, 30.0, n + 2)
-        op = discretize(PotentialGrid(a=0.0, b=1.0, values=vals))
-        dense = np.diag(op.diag) + np.diag(np.full(n - 1, op.off), 1) + np.diag(
-            np.full(n - 1, op.off), -1
-        )
-        lam = smallest_eigenpair(op).lambda1
+        g = PotentialGrid(a=0.0, b=1.0, values=vals)
+        off = np.full(n - 1, -1.0 / g.dx**2)
+        dense = np.diag(2.0 / g.dx**2 + vals[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
+        lam = smallest_eigenpair(g).lambda1
         assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-10)
 
 
@@ -73,12 +43,12 @@ def test_ground_state_positive_in_the_tails():
         grid_of("harmonic", (-12.0, 12.0), 100000),
         cone_model_potential(1024.0, 8192),
     ]:
-        assert np.all(smallest_eigenpair(discretize(g)).f > 0)
+        assert np.all(smallest_eigenpair(g).f > 0)
 
 
 def test_square_well_matches_discrete_closed_form():
     g = grid_of("squareWell", (0.0, 1.0), 1000)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     exact = closed_form_well(1000)
     assert pair.lambda1 == pytest.approx(exact, rel=1e-10)
     assert abs(pair.lambda1 - PI2) / PI2 < 1e-5
@@ -87,7 +57,7 @@ def test_square_well_matches_discrete_closed_form():
 def test_square_well_eigenvector_is_sine():
     n = 400
     g = grid_of("squareWell", (0.0, 1.0), n)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     x = np.linspace(0, 1, n + 2)[1:-1]
     ref = np.sqrt(2.0) * np.sin(np.pi * x)
     # discrete normalization differs from the continuum by O(dx^2)
@@ -98,14 +68,13 @@ def test_square_well_eigenvector_is_sine():
 
 def test_eigenvector_quadrature_norm_and_residual():
     g = grid_of("harmonic", (-12.0, 12.0), 2000)
-    op = discretize(g)
-    pair = smallest_eigenpair(op)
-    assert np.sum(pair.f**2) * op.dx == pytest.approx(1.0, abs=1e-12)
+    pair = smallest_eigenpair(g)
+    assert np.sum(pair.f**2) * g.dx == pytest.approx(1.0, abs=1e-12)
     # residual check against the operator action
     T = lambda v: (
-        op.diag * v
-        + op.off * np.concatenate(([0.0], v[:-1]))
-        + op.off * np.concatenate((v[1:], [0.0]))
+        (2.0 / g.dx**2 + g.values[1:-1]) * v
+        - np.concatenate(([0.0], v[:-1])) / g.dx**2
+        - np.concatenate((v[1:], [0.0])) / g.dx**2
     )
     r = T(pair.f) - pair.lambda1 * pair.f
     assert np.linalg.norm(r) <= 1e-7 * max(1.0, abs(pair.lambda1)) * np.linalg.norm(pair.f)
@@ -113,7 +82,7 @@ def test_eigenvector_quadrature_norm_and_residual():
 
 def test_harmonic_ground_energy():
     g = grid_of("harmonic", (-12.0, 12.0), 4000)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     assert pair.lambda1 == pytest.approx(1.0, abs=1e-4)
     # frozen independent-solver value
     assert pair.lambda1 == pytest.approx(0.9999977511233527, abs=1e-8)
@@ -121,21 +90,21 @@ def test_harmonic_ground_energy():
 
 def test_quartic_ground_energy():
     g = grid_of("quartic", (-12.0, 12.0), 4000)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     assert pair.lambda1 == pytest.approx(1.0603578378298835, abs=1e-8)
     assert pair.lambda1 == pytest.approx(1.060362090484183, abs=1e-4)
 
 
 def test_linear_well_ground_energy():
     g = grid_of("linearWell", (-12.0, 12.0), 4000)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     assert pair.lambda1 == pytest.approx(1.018793232157501, abs=1e-8)
 
 
 def test_shift_equivariance_of_eigenpair():
     g = grid_of("harmonic", (-8.0, 8.0), 1000)
-    p0 = smallest_eigenpair(discretize(g))
-    p1 = smallest_eigenpair(discretize(shift(g, 5.0)))
+    p0 = smallest_eigenpair(g)
+    p1 = smallest_eigenpair(shift(g, 5.0))
     assert p1.lambda1 - p0.lambda1 == pytest.approx(5.0, abs=1e-8)
     assert np.max(np.abs(p1.f - p0.f)) < 1e-7
 
@@ -146,7 +115,7 @@ def test_unimodal_ground_state():
         grid_of("linearWell", (-10.0, 10.0), 1500),
         cone_model_potential(64.0, 512),
     ]:
-        pair = smallest_eigenpair(discretize(g))
+        pair = smallest_eigenpair(g)
         d = np.diff(pair.f)
         sign_changes = int(np.count_nonzero(np.diff(np.sign(d[d != 0.0])) != 0))
         assert sign_changes <= 1
@@ -154,56 +123,84 @@ def test_unimodal_ground_state():
 
 def test_even_potential_gives_even_eigenvector():
     g = grid_of("harmonic", (-9.0, 9.0), 501)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     assert np.max(np.abs(pair.f - pair.f[::-1])) < 1e-9
 
 
 def test_grid_convergence_second_order():
     lam = {}
     for n in (250, 500, 1000):
-        lam[n] = smallest_eigenpair(discretize(grid_of("harmonic", (-12.0, 12.0), n))).lambda1
-    ref = smallest_eigenpair(discretize(grid_of("harmonic", (-12.0, 12.0), 8000))).lambda1
+        lam[n] = smallest_eigenpair(grid_of("harmonic", (-12.0, 12.0), n)).lambda1
+    ref = smallest_eigenpair(grid_of("harmonic", (-12.0, 12.0), 8000)).lambda1
     r1 = abs(lam[250] - ref) / abs(lam[500] - ref)
     r2 = abs(lam[500] - ref) / abs(lam[1000] - ref)
     assert 3.0 < r1 < 5.0
     assert 3.0 < r2 < 5.0
 
 
-# ---------- rayleigh_quotient ----------
+# ---------- rayleigh_quotient (test reference) ----------
+
+
+def rayleigh_quotient(grid, f):
+    """(sum of squared forward differences + sum V f^2) / sum f^2 over the
+    interior nodes, with zero boundary values on both sides."""
+    f = np.asarray(f, dtype=float)
+    den = float(np.sum(f * f))
+    if den == 0.0:
+        raise ParameterError("Rayleigh quotient of the zero vector")
+    grad = np.diff(np.concatenate(([0.0], f, [0.0]))) / grid.dx
+    return (float(np.sum(grad * grad)) + float(np.sum(grid.values[1:-1] * f * f))) / den
 
 
 def test_rayleigh_of_ground_state_is_lambda1():
     g = grid_of("harmonic", (-12.0, 12.0), 1500)
-    op = discretize(g)
-    pair = smallest_eigenpair(op)
-    assert rayleigh_quotient(op, pair.f) == pytest.approx(pair.lambda1, abs=1e-9)
+    pair = smallest_eigenpair(g)
+    assert rayleigh_quotient(g, pair.f) == pytest.approx(pair.lambda1, abs=1e-9)
 
 
 def test_rayleigh_of_sine_on_square_well_closed_form():
     n = 300
-    op = discretize(grid_of("squareWell", (0.0, 1.0), n))
+    g = grid_of("squareWell", (0.0, 1.0), n)
     x = np.linspace(0, 1, n + 2)[1:-1]
     f = np.sin(np.pi * x)
-    assert rayleigh_quotient(op, f) == pytest.approx(closed_form_well(n), rel=1e-12)
+    assert rayleigh_quotient(g, f) == pytest.approx(closed_form_well(n), rel=1e-12)
 
 
 def test_rayleigh_variational_lower_bound():
     g = grid_of("linearWell", (-6.0, 6.0), 100)
-    op = discretize(g)
-    lam1 = smallest_eigenpair(op).lambda1
+    lam1 = smallest_eigenpair(g).lambda1
     rng = np.random.default_rng(11)
     for _ in range(1000):
         f = rng.standard_normal(100)
-        assert rayleigh_quotient(op, f) >= lam1 - 1e-10 * max(1.0, abs(lam1))
+        assert rayleigh_quotient(g, f) >= lam1 - 1e-10 * max(1.0, abs(lam1))
 
 
 def test_rayleigh_rejects_zero_vector():
-    op = discretize(grid_of("squareWell", (0.0, 1.0), 5))
+    g = grid_of("squareWell", (0.0, 1.0), 5)
     with pytest.raises(ParameterError):
-        rayleigh_quotient(op, np.zeros(5))
+        rayleigh_quotient(g, np.zeros(5))
 
 
-# ---------- sine_testfunction_bound ----------
+# ---------- sine_testfunction_bound (test reference) ----------
+
+
+def sine_testfunction_bound(grid, y):
+    """Rayleigh quotient of a sine bump supported on the sublevel set at y,
+    which must be one nonempty interval of interior nodes.
+
+    It never exceeds pi^2/w(y)^2 + y: the discrete sine energy on a window
+    of length W is (2/dx^2)(1 - cos(pi dx / W)), at most (pi/W)^2, and the
+    potential is at most y on the window.
+    """
+    if not is_interval_sublevel(grid, y):
+        raise ParameterError(f"sublevel set at y={y} is empty or not an interval")
+    inside = np.flatnonzero(grid.values[1:-1] <= y)
+    i0, i1 = int(inside[0]), int(inside[-1])
+    window = (i1 - i0 + 2) * grid.dx
+    xs = grid.nodes()[1:-1]
+    f = np.zeros(grid.n)
+    f[i0 : i1 + 1] = np.sin(math.pi * (xs[i0 : i1 + 1] - (grid.a + i0 * grid.dx)) / window)
+    return rayleigh_quotient(grid, f)
 
 
 def test_sine_bound_square_well_recovers_pi2():
@@ -215,7 +212,7 @@ def test_sine_bound_square_well_recovers_pi2():
 def test_sine_bound_harmonic_dominated_by_functional():
     g = grid_of("harmonic", (-12.0, 12.0), 4000)
     v = sine_testfunction_bound(g, 0.5)
-    lam1 = smallest_eigenpair(discretize(g)).lambda1
+    lam1 = smallest_eigenpair(g).lambda1
     assert lam1 <= v
     assert v <= PI2 / (4 * 0.5) + 0.5 + 0.05
 
@@ -225,9 +222,7 @@ def test_sine_bound_cone_between_lambda_and_functional():
     g = cone_model_potential(D, 800)
     y = D ** (-2.0 / 3.0)
     v = sine_testfunction_bound(g, y)
-    lam1 = smallest_eigenpair(discretize(g)).lambda1
-    from specgap.sublevel import width
-
+    lam1 = smallest_eigenpair(g).lambda1
     w = width(g, y)
     assert lam1 <= v <= PI2 / w**2 + y + 1e-9
 
@@ -240,8 +235,6 @@ def test_sine_bound_never_exceeds_sharp_functional_on_suite():
     ]:
         r = minimize_functional(g)
         v = sine_testfunction_bound(g, r.yStar)
-        from specgap.sublevel import width
-
         w = width(g, r.yStar)
         assert v <= PI2 / w**2 + r.yStar + 1e-9
 
@@ -260,7 +253,7 @@ def test_sine_bound_requires_interval_sublevel():
 
 def test_linfty_square_well():
     g = grid_of("squareWell", (0.0, 1.0), 1000)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     ratio, bound, holds = check_linfty_bound(pair, g)
     assert ratio == pytest.approx(math.sqrt(2.0), abs=1e-3)
     assert bound == pytest.approx((2 * PI2) ** 0.25, rel=1e-6)
@@ -269,7 +262,7 @@ def test_linfty_square_well():
 
 def test_linfty_harmonic_gaussian_ratio():
     g = grid_of("harmonic", (-12.0, 12.0), 4000)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     ratio, bound, holds = check_linfty_bound(pair, g)
     assert ratio == pytest.approx(math.pi ** (-0.25), abs=1e-3)
     assert bound == pytest.approx(2.0**0.25, rel=1e-4)
@@ -278,12 +271,33 @@ def test_linfty_harmonic_gaussian_ratio():
 
 def test_linfty_rejects_negative_potential():
     g = shift(grid_of("harmonic", (-2.0, 2.0), 99), -1.0)
-    pair = smallest_eigenpair(discretize(g))
+    pair = smallest_eigenpair(g)
     with pytest.raises(ParameterError):
         check_linfty_bound(pair, g)
 
 
-# ---------- shortest_mass_interval ----------
+# ---------- shortest_mass_interval (test reference) ----------
+
+
+def shortest_mass_interval(f, dx, alpha):
+    """Shortest window of consecutive nodes holding an alpha fraction of the
+    squared mass, as (length in x units, start index); ties resolve to the
+    leftmost window."""
+    f = np.asarray(f, dtype=float)
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
+    m = f * f * dx
+    total = float(np.sum(m))
+    if total == 0.0:
+        raise ParameterError("mass interval of the zero vector")
+    prefix = np.concatenate(([0.0], np.cumsum(m)))
+    ends = np.searchsorted(prefix, prefix[:-1] + alpha * total * (1.0 - 1e-12), side="left")
+    valid = ends <= len(m)
+    if not np.any(valid):
+        raise ParameterError("no window reaches the requested mass fraction")
+    lengths = np.where(valid, ends - np.arange(len(m)), len(m) + 1)
+    start = int(np.argmin(lengths))
+    return int(lengths[start]) * dx, start
 
 
 def test_mass_interval_constant_function():
@@ -335,8 +349,7 @@ def test_mass_interval_rejects_bad_args():
 def test_cone_localization_product_sane():
     D = 100.0
     g = cone_model_potential(D, 800)
-    op = discretize(g)
-    pair = smallest_eigenpair(op)
-    length, _ = shortest_mass_interval(pair.f, dx=op.dx, alpha=0.5)
+    pair = smallest_eigenpair(g)
+    length, _ = shortest_mass_interval(pair.f, dx=g.dx, alpha=0.5)
     product = length * math.sqrt(pair.lambda1)
     assert 0.3 < product < 6.0

@@ -19,7 +19,7 @@ from specgap.convexdomain import (
     inradius,
     normalize_gj,
 )
-from specgap.eigensolve1d import discretize, smallest_eigenpair
+from specgap.eigensolve1d import smallest_eigenpair
 from specgap.eigensolve2d import (
     _FMG_MIN_NODES,
     MAX_GRID_NODES,
@@ -452,6 +452,18 @@ def test_bad_tolerance_rejected():
         smallest_eigenpair_2d(grid, tol=0.0)
 
 
+def test_mask_below_five_active_nodes_rejected():
+    # below five unknowns scipy's lobpcg falls back to a dense solve
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[1:3, 1:3] = True
+    with pytest.raises(ParameterError, match="has 4 active nodes"):
+        smallest_eigenpair_2d(MaskedGrid(spacing=0.25, origin=np.zeros(2), mask=mask))
+    mask[3, 1] = True
+    pair = smallest_eigenpair_2d(MaskedGrid(spacing=0.25, origin=np.zeros(2), mask=mask))
+    assert pair.u.shape == (5,)
+    assert np.all(pair.u > 0)
+
+
 # ---------- vdberg_statistic ----------
 
 
@@ -488,7 +500,7 @@ def rect_pair():
     poly2, hf = normalize_gj(rectangle(8.0, 1.0))
     grid = rasterize(poly2, 1.0 / 64.0)
     pair = smallest_eigenpair_2d(grid, tol=1e-7)
-    profile = smallest_eigenpair(discretize(gj_potential(hf)))
+    profile = smallest_eigenpair(gj_potential(hf))
     return hf, pair, profile
 
 
@@ -507,7 +519,7 @@ def test_profile_error_empty_window(rect_pair):
         f1=np.zeros(300),
         f2=np.ones(300),
     )
-    profile = smallest_eigenpair(discretize(gj_potential(far)))
+    profile = smallest_eigenpair(gj_potential(far))
     with pytest.raises(ParameterError):
         gj_profile_error(pair, far, profile)
 

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specgap.cli import main
-from specgap.eigensolve1d import discretize, smallest_eigenpair
+from specgap.eigensolve1d import smallest_eigenpair
 from specgap.potential import PotentialGrid, PotentialSpec, sample, shift
 from specgap.sublevel import minimize_functional
+from test_eigensolve1d import sine_testfunction_bound
 
 PI2 = math.pi**2
 
@@ -39,8 +40,8 @@ def wells(draw):
 @given(grid=wells(), c=st.floats(-50.0, 50.0))
 def test_shift_equivariance(grid, c):
     moved = shift(grid, c)
-    lam0 = smallest_eigenpair(discretize(grid)).lambda1
-    lam1 = smallest_eigenpair(discretize(moved)).lambda1
+    lam0 = smallest_eigenpair(grid).lambda1
+    lam1 = smallest_eigenpair(moved).lambda1
     assert lam1 == pytest.approx(lam0 + c, rel=1e-9, abs=1e-9)
     f0 = minimize_functional(grid).fStar
     assert minimize_functional(moved).fStar == pytest.approx(f0 + c, rel=1e-10, abs=1e-10)
@@ -49,9 +50,17 @@ def test_shift_equivariance(grid, c):
 @PROPERTY
 @given(grid=wells())
 def test_sandwich_on_random_wells(grid):
-    f_star = minimize_functional(grid).fStar
-    lam = smallest_eigenpair(discretize(grid)).lambda1
+    report = minimize_functional(grid)
+    f_star = report.fStar
+    lam = smallest_eigenpair(grid).lambda1
     assert f_star / 250.0 <= lam <= PI2 * f_star
+    # the sharp bound and its sine-bump witness, up to the solver tolerance
+    slack = 1.0 + 1e-9
+    if report.upperBoundSharp is not None:
+        assert lam <= report.upperBoundSharp * slack
+    witness = sine_testfunction_bound(grid, report.yStar)
+    assert lam <= witness * slack
+    assert witness <= (PI2 / report.widthAtYStar**2 + report.yStar) * slack
 
 
 @PROPERTY
@@ -59,8 +68,8 @@ def test_sandwich_on_random_wells(grid):
 def test_scaling(grid, s):
     # V(x) -> s^2 V(s x) on [a/s, b/s] with the same n
     scaled = PotentialGrid(a=grid.a / s, b=grid.b / s, values=s * s * grid.values)
-    lam0 = smallest_eigenpair(discretize(grid)).lambda1
-    lam1 = smallest_eigenpair(discretize(scaled)).lambda1
+    lam0 = smallest_eigenpair(grid).lambda1
+    lam1 = smallest_eigenpair(scaled).lambda1
     assert lam1 == pytest.approx(s * s * lam0, rel=1e-10)
     f0 = minimize_functional(grid).fStar
     assert minimize_functional(scaled).fStar == pytest.approx(s * s * f0, rel=1e-10)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specgap.eigensolve1d import discretize, smallest_eigenpair
+from specgap.eigensolve1d import smallest_eigenpair
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.rearrange import (
     _center_out_positions,
@@ -118,7 +118,7 @@ def test_chain_inequalities_on_random_suite():
     for _ in range(30):
         g = _random_piecewise_grid(rng)
         r = verify_chain(g)
-        pair = smallest_eigenpair(discretize(g))
+        pair = smallest_eigenpair(g)
         eps = chain_slack(g, pair.f)
         # the value pairing in the rearranged sum is extremal, so this one
         # holds to rounding, no discretization slack needed
@@ -131,8 +131,8 @@ def test_chain_inequalities_on_random_suite():
 def test_chain_slack_scales_with_dx():
     g1 = sample(PotentialSpec(kind="harmonic", params=[], interval=(-2.0, 2.0)), 100)
     g2 = sample(PotentialSpec(kind="harmonic", params=[], interval=(-2.0, 2.0)), 200)
-    f1 = smallest_eigenpair(discretize(g1)).f
-    f2 = smallest_eigenpair(discretize(g2)).f
+    f1 = smallest_eigenpair(g1).f
+    f2 = smallest_eigenpair(g2).f
     s1, s2 = chain_slack(g1, f1), chain_slack(g2, f2)
     assert s2 < s1
     vrange = g1.values.max() - g1.values.min()
@@ -142,7 +142,7 @@ def test_chain_slack_scales_with_dx():
 def test_report_slack_is_chain_slack_of_the_ground_state():
     g = _random_piecewise_grid(np.random.default_rng(7), n=200)
     r = verify_chain(g)
-    assert r.slack == chain_slack(g, smallest_eigenpair(discretize(g)).f)
+    assert r.slack == chain_slack(g, smallest_eigenpair(g).f)
     assert r.holds
 
 

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample, shift
-from specgap.sublevel import (
-    eigenvalue_bounds,
-    functional_value,
-    is_interval_sublevel,
-    minimize_functional,
-    width,
-    width_profile,
-)
+from specgap.sublevel import minimize_functional, width, width_profile
 
 PI2 = math.pi**2
 
@@ -54,6 +47,18 @@ def test_width_monotone_and_bounded():
 def test_width_empty_sublevel_is_zero():
     g = grid_of("harmonic", (-1.0, 1.0), 99)
     assert width(g, -0.5) == 0.0
+
+
+def is_interval_sublevel(grid, y):
+    """Test reference: the interior nodes with V <= y form one nonempty contiguous block."""
+    idx = np.flatnonzero(grid.values[1:-1] <= y)
+    return bool(len(idx) > 0 and idx[-1] - idx[0] + 1 == len(idx))
+
+
+def functional_value(grid, y):
+    """Test reference: 1/width^2 + y, with +inf for an empty sublevel set."""
+    w = width(grid, y)
+    return math.inf if w == 0.0 else 1.0 / (w * w) + y
 
 
 def test_is_interval_cases():
@@ -164,14 +169,16 @@ def test_minimize_double_well_no_sharp_bound():
 
 def test_eigenvalue_bounds_square_well():
     g = grid_of("squareWell", (0.0, 1.0), 999)
-    lower, upper = eigenvalue_bounds(g)
+    r = minimize_functional(g)
+    lower, upper = r.lowerBound, r.upperBoundSharp
     assert lower == pytest.approx(0.004, abs=1e-5)
     assert upper == pytest.approx(PI2, abs=1e-9)
     assert lower <= PI2 <= upper * (1 + 1e-12)
 
 
 def test_eigenvalue_bounds_double_well_upper_absent():
-    lower, upper = eigenvalue_bounds(double_well())
+    r = minimize_functional(double_well())
+    lower, upper = r.lowerBound, r.upperBoundSharp
     assert lower > 0
     assert upper is None
 
