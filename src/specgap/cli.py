@@ -46,11 +46,12 @@ def _fmt(value) -> str:
 
 def _as_float(value) -> float:
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
+        number = float(value)
+        if isinstance(value, bool) or not np.isfinite(number):
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"expected a number, got {value!r}") from None
+        raise ParameterError(f"expected a finite number, got {value!r}") from None
 
 
 def _as_int(value) -> int:

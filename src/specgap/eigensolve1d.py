@@ -4,21 +4,18 @@ The operator is the standard 3-point stencil, a symmetric tridiagonal matrix
 over interior nodes. The eigenvalue comes from LAPACK bisection (dstebz).
 The eigenvector follows from inverse iteration at a shift just below it,
 where the shifted matrix is positive definite.
-
-Also here: the sup-norm inequality check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
 from specgap.errors import NumericError, ParameterError
-from specgap.potential import PotentialGrid, min_value
+from specgap.potential import PotentialGrid
 
 
 @dataclass(frozen=True)
@@ -83,18 +80,3 @@ def smallest_eigenpair(grid: PotentialGrid, tol: float = 1e-10) -> Eigenpair1D:
         f"target={res_target:.3e}"
     )
 
-
-def check_linfty_bound(
-    pair: Eigenpair1D, grid: PotentialGrid
-) -> Tuple[float, float, bool]:
-    """Compare the ground state's sup norm against (2 lambda1)^(1/4).
-
-    Valid for nonnegative potentials only. The slack term absorbs the
-    O(dx) difference between grid maxima and the continuum sup.
-    """
-    if min_value(grid) < 0:
-        raise ParameterError("sup-norm bound assumes a nonnegative potential")
-    ratio = float(np.max(np.abs(pair.f))) / math.sqrt(pair.normL2)
-    bound = (2.0 * pair.lambda1) ** 0.25
-    slack = 0.01 + 2.0 * grid.dx
-    return ratio, bound, bool(ratio <= bound * (1.0 + slack))

@@ -162,8 +162,9 @@ def test_vdberg_quick_and_deterministic(tmp_path):
         ("verifyThm1", '{"names": []}'),
         ("domainSweep", '{"D": []}'),
         ("domainSweep", '{"families": []}'),
+        ("gjCompare", '{"D": []}'),
     ],
-    ids=["vdberg-D", "verifyThm1-names", "domainSweep-D", "domainSweep-families"],
+    ids=["vdberg-D", "verifyThm1-names", "domainSweep-D", "domainSweep-families", "gjCompare-D"],
 )
 def test_empty_suite_is_input_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "empty.json"
@@ -393,6 +394,10 @@ def test_bad_set_syntax(tmp_path, capsys):
         # true/false are names, not numbers
         ("rearrangeCheck", "vmax=true"),
         ("eig1d", "n=true"),
+        # NaN and Infinity are not JSON (RFC 8259), so no config may hold them
+        ("constants", "gamma=inf"),
+        ("constants", "alpha=nan"),
+        ("eig1d", "params=inf"),
     ],
 )
 def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):

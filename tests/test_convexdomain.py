@@ -18,6 +18,7 @@ from specgap.convexdomain import (
     minimal_width,
     normalize_gj,
 )
+from specgap.eigensolve2d import rasterize
 from specgap.errors import GeometryError, ParameterError
 
 PI2 = math.pi**2
@@ -261,14 +262,28 @@ def test_normalize_cone_height_profile():
     )
 
 
+def mirror_test_polygons():
+    """The three families at D=8 and 16, then 40 seeded random hulls."""
+    polys = [generate_family(kind, d) for kind in ("cone", "stadium", "isoTriangle")
+             for d in (8.0, 16.0)]
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        pts = rng.normal(size=(int(rng.integers(3, 30)), 2)) * rng.uniform(0.3, 3.0, size=2)
+        polys.append(ConvexPolygon(vertices=pts[ConvexHull(pts).vertices]))
+    return polys
+
+
 def test_normalize_flip_convention_deterministic():
-    # mirrored input should produce the same height function
-    p = generate_family("cone", 8.0)
-    mirrored = ConvexPolygon(vertices=(p.vertices * np.array([-1.0, 1.0]))[::-1])
-    _, hf1 = normalize_gj(p)
-    _, hf2 = normalize_gj(mirrored)
-    assert len(hf1.h) == len(hf2.h)
-    assert np.max(np.abs(hf1.h - hf2.h)) < 1e-6
+    # a mirrored input gives the same height profile up to rounding and the
+    # same interior mask, hence the same 2D operator and lambda1
+    for p in mirror_test_polygons():
+        mirrored = ConvexPolygon(vertices=(p.vertices * np.array([-1.0, 1.0]))[::-1])
+        p1, hf1 = normalize_gj(p, resolution=128)
+        p2, hf2 = normalize_gj(mirrored, resolution=128)
+        assert len(hf1.h) == len(hf2.h)
+        assert np.max(np.abs(hf1.h - hf2.h)) < 1e-12
+        g1, g2 = rasterize(p1, 1.0 / 32.0), rasterize(p2, 1.0 / 32.0)
+        assert np.array_equal(g1.mask, g2.mask)
 
 
 # ---------- gj_potential ----------

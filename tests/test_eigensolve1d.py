@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specgap.eigensolve1d import check_linfty_bound, smallest_eigenpair
+from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
 from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample, shift
 from specgap.sublevel import minimize_functional, width
@@ -246,34 +246,6 @@ def test_sine_bound_requires_interval_sublevel():
         sine_testfunction_bound(g, 0.25)
     with pytest.raises(ParameterError):
         sine_testfunction_bound(g, -1.0)
-
-
-# ---------- check_linfty_bound ----------
-
-
-def test_linfty_square_well():
-    g = grid_of("squareWell", (0.0, 1.0), 1000)
-    pair = smallest_eigenpair(g)
-    ratio, bound, holds = check_linfty_bound(pair, g)
-    assert ratio == pytest.approx(math.sqrt(2.0), abs=1e-3)
-    assert bound == pytest.approx((2 * PI2) ** 0.25, rel=1e-6)
-    assert holds
-
-
-def test_linfty_harmonic_gaussian_ratio():
-    g = grid_of("harmonic", (-12.0, 12.0), 4000)
-    pair = smallest_eigenpair(g)
-    ratio, bound, holds = check_linfty_bound(pair, g)
-    assert ratio == pytest.approx(math.pi ** (-0.25), abs=1e-3)
-    assert bound == pytest.approx(2.0**0.25, rel=1e-4)
-    assert holds
-
-
-def test_linfty_rejects_negative_potential():
-    g = shift(grid_of("harmonic", (-2.0, 2.0), 99), -1.0)
-    pair = smallest_eigenpair(g)
-    with pytest.raises(ParameterError):
-        check_linfty_bound(pair, g)
 
 
 # ---------- shortest_mass_interval (test reference) ----------

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from specgap import pipeline, rearrange
-from specgap.potential import PotentialGrid
+from specgap.errors import ParameterError
+from specgap.potential import PotentialGrid, PotentialSpec, sample, shift
 
 
 PI2 = math.pi**2
@@ -51,6 +52,40 @@ def test_verify_thm1_squarewell_row():
     assert row["lambda1"] == pytest.approx(PI2, rel=1e-4)
     assert row["sandwichPass"] and row["linfPass"] and row["pass"]
     assert row["linfRatio"] <= row["linfBound"] * 1.02
+
+
+def test_verify_thm1_linfty_square_well():
+    row = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))[0]
+    assert row["linfRatio"] == pytest.approx(math.sqrt(2.0), abs=1e-3)
+    assert row["linfBound"] == pytest.approx((2 * PI2) ** 0.25, rel=1e-6)
+    assert row["linfPass"] == 1
+
+
+def test_verify_thm1_linfty_harmonic_gaussian_ratio():
+    row = pipeline.verify_thm1(pipeline.thm1_suite(["harmonic"]))[0]
+    assert row["linfRatio"] == pytest.approx(math.pi ** (-0.25), abs=1e-3)
+    assert row["linfBound"] == pytest.approx(2.0**0.25, rel=1e-4)
+    assert row["linfPass"] == 1
+
+
+def test_verify_thm1_linfty_rejects_negative_potential():
+    g = sample(PotentialSpec("harmonic", (), (-2.0, 2.0)), 99)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        pipeline.verify_thm1([("shifted", shift(g, -1.0))])
+
+
+def test_verify_thm1_linfty_verdict_reads_its_band(monkeypatch):
+    # a sup-norm band out of reach fails that check alone
+    monkeypatch.setattr(pipeline, "LINF_SLACK", -0.5)
+    row = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))[0]
+    assert (row["sandwichPass"], row["linfPass"], row["pass"]) == (1, 0, 0)
+
+
+def test_rearrange_verdict_reads_its_band(monkeypatch):
+    monkeypatch.setattr(pipeline, "CHAIN_SLACK_FACTOR", -1e3)
+    rows = pipeline.rearrange_random_suite(count=2, seed=11, n=200)
+    assert [r["pass"] for r in rows] == [0, 0]
+    assert all(r["slack"] < 0 for r in rows)
 
 
 def test_rearrange_suite_deterministic_and_passing():

@@ -1,7 +1,10 @@
-"""The README's Python API example runs as written."""
+"""The README's Python API example and its command-line examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from specgap.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -11,3 +14,16 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_examples_exit_zero(tmp_path):
+    # each `specgap ...` line of the Examples block, with its --out moved
+    # under a temporary directory
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    lines = [line for line in block.group(1).splitlines() if line.startswith("specgap ")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / Path(argv[out]).name)
+        assert main(argv) == 0, line

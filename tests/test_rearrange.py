@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from specgap import pipeline
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.rearrange import (
     _center_out_positions,
-    chain_slack,
     symmetric_decreasing,
     symmetric_increasing,
     verify_chain,
@@ -89,9 +89,15 @@ def test_increasing_equimeasurable_widths():
         assert width(g, float(y)) == width(gstar, float(y))
 
 
+def chain(g):
+    """The ground state of g, and verify_chain's report on it."""
+    pair = smallest_eigenpair(g)
+    return pair, verify_chain(g, pair)
+
+
 def test_chain_on_symmetric_potential_degenerates_to_equalities():
     g = sample(PotentialSpec(kind="harmonic", params=[], interval=(-4.0, 4.0)), 99)
-    r = verify_chain(g)
+    _, r = chain(g)
     assert r.hlLeft == pytest.approx(r.hlRight, rel=1e-10, abs=1e-12)
     assert r.psLeft == pytest.approx(r.psRight, rel=1e-8)
     assert r.lambdaRearranged == pytest.approx(r.lambdaOriginal, abs=1e-7)
@@ -99,7 +105,7 @@ def test_chain_on_symmetric_potential_degenerates_to_equalities():
 
 def test_chain_on_square_well_is_tight():
     g = sample(PotentialSpec(kind="squareWell", params=[], interval=(0.0, 1.0)), 200)
-    r = verify_chain(g)
+    _, r = chain(g)
     assert r.hlLeft == r.hlRight == 0.0
     assert r.psLeft == pytest.approx(r.psRight, rel=1e-12)
     assert r.lambdaRearranged == pytest.approx(r.lambdaOriginal, abs=1e-8)
@@ -117,33 +123,35 @@ def test_chain_inequalities_on_random_suite():
     rng = np.random.default_rng(2024)
     for _ in range(30):
         g = _random_piecewise_grid(rng)
-        r = verify_chain(g)
-        pair = smallest_eigenpair(g)
-        eps = chain_slack(g, pair.f)
+        pair, r = chain(g)
+        eps, holds = pipeline._chain(g, pair.f, r)
         # the value pairing in the rearranged sum is extremal, so this one
         # holds to rounding, no discretization slack needed
         assert r.hlLeft >= r.hlRight - 1e-9 * max(1.0, abs(r.hlLeft))
         assert r.psLeft <= r.psRight + eps
         assert r.lambdaRearranged <= r.lambdaOriginal + eps
-        assert eps > 0
+        assert eps > 0 and holds
 
 
 def test_chain_slack_scales_with_dx():
     g1 = sample(PotentialSpec(kind="harmonic", params=[], interval=(-2.0, 2.0)), 100)
     g2 = sample(PotentialSpec(kind="harmonic", params=[], interval=(-2.0, 2.0)), 200)
-    f1 = smallest_eigenpair(g1).f
-    f2 = smallest_eigenpair(g2).f
-    s1, s2 = chain_slack(g1, f1), chain_slack(g2, f2)
+    (p1, r1), (p2, r2) = chain(g1), chain(g2)
+    s1, s2 = pipeline._chain(g1, p1.f, r1)[0], pipeline._chain(g2, p2.f, r2)[0]
     assert s2 < s1
     vrange = g1.values.max() - g1.values.min()
-    assert s1 == pytest.approx(10.0 * g1.dx * vrange * np.max(np.abs(f1)) ** 2, rel=1e-12)
+    assert s1 == pytest.approx(10.0 * g1.dx * vrange * np.max(np.abs(p1.f)) ** 2, rel=1e-12)
 
 
 def test_report_slack_is_chain_slack_of_the_ground_state():
+    # the suite draws its wells as _random_piecewise_grid does, and judges
+    # each with the allowance of the drawn well's ground state
+    row = pipeline.rearrange_random_suite(count=1, seed=7, n=200)[0]
     g = _random_piecewise_grid(np.random.default_rng(7), n=200)
-    r = verify_chain(g)
-    assert r.slack == chain_slack(g, smallest_eigenpair(g).f)
-    assert r.holds
+    pair, r = chain(g)
+    assert {k: row[k] for k in dataclasses.asdict(r)} == dataclasses.asdict(r)
+    assert row["slack"] == pipeline._chain(g, pair.f, r)[0]
+    assert row["pass"] == 1
 
 
 @pytest.mark.parametrize(
@@ -151,7 +159,9 @@ def test_report_slack_is_chain_slack_of_the_ground_state():
     [("hlRight", "hlLeft"), ("psLeft", "psRight"), ("lambdaRearranged", "lambdaOriginal")],
 )
 def test_report_fails_when_one_comparison_passes_slack(field, other):
-    r = verify_chain(_random_piecewise_grid(np.random.default_rng(7), n=200))
-    assert r.holds
-    broken = dataclasses.replace(r, **{field: getattr(r, other) + 2.0 * r.slack})
-    assert not broken.holds
+    g = _random_piecewise_grid(np.random.default_rng(7), n=200)
+    pair, r = chain(g)
+    slack, holds = pipeline._chain(g, pair.f, r)
+    assert holds
+    broken = dataclasses.replace(r, **{field: getattr(r, other) + 2.0 * slack})
+    assert not pipeline._chain(g, pair.f, broken)[1]
