@@ -6,9 +6,10 @@ computation, and writes two files: <prefix>.json with a summary plus
 the fully resolved configuration, and <prefix>.csv with the row data.
 
 COMMANDS is the one table of subcommands: each entry holds the defaults,
-the runner and the CSV header. Every pass band is a fixed constant in
-`pipeline`, never a config key; this module only resolves configuration
-and does I/O.
+the runner and the CSV header. The runner is a `pipeline` function that
+takes the command's config keys, each coerced by COERCE first; every
+summary, row and verdict is made there. This module only resolves
+configuration and does I/O.
 
 Exit status: 0 on success, 1 when a scientific check fails or the
 numerics break down, 2 on bad input.
@@ -25,11 +26,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import pipeline
-from .constants import ConstantTriple, is_feasible, objective, search
-from .eigensolve1d import smallest_eigenpair
 from .errors import GeometryError, NumericError, ParameterError
-from .potential import PotentialSpec, sample
-from .sublevel import minimize_functional, width_profile
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,14 @@ def _as_int(value) -> int:
 MAX_SIZE = {"n": 1_000_000, "knots": 10_000, "count": 100_000, "resolution": 4096}
 
 
-def _size(cfg: Dict[str, object], key: str) -> int:
-    value = _as_int(cfg[key])
-    if value > MAX_SIZE[key]:
-        raise ParameterError(f"{key} must be at most {MAX_SIZE[key]}, got {value}")
-    return value
+def _size(key: str) -> Callable[[object], int]:
+    def coerce(value) -> int:
+        size = _as_int(value)
+        if size > MAX_SIZE[key]:
+            raise ParameterError(f"{key} must be at most {MAX_SIZE[key]}, got {size}")
+        return size
+
+    return coerce
 
 
 def _as_float_list(value) -> List[float]:
@@ -98,148 +98,71 @@ def _interval(value) -> Tuple[float, float]:
     return pair[0], pair[1]
 
 
-def _grid_from(cfg: Dict[str, object]):
-    spec = PotentialSpec(
-        kind=str(cfg["kind"]),
-        params=tuple(_as_float_list(cfg["params"]) if cfg["params"] else ()),
-        interval=_interval(cfg["interval"]),
-    )
-    return sample(spec, _size(cfg, "n"))
-
-
-def _bound(cfg):
-    grid = _grid_from(cfg)
-    report = minimize_functional(grid)
-    summary = {
-        "yStar": report.yStar,
-        "widthAtYStar": report.widthAtYStar,
-        "fStar": report.fStar,
-        "isInterval": bool(report.isInterval),
-        "lower": report.lowerBound,
-        "upperSharp": report.upperBoundSharp,
-    }
-    levels, widths, functional = width_profile(grid)
-    return summary, zip(levels.tolist(), widths.tolist(), functional.tolist()), True
-
-
-def _eig1d(cfg):
-    grid = _grid_from(cfg)
-    pair = smallest_eigenpair(grid, tol=_as_float(cfg["tol"]))
-    summary = {
-        "lambda1": pair.lambda1,
-        "n": grid.n,
-        "dx": grid.dx,
-        "residual": pair.residual,
-        "normL2": pair.normL2,
-    }
-    x = grid.nodes()[1:-1]
-    return summary, zip(x.tolist(), pair.f.tolist()), True
-
-
-def _all_pass(rows):
-    ok = all(r["pass"] for r in rows)
-    return {"allPass": int(ok), "rows": rows}, None, ok
-
-
-def _verify_thm1(cfg):
-    suite = pipeline.thm1_suite(_as_str_list(cfg["names"]))
-    return _all_pass(pipeline.verify_thm1(suite))
-
-
-def _rearrange_check(cfg):
-    rows = pipeline.rearrange_random_suite(
-        count=_size(cfg, "count"),
-        seed=cfg["seed"],
-        knots=_size(cfg, "knots"),
-        vmax=_as_float(cfg["vmax"]),
-        interval=_interval(cfg["interval"]),
-        n=_size(cfg, "n"),
-    )
-    failures = sum(1 for r in rows if not r["pass"])
-    return {"count": len(rows), "failures": failures, "rows": rows}, None, failures == 0
-
-
-def _constants(cfg):
-    budget = _as_int(cfg["budget"] or 0)
+def _budget(value) -> int:
+    budget = _as_int(value or 0)
     if budget < 0:
         raise ParameterError(f"expected a budget of at least 0, got {budget}")
-    if budget > 0:
-        triple, value = search(budget, cfg["seed"])
-        summary = {"mode": "search", "objective": value, "feasible": 1, "budget": budget}
-    else:
-        triple = ConstantTriple(
-            alpha=_as_float(cfg["alpha"]),
-            beta=_as_float(cfg["beta"]),
-            gamma=_as_float(cfg["gamma"]),
-        )
-        feasible = is_feasible(triple)
-        value = objective(triple) if feasible else None
-        summary = {"mode": "evaluate", "objective": value, "feasible": int(feasible)}
-    summary.update(alpha=triple.alpha, beta=triple.beta, gamma=triple.gamma)
-    row = [triple.alpha, triple.beta, triple.gamma, float("nan") if value is None else value]
-    return summary, [row], bool(summary["feasible"])
+    return budget
 
 
-def _domain_sweep(cfg):
-    return _all_pass(
-        pipeline.domain_sweep(
-            _as_str_list(cfg["families"]),
-            _as_float_list(cfg["D"]),
-            resolution=_size(cfg, "resolution"),
-        )
-    )
+def _seed(value) -> int:
+    seed = _as_int(value)
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
-def _vdberg(cfg):
-    rows = pipeline.vdberg_sweep(
-        _as_float_list(cfg["D"]), spacing=_as_float(cfg["spacing"]), tol=_as_float(cfg["tol"])
-    )
-    verdict = pipeline.vdberg_verdict(rows)
-    return dict(verdict, rows=rows), None, verdict["allPass"]
-
-
-def _gj_compare(cfg):
-    result = pipeline.gj_compare_run(
-        _as_float_list(cfg["D"]),
-        spacing=_as_float(cfg["spacing"]),
-        tol=_as_float(cfg["tol"]),
-    )
-    rows = [["rectProfile", 8.0, result["rectError"], result["rectPass"]]]
-    rows += [["coneRatio", r["D"], r["ratio"], r["pass"]] for r in result["rows"]]
-    return result, rows, result["allPass"]
+# every config key's coercion, applied before the runner is called
+COERCE: Dict[str, Callable[[object], object]] = {
+    "kind": str,
+    "params": lambda value: tuple(_as_float_list(value)) if value else (),
+    "interval": _interval,
+    "tol": _as_float,
+    "names": _as_str_list,
+    "vmax": _as_float,
+    "alpha": _as_float,
+    "beta": _as_float,
+    "gamma": _as_float,
+    "budget": _budget,
+    "seed": _seed,
+    "families": _as_str_list,
+    "D": _as_float_list,
+    "spacing": _as_float,
+    **{key: _size(key) for key in MAX_SIZE},
+}
 
 
 class Command(NamedTuple):
     """A subcommand: its default config, its runner and its CSV header.
 
-    The runner takes the resolved config and returns (summary, rows, ok).
-    rows=None stands for the header's columns of summary["rows"]; ok=False
-    exits 1. Every default key is read by the runner, and none is a band.
+    The runner is called with the coerced config as keyword arguments, one
+    per default key, and returns (summary, rows, ok). rows=None stands for
+    the header's columns of summary["rows"]; ok=False exits 1.
     """
 
     defaults: Dict[str, object]
-    runner: Callable[[Dict[str, object]], Tuple[dict, Optional[Iterable], bool]]
+    runner: Callable[..., Tuple[dict, Optional[Iterable], bool]]
     header: str
 
 
 _GRID = {"kind": "squareWell", "params": [], "interval": [0.0, 1.0], "n": 1000}
 
 COMMANDS: Dict[str, Command] = {
-    "bound": Command(_GRID, _bound, "y,width,functional"),
-    "eig1d": Command(dict(_GRID, tol=1e-10), _eig1d, "x,f"),
+    "bound": Command(_GRID, pipeline.bound, "y,width,functional"),
+    "eig1d": Command(dict(_GRID, tol=1e-10), pipeline.eig1d, "x,f"),
     "verifyThm1": Command(
         {"names": list(pipeline.THM1_NAMES)},
-        _verify_thm1,
+        pipeline.thm1_check,
         "potential,fStar,lambda1,lower,upper,pass",
     ),
     "rearrangeCheck": Command(
-        {"count": 200, "knots": 8, "vmax": 50.0, "interval": [0.0, 1.0], "n": 800},
-        _rearrange_check,
+        {"count": 200, "knots": 8, "vmax": 50.0, "interval": [0.0, 1.0], "n": 800, "seed": 0},
+        pipeline.rearrange_random_suite,
         "seedIndex,hlLeft,hlRight,psLeft,psRight,lambdaOriginal,lambdaRearranged,slack,pass",
     ),
     "constants": Command(
-        {"alpha": 0.99, "beta": 0.007, "gamma": 14.1327, "budget": 0},
-        _constants,
+        {"alpha": 0.99, "beta": 0.007, "gamma": 14.1327, "budget": 0, "seed": 0},
+        pipeline.constant_triple,
         "alpha,beta,gamma,objective",
     ),
     "domainSweep": Command(
@@ -248,26 +171,23 @@ COMMANDS: Dict[str, Command] = {
             "D": [16.0, 64.0, 256.0],
             "resolution": 256,
         },
-        _domain_sweep,
+        pipeline.domain_sweep,
         "family,D,inradius,diameter,minWidth,L,lambda1,lower,upper,widthRatio,shiftedProduct,pass",
     ),
     "vdberg": Command(
         {"D": [8.0, 16.0, 32.0, 64.0], "spacing": 1.0 / 64.0, "tol": 1e-6},
-        _vdberg,
+        pipeline.vdberg,
         "D,rho,lambda1,supRatio,statistic,L,gjError",
     ),
     "gjCompare": Command(
         {"D": [16.0, 64.0, 256.0], "spacing": 1.0 / 64.0, "tol": 1e-7},
-        _gj_compare,
+        pipeline.gj_compare_run,
         "case,D,value,pass",
     ),
 }
 
 
 def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
-    directory = os.path.dirname(prefix)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     with open(prefix + ".json", "w") as fh:
         # numpy scalars: np.float64 subclasses float, the rest go through .item()
         json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.item())
@@ -279,12 +199,10 @@ def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
 
 
 def _resolve(config: RunConfig) -> Dict[str, object]:
-    """Defaults, then the --input JSON object, then the overrides; the seed
-    is resolved here for every command."""
+    """Defaults, then the --input JSON object, then the overrides."""
     if config.command not in COMMANDS:
         raise ParameterError(f"unknown command {config.command!r}")
     resolved = copy.deepcopy(COMMANDS[config.command].defaults)
-    resolved["seed"] = 0
     layers = [dict(config.overrides)]
     if config.input:
         try:
@@ -305,18 +223,21 @@ def _resolve(config: RunConfig) -> Dict[str, object]:
             if key not in resolved:
                 raise ParameterError(f"unknown config key {key!r} for {config.command}")
         resolved.update(layer)
-    resolved["seed"] = _as_int(resolved["seed"])
-    if resolved["seed"] < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {resolved['seed']}")
     return resolved
 
 
 def run(config: RunConfig) -> int:
-    """Resolve the configuration, execute the command, write outputs."""
+    """Resolve the configuration, make the output directory, execute the
+    command, write outputs. An output that cannot be written is bad input."""
     try:
         resolved = _resolve(config)
         command = COMMANDS[config.command]
-        summary, rows, ok = command.runner(resolved)
+        arguments = {key: COERCE[key](value) for key, value in resolved.items()}
+        try:
+            os.makedirs(os.path.dirname(config.output) or os.curdir, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {config.output}: {exc}") from None
+        summary, rows, ok = command.runner(**arguments)
     except (ParameterError, GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -332,7 +253,11 @@ def run(config: RunConfig) -> int:
         "config": resolved,
         "summary": summary,
     }
-    _write_outputs(config.output, payload, command.header, rows)
+    try:
+        _write_outputs(config.output, payload, command.header, rows)
+    except OSError as exc:
+        print(f"input error: cannot write {config.output}: {exc}", file=sys.stderr)
+        return 2
     return 0 if ok else 1
 
 

@@ -21,6 +21,7 @@ from .convexdomain import (
     minimal_width,
     normalize_gj,
 )
+from .constants import ConstantTriple, is_feasible, objective, search
 from .eigensolve1d import smallest_eigenpair
 from .eigensolve2d import (
     gj_profile_error,
@@ -31,7 +32,7 @@ from .eigensolve2d import (
 from .errors import ParameterError
 from .potential import PotentialGrid, PotentialSpec, cone_model_potential, min_value, sample
 from .rearrange import RearrangementReport, verify_chain
-from .sublevel import SublevelReport, minimize_functional, width
+from .sublevel import SublevelReport, minimize_functional, width, width_profile
 
 _PI2 = math.pi**2
 
@@ -76,6 +77,70 @@ def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, Potenti
     if unknown:
         raise ParameterError(f"unknown suite members {unknown}; have {sorted(table)}")
     return [(name, sample(*table[name])) for name in picked]
+
+
+def _sizes(command: str, d_list: Sequence[float]) -> List[float]:
+    """The domain sizes D of a sweep, sorted and each once."""
+    sizes = sorted(set(float(d) for d in d_list))
+    if not sizes:
+        raise ParameterError(f"{command} needs at least one domain size D")
+    return sizes
+
+
+def _all_pass(rows: List[Dict[str, object]]):
+    ok = all(r["pass"] for r in rows)
+    return {"allPass": int(ok), "rows": rows}, None, ok
+
+
+def bound(kind, params, interval, n):
+    """The sublevel-width bounds of one potential, and its width profile."""
+    grid = sample(PotentialSpec(kind=kind, params=params, interval=interval), n)
+    report = minimize_functional(grid)
+    summary = {
+        "yStar": report.yStar,
+        "widthAtYStar": report.widthAtYStar,
+        "fStar": report.fStar,
+        "isInterval": bool(report.isInterval),
+        "lower": report.lowerBound,
+        "upperSharp": report.upperBoundSharp,
+    }
+    levels, widths, functional = width_profile(grid)
+    return summary, zip(levels.tolist(), widths.tolist(), functional.tolist()), True
+
+
+def eig1d(kind, params, interval, n, tol):
+    """The ground eigenpair of one potential."""
+    grid = sample(PotentialSpec(kind=kind, params=params, interval=interval), n)
+    pair = smallest_eigenpair(grid, tol=tol)
+    summary = {
+        "lambda1": pair.lambda1,
+        "n": grid.n,
+        "dx": grid.dx,
+        "residual": pair.residual,
+        "normL2": pair.normL2,
+    }
+    return summary, zip(grid.nodes()[1:-1].tolist(), pair.f.tolist()), True
+
+
+def thm1_check(names):
+    """verify_thm1 over the named suite members."""
+    return _all_pass(verify_thm1(thm1_suite(names)))
+
+
+def constant_triple(alpha, beta, gamma, budget, seed):
+    """The given triple's objective when budget is 0, else the best triple
+    a seeded search finds within budget evaluations."""
+    if budget > 0:
+        triple, value = search(budget, seed)
+        summary = {"mode": "search", "objective": value, "feasible": 1, "budget": budget}
+    else:
+        triple = ConstantTriple(alpha=alpha, beta=beta, gamma=gamma)
+        feasible = is_feasible(triple)
+        value = objective(triple) if feasible else None
+        summary = {"mode": "evaluate", "objective": value, "feasible": int(feasible)}
+    summary.update(alpha=triple.alpha, beta=triple.beta, gamma=triple.gamma)
+    row = [triple.alpha, triple.beta, triple.gamma, float("nan") if value is None else value]
+    return summary, [row], bool(summary["feasible"])
 
 
 def _sandwich(lambda1: float, report: SublevelReport) -> Tuple[float, bool]:
@@ -131,19 +196,13 @@ def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, ob
     return rows
 
 
-def rearrange_random_suite(
-    count: int,
-    seed: int,
-    knots: int = 8,
-    vmax: float = 50.0,
-    interval: Tuple[float, float] = (0.0, 1.0),
-    n: int = 800,
-) -> List[Dict[str, object]]:
+def rearrange_random_suite(count, knots, vmax, interval, n, seed):
     """Rearrangement chain over seeded random piecewise-linear potentials.
 
     Each draw places `knots` values uniformly in [0, vmax] at evenly
     spaced abscissae; the pass flag demands Hardy-Littlewood,
-    Polya-Szego, and the eigenvalue drop, all within the grid allowance `slack`.
+    Polya-Szego, and the eigenvalue drop, all within the grid allowance
+    `slack`. The suite passes when no draw fails.
     """
     if count < 1:
         raise ParameterError(f"count must be at least 1, got {count}")
@@ -163,22 +222,21 @@ def rearrange_random_suite(
         report = verify_chain(grid, pair)
         slack, ok = _chain(grid, pair.f, report)
         rows.append({"seedIndex": index, **asdict(report), "slack": slack, "pass": int(ok)})
-    return rows
+    failures = sum(1 for r in rows if not r["pass"])
+    return {"count": len(rows), "failures": failures, "rows": rows}, None, failures == 0
 
 
-def domain_sweep(
-    families: Sequence[str], d_list: Sequence[float], resolution: int = 256
-) -> List[Dict[str, object]]:
+def domain_sweep(families, D, resolution):
     """Geometry and thin-channel 1D quantities for each generated domain.
 
     Rows are sorted by family then size. The pass flag requires the
     two-sided eigenvalue sandwich plus a bounded product between the
     energy above the channel threshold and the localization scale.
     """
-    kinds = sorted(set(str(f) for f in families))
-    sizes = sorted(set(float(v) for v in d_list))
-    if not (kinds and sizes):
-        raise ParameterError("domainSweep needs at least one family and one domain size D")
+    kinds = sorted(set(families))
+    if not kinds:
+        raise ParameterError("domainSweep needs at least one family")
+    sizes = _sizes("domainSweep", D)
     rows: List[Dict[str, object]] = []
     for family in kinds:
         for d in sizes:
@@ -211,7 +269,7 @@ def domain_sweep(
                     "pass": int(ok),
                 }
             )
-    return rows
+    return _all_pass(rows)
 
 
 def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
@@ -248,15 +306,10 @@ def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
     }
 
 
-def vdberg_sweep(
-    d_list: Sequence[float], spacing: float = 1.0 / 64.0, tol: float = 1e-6
-) -> List[Dict[str, object]]:
+def vdberg_sweep(d_list: Sequence[float], spacing: float, tol: float) -> List[Dict[str, object]]:
     """Cone-family 2D sweep: ground state, sup-norm statistic, and the
     matching thin-channel one-dimensional quantities, sorted by D."""
-    sizes = sorted(set(d_list))
-    if not sizes:
-        raise ParameterError("vdberg needs at least one domain size D")
-    return [_vdberg_member(float(d), float(spacing), float(tol)) for d in sizes]
+    return [_vdberg_member(d, spacing, tol) for d in _sizes("vdberg", d_list)]
 
 
 def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
@@ -284,9 +337,14 @@ def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     return {"allPass": int(ok), "slope": slope, "statSpread": spread}
 
 
-def gj_compare_run(
-    d_list: Sequence[float], spacing: float = 1.0 / 64.0, tol: float = 1e-7
-) -> Dict[str, object]:
+def vdberg(D, spacing, tol):
+    """vdberg_sweep over the sizes D, judged by vdberg_verdict."""
+    rows = vdberg_sweep(D, spacing, tol)
+    verdict = vdberg_verdict(rows)
+    return dict(verdict, rows=rows), None, verdict["allPass"]
+
+
+def gj_compare_run(D, spacing, tol):
     """Two checks on the thin-channel reduction.
 
     First, on an 8x1 rectangle the 2D ground state must match the
@@ -294,11 +352,9 @@ def gj_compare_run(
     reports as rectBudget next to rectError.  Second, for
     cone domains the excess energy above the channel threshold must
     track the cone model potential's ground energy within GJ_RATIO_BAND.
-    allPass requires both.
+    allPass requires both. The CSV has one row per check.
     """
-    sizes = sorted(float(v) for v in d_list)
-    if not sizes:
-        raise ParameterError("gjCompare needs at least one domain size D")
+    sizes = _sizes("gjCompare", D)
     rect = ConvexPolygon(vertices=np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 1.0], [0.0, 1.0]]))
     rect_n, rect_hf = normalize_gj(rect)
     rect_profile = smallest_eigenpair(gj_potential(rect_hf))
@@ -324,10 +380,14 @@ def gj_compare_run(
             }
         )
     rect_ok = rect_error <= RECT_ERROR_BUDGET
-    return {
+    ok = rect_ok and all(r["pass"] for r in rows)
+    summary = {
         "rectError": rect_error,
         "rectBudget": RECT_ERROR_BUDGET,
         "rectPass": int(rect_ok),
         "rows": rows,
-        "allPass": int(rect_ok and all(r["pass"] for r in rows)),
+        "allPass": int(ok),
     }
+    csv = [["rectProfile", 8.0, rect_error, int(rect_ok)]]
+    csv += [["coneRatio", r["D"], r["ratio"], r["pass"]] for r in rows]
+    return summary, csv, ok

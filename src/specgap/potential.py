@@ -138,10 +138,5 @@ def cone_model_potential(D: float, n: int) -> PotentialGrid:
     return sample(spec, n)
 
 
-def shift(grid: PotentialGrid, c: float) -> PotentialGrid:
-    """Add the constant c to every value. The cap shifts along."""
-    return PotentialGrid(a=grid.a, b=grid.b, values=grid.values + c, cap=grid.cap + c)
-
-
 def min_value(grid: PotentialGrid) -> float:
     return float(grid.values.min())

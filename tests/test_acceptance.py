@@ -160,8 +160,11 @@ def test_criterion_06_supnorm_fourth_root_bound(thm1_result):
 
 def test_criterion_07_rearrangement_chain_random_suite():
     t0 = time.perf_counter()
-    rows = pipeline.rearrange_random_suite(count=200, seed=0)
+    summary, _, suite_ok = pipeline.rearrange_random_suite(
+        count=200, knots=8, vmax=50.0, interval=(0.0, 1.0), n=800, seed=0
+    )
     elapsed = time.perf_counter() - t0
+    rows = summary["rows"]
     failures = sum(1 for r in rows if not r["pass"])
     worst = max(
         max(
@@ -172,7 +175,7 @@ def test_criterion_07_rearrangement_chain_random_suite():
         - r["slack"]
         for r in rows
     )
-    ok = failures == 0 and elapsed < 120.0
+    ok = suite_ok and failures == summary["failures"] == 0 and elapsed < 120.0
     report(
         7,
         ok,
@@ -234,7 +237,7 @@ def test_criterion_10_channel_energy_consistency(vdberg_result):
 def test_criterion_11_rectangle_profile_agreement():
     t0 = time.perf_counter()
     # one cone size, as an empty suite is bad input; its rows are 1D solves only
-    result = pipeline.gj_compare_run([16.0], spacing=1.0 / 64.0, tol=1e-7)
+    result, _, _ = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 64.0, tol=1e-7)
     elapsed = time.perf_counter() - t0
     err = result["rectError"]
     ok = err <= 1e-2 and elapsed < 60.0

@@ -1,10 +1,15 @@
 """Command-line interface tests: config resolution, file outputs, exit codes."""
 
+import ast
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +17,7 @@ import pytest
 
 import specgap
 from specgap import pipeline
-from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _fmt, _resolve, main, run
+from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _fmt, main, run
 from specgap.convexdomain import MAX_GRID_NODES
 
 
@@ -197,6 +202,17 @@ def test_gjcompare_quick_pass(tmp_path):
     assert lines[2].startswith("coneRatio,16,")
 
 
+def test_gjcompare_repeated_size_runs_once(tmp_path):
+    # sizes are a set: D=16,16 solves the cone once and writes one row
+    prefix = tmp_path / "gr"
+    args = ["gjCompare", "--out", str(prefix), "--set", "D=16,16", "--set", "spacing=0.03125"]
+    assert main(args) == 0
+    data, lines = load(prefix)
+    assert [line.split(",")[0] for line in lines[1:]] == ["rectProfile", "coneRatio"]
+    assert [r["D"] for r in data["summary"]["rows"]] == [16.0]
+    assert data["config"]["D"] == [16, 16]  # the JSON keeps the resolved value
+
+
 def test_gjcompare_budget_failure_exits_one(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "RECT_ERROR_BUDGET", 1e-9)
     prefix = tmp_path / "gf"
@@ -343,16 +359,6 @@ def test_unknown_config_key(tmp_path, capsys, command, setting):
     assert not (tmp_path / "u.json").exists()
 
 
-class _ReadRecorder(dict):
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
 # small sizes for the commands whose defaults take seconds
 _GUARD_SETS = {
     "vdberg": {"D": [8.0], "spacing": 1.0 / 16.0},
@@ -364,11 +370,85 @@ _GUARD_SETS = {
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_every_default_key_is_read(command):
-    # a key the runner never reads is an input nothing varies
-    overrides = _GUARD_SETS.get(command, {})
-    cfg = _ReadRecorder(_resolve(RunConfig(command, None, "unused", overrides)))
-    COMMANDS[command].runner(cfg)
-    assert set(COMMANDS[command].defaults) <= cfg.read
+    # the runner takes each default key, with no default of its own, and
+    # reads it: a key the runner never reads is an input nothing varies
+    runner = COMMANDS[command].runner
+    assert runner.__module__ == "specgap.pipeline"
+    parameters = inspect.signature(runner).parameters.values()
+    assert {p.name for p in parameters} == set(COMMANDS[command].defaults)
+    assert all(p.default is inspect.Parameter.empty for p in parameters)
+    body = ast.parse(textwrap.dedent(inspect.getsource(runner))).body[0].body
+    loaded = {
+        node.id
+        for statement in body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert set(COMMANDS[command].defaults) <= loaded
+
+
+def _as_sets(overrides):
+    args = []
+    for key, value in overrides.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        args += ["--set", f"{key}={text}"]
+    return args
+
+
+def test_every_public_function_is_reached(tmp_path):
+    # a public function that no command calls belongs in the tests as a
+    # reference; a name scan would miss one that shares a local's name
+    names = [m.name for m in pkgutil.iter_modules(specgap.__path__) if m.name != "__main__"]
+    public = {}
+    for module in [specgap] + [importlib.import_module(f"specgap.{n}") for n in names]:
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__ and name[0] != "_":
+                public[obj.__code__] = f"{module.__name__}.{name}"
+    runs = [[c, *_as_sets(_GUARD_SETS.get(c, {}))] for c in sorted(COMMANDS)]
+    runs.append(["constants", "--set", "budget=50"])
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        statuses = [main(argv + ["--out", str(tmp_path / "p")]) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    assert statuses == [0] * len(runs)
+    assert sorted(name for code, name in public.items() if code not in called) == []
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"rearrangeCheck", "constants"}))
+def test_seed_of_an_unseeded_command_is_unknown_key(tmp_path, capsys, command):
+    # only rearrangeCheck and constants draw random numbers
+    assert "seed" not in COMMANDS[command].defaults
+    assert main([command, "--seed", "1", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.startswith("input error: unknown config key 'seed'")
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_search_mode_still_checks_the_triple(tmp_path, capsys):
+    # every key is coerced before the run, also one the search never reads
+    args = ["constants", "--set", "budget=5", "--set", "alpha=x", "--out", str(tmp_path / "cx")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("input error: expected a finite number, got 'x'")
+    assert not (tmp_path / "cx.json").exists()
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    # the output directory would sit where a file is: no traceback, no file
+    blocker = tmp_path / "f.csv"
+    blocker.write_text("kept")
+    prefix = blocker / "x"
+    assert main(["constants", "--out", str(prefix)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {prefix}: ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+    assert blocker.read_text() == "kept"
 
 
 def test_bad_set_syntax(tmp_path, capsys):

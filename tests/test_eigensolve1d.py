@@ -5,8 +5,9 @@ import pytest
 
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
-from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample, shift
+from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample
 from specgap.sublevel import minimize_functional, width
+from test_potential import shift
 from test_sublevel import is_interval_sublevel
 
 PI2 = math.pi**2

@@ -6,7 +6,8 @@ import pytest
 
 from specgap import pipeline, rearrange
 from specgap.errors import ParameterError
-from specgap.potential import PotentialGrid, PotentialSpec, sample, shift
+from specgap.potential import PotentialGrid, PotentialSpec, sample
+from test_potential import shift
 
 
 PI2 = math.pi**2
@@ -81,23 +82,33 @@ def test_verify_thm1_linfty_verdict_reads_its_band(monkeypatch):
     assert (row["sandwichPass"], row["linfPass"], row["pass"]) == (1, 0, 0)
 
 
+def rearrange_suite(count, seed, n=800):
+    """rearrange_random_suite at the rearrangeCheck defaults for knots, vmax and interval."""
+    return pipeline.rearrange_random_suite(
+        count=count, knots=8, vmax=50.0, interval=(0.0, 1.0), n=n, seed=seed
+    )
+
+
 def test_rearrange_verdict_reads_its_band(monkeypatch):
     monkeypatch.setattr(pipeline, "CHAIN_SLACK_FACTOR", -1e3)
-    rows = pipeline.rearrange_random_suite(count=2, seed=11, n=200)
+    summary, csv_rows, ok = rearrange_suite(count=2, seed=11, n=200)
+    rows = summary["rows"]
     assert [r["pass"] for r in rows] == [0, 0]
     assert all(r["slack"] < 0 for r in rows)
+    assert (summary["failures"], csv_rows, ok) == (2, None, False)
 
 
 def test_rearrange_suite_deterministic_and_passing():
-    first = pipeline.rearrange_random_suite(count=3, seed=11)
-    second = pipeline.rearrange_random_suite(count=3, seed=11)
+    first, _, ok = rearrange_suite(count=3, seed=11)
+    second, _, _ = rearrange_suite(count=3, seed=11)
     assert first == second
-    assert len(first) == 3
-    for row in first:
+    assert ok and first["count"] == 3 and first["failures"] == 0
+    assert len(first["rows"]) == 3
+    for row in first["rows"]:
         assert row["pass"] == 1
         assert row["lambdaRearranged"] <= row["lambdaOriginal"] + row["slack"]
-    other = pipeline.rearrange_random_suite(count=3, seed=12)
-    assert other != first
+    other, _, _ = rearrange_suite(count=3, seed=12)
+    assert other["rows"] != first["rows"]
 
 
 def test_rearrange_suite_solves_each_draw_twice(monkeypatch):
@@ -111,7 +122,7 @@ def test_rearrange_suite_solves_each_draw_twice(monkeypatch):
 
     monkeypatch.setattr(rearrange, "smallest_eigenpair", counting)
     monkeypatch.setattr(pipeline, "smallest_eigenpair", counting)
-    pipeline.rearrange_random_suite(count=3, seed=11, n=200)
+    rearrange_suite(count=3, seed=11, n=200)
     assert len(calls) == 6
 
 
@@ -177,7 +188,7 @@ def test_vdberg_verdict_fails_on_one_bad_row(key, value):
 
 
 def test_gj_compare_run_bands():
-    result = pipeline.gj_compare_run([16.0], spacing=1.0 / 32.0, tol=1e-7)
+    result, csv_rows, ok = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 32.0, tol=1e-7)
     assert result["rectBudget"] == pipeline.RECT_ERROR_BUDGET == 1e-2
     assert 0 <= result["rectError"] <= 1e-2
     assert result["rectPass"] == 1
@@ -185,3 +196,8 @@ def test_gj_compare_run_bands():
     assert row["D"] == 16.0
     assert 0.25 <= row["ratio"] <= 4.0
     assert row["pass"] == 1
+    assert ok and result["allPass"] == 1
+    assert csv_rows == [
+        ["rectProfile", 8.0, result["rectError"], 1],
+        ["coneRatio", 16.0, row["ratio"], 1],
+    ]

@@ -8,8 +8,12 @@ from specgap.potential import (
     cone_model_potential,
     min_value,
     sample,
-    shift,
 )
+
+
+def shift(grid, c):
+    """Test reference: add the constant c to every value. The cap shifts along."""
+    return PotentialGrid(a=grid.a, b=grid.b, values=grid.values + c, cap=grid.cap + c)
 
 
 def test_square_well_is_zero_everywhere():

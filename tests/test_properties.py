@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from specgap.cli import main
 from specgap.eigensolve1d import smallest_eigenpair
-from specgap.potential import PotentialGrid, PotentialSpec, sample, shift
+from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.sublevel import minimize_functional
 from test_eigensolve1d import sine_testfunction_bound
+from test_potential import shift
 
 PI2 = math.pi**2
 

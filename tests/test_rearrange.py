@@ -146,7 +146,10 @@ def test_chain_slack_scales_with_dx():
 def test_report_slack_is_chain_slack_of_the_ground_state():
     # the suite draws its wells as _random_piecewise_grid does, and judges
     # each with the allowance of the drawn well's ground state
-    row = pipeline.rearrange_random_suite(count=1, seed=7, n=200)[0]
+    summary, _, _ = pipeline.rearrange_random_suite(
+        count=1, knots=8, vmax=50.0, interval=(0.0, 1.0), n=200, seed=7
+    )
+    (row,) = summary["rows"]
     g = _random_piecewise_grid(np.random.default_rng(7), n=200)
     pair, r = chain(g)
     assert {k: row[k] for k in dataclasses.asdict(r)} == dataclasses.asdict(r)

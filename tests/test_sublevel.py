@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample, shift
+from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample
 from specgap.sublevel import minimize_functional, width, width_profile
+from test_potential import shift
 
 PI2 = math.pi**2
 
