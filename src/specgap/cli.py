@@ -37,10 +37,6 @@ class RunConfig:
     overrides: Dict[str, object] = field(default_factory=dict)
 
 
-def _fmt(value) -> str:
-    return value if isinstance(value, str) else format(value, ".17g")
-
-
 def _as_float(value) -> float:
     try:
         number = float(value)
@@ -194,8 +190,11 @@ def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
         fh.write("\n")
     with open(prefix + ".csv", "w") as fh:
         fh.write(header + "\n")
+        line = None  # one format per file, from its first row: text verbatim, else %.17g
         for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+            if line is None:
+                line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row) + "\n"
+            fh.write(line % tuple(row))
 
 
 def _resolve(config: RunConfig) -> Dict[str, object]:
@@ -245,7 +244,8 @@ def run(config: RunConfig) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     if rows is None:
-        rows = ([r[c] for c in command.header.split(",")] for r in summary["rows"])
+        columns = command.header.split(",")
+        rows = (tuple(r[c] for c in columns) for r in summary["rows"])
     payload = {
         "command": config.command,
         "input": config.input,

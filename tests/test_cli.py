@@ -17,7 +17,7 @@ import pytest
 
 import specgap
 from specgap import pipeline
-from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _fmt, main, run
+from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _write_outputs, main, run
 from specgap.convexdomain import MAX_GRID_NODES
 
 
@@ -44,6 +44,40 @@ def load(prefix):
 def read_bytes(prefix, ext):
     with open(str(prefix) + ext, "rb") as fh:
         return fh.read()
+
+
+def _fmt(value) -> str:
+    """The CSV cell of the earlier per-cell writer, kept as a test reference:
+    the writer's one line format per file must give the same bytes."""
+    return value if isinstance(value, str) else format(value, ".17g")
+
+
+def reference_csv(header, rows):
+    return "".join([header + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows]).encode()
+
+
+def record_rows(monkeypatch, name):
+    """Wrap the command's runner so the test sees the rows it hands the writer.
+
+    A runner that returns rows=None keeps doing so, so the summary-row
+    adapter in `run` still runs; the recorded rows are then the header's
+    columns of summary["rows"].
+    """
+    command = COMMANDS[name]
+    recorded = []
+
+    def runner(**arguments):
+        summary, rows, ok = command.runner(**arguments)
+        if rows is None:
+            columns = command.header.split(",")
+            recorded.append([[r[c] for c in columns] for r in summary["rows"]])
+        else:
+            rows = list(rows)
+            recorded.append(rows)
+        return summary, rows, ok
+
+    monkeypatch.setitem(COMMANDS, name, command._replace(runner=runner))
+    return recorded
 
 
 def test_bound_default_outputs(tmp_path):
@@ -85,6 +119,23 @@ def test_eig1d_fine_harmonic_converges(tmp_path):
     dx = data["summary"]["dx"]
     assert data["summary"]["lambda1"] == pytest.approx(1.0 - dx**2 / 16.0, rel=1e-6)
     assert len(lines) == 100001
+
+
+def test_bound_csv_round_trips_at_fine_size(tmp_path, monkeypatch):
+    # 17 significant digits give back every double; the benchmark finds the
+    # yStar row by exact equality with the summary
+    recorded = record_rows(monkeypatch, "bound")
+    prefix = tmp_path / "fine"
+    argv = ["bound", "--out", str(prefix)]
+    argv += ["--set", "kind=harmonic", "--set", "interval=-12,12", "--set", "n=100000"]
+    assert main(argv) == 0
+    [rows] = recorded
+    data, lines = load(prefix)
+    cells = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert cells == rows
+    s = data["summary"]
+    [at] = [row for row in cells if row[0] == s["yStar"]]
+    assert at[1] == s["widthAtYStar"] and at[2] == s["fStar"]
 
 
 def test_csv_bytes(tmp_path):
@@ -317,8 +368,10 @@ def test_boolean_input_is_input_error(tmp_path, capsys):
     ],
     ids=["bool", "numpy-bool", "numpy-int", "float", "numpy-float", "nan", "inf", "str"],
 )
-def test_csv_field_format(value, text):
-    assert _fmt(value) == text
+def test_csv_field_format(tmp_path, value, text):
+    prefix = str(tmp_path / "f")
+    _write_outputs(prefix, {}, "v", [[value]])
+    assert read_bytes(prefix, ".csv") == reference_csv("v", [[value]]) == f"v\n{text}\n".encode()
 
 
 @pytest.mark.parametrize("resolution", [0, -3])
@@ -419,6 +472,28 @@ def test_every_public_function_is_reached(tmp_path):
         sys.setprofile(None)
     assert statuses == [0] * len(runs)
     assert sorted(name for code, name in public.items() if code not in called) == []
+
+
+_INFEASIBLE = {"alpha": 0.5, "beta": 0.25, "gamma": 2}  # objective nan, exits 1
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [([c, *_as_sets(_GUARD_SETS.get(c, {}))], 0) for c in sorted(COMMANDS)]
+    + [(["constants", *_as_sets(_INFEASIBLE)], 1)],
+    ids=sorted(COMMANDS) + ["constants-infeasible"],
+)
+def test_csv_matches_reference_format(tmp_path, monkeypatch, argv, status):
+    # the line format is taken from the first row, so every row must have
+    # the cell types of the first: a str in a number column would not format
+    recorded = record_rows(monkeypatch, argv[0])
+    prefix = tmp_path / "ref"
+    assert main(argv + ["--out", str(prefix)]) == status
+    [rows] = recorded
+    assert rows and len({tuple(map(type, row)) for row in rows}) == 1
+    has_text = any(isinstance(v, str) for v in rows[0])
+    assert has_text == (argv[0] in {"verifyThm1", "domainSweep", "gjCompare"})
+    assert read_bytes(prefix, ".csv") == reference_csv(COMMANDS[argv[0]].header, rows)
 
 
 @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"rearrangeCheck", "constants"}))
