@@ -95,7 +95,7 @@ def _interval(value) -> Tuple[float, float]:
 
 
 def _budget(value) -> int:
-    budget = _as_int(value or 0)
+    budget = _as_int(value)
     if budget < 0:
         raise ParameterError(f"expected a budget of at least 0, got {budget}")
     return budget
@@ -111,7 +111,7 @@ def _seed(value) -> int:
 # every config key's coercion, applied before the runner is called
 COERCE: Dict[str, Callable[[object], object]] = {
     "kind": str,
-    "params": lambda value: tuple(_as_float_list(value)) if value else (),
+    "params": lambda value: tuple(_as_float_list(value)),
     "interval": _interval,
     "tol": _as_float,
     "names": _as_str_list,
@@ -145,7 +145,7 @@ _GRID = {"kind": "squareWell", "params": [], "interval": [0.0, 1.0], "n": 1000}
 
 COMMANDS: Dict[str, Command] = {
     "bound": Command(_GRID, pipeline.bound, "y,width,functional"),
-    "eig1d": Command(dict(_GRID, tol=1e-10), pipeline.eig1d, "x,f"),
+    "eig1d": Command(_GRID, pipeline.eig1d, "x,f"),
     "verifyThm1": Command(
         {"names": list(pipeline.THM1_NAMES)},
         pipeline.thm1_check,

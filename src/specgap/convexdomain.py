@@ -280,7 +280,7 @@ def gj_potential(hf: HeightFunction) -> PotentialGrid:
     """
     floor = 2.0 * hf.dx
     clipped = np.maximum(hf.h, floor)
-    return PotentialGrid(a=hf.a, b=hf.b, values=_PI2 / clipped**2, cap=_PI2 / floor**2)
+    return PotentialGrid(a=hf.a, b=hf.b, values=_PI2 / clipped**2)
 
 
 def longest_run(mask: np.ndarray) -> tuple[int, int]:

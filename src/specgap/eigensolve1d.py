@@ -14,8 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
-from specgap.errors import NumericError, ParameterError
+from specgap.errors import NumericError
 from specgap.potential import PotentialGrid
+
+# bisection stop relative to max(1, |Gershgorin lower bound|); it sets the
+# shift, while lambda1's accuracy comes from the residual target
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,7 @@ class Eigenpair1D:
     residual: float
 
 
-def smallest_eigenpair(grid: PotentialGrid, tol: float = 1e-10) -> Eigenpair1D:
+def smallest_eigenpair(grid: PotentialGrid) -> Eigenpair1D:
     """Ground eigenpair: LAPACK-bisected eigenvalue plus inverse-iteration vector.
 
     The matrix has diagonal 2/dx^2 + V_i and off-diagonal -1/dx^2 over the
@@ -36,14 +40,12 @@ def smallest_eigenpair(grid: PotentialGrid, tol: float = 1e-10) -> Eigenpair1D:
     positive vectors, so the vector stays positive from the all-ones start.
     It is L2-normalized under the quadrature sum(f_i^2) * dx = 1.
     """
-    if not 0 < tol < 1:
-        raise ParameterError(f"tol must lie in (0, 1), got {tol}")
     n = grid.n
     dx = grid.dx
     diag = 2.0 / dx**2 + grid.values[1:-1]
     off = -1.0 / dx**2
     eps = np.finfo(float).eps
-    abstol = tol * max(1.0, abs(float(diag.min()) - 2.0 * abs(off)))
+    abstol = _TOL * max(1.0, abs(float(diag.min()) - 2.0 * abs(off)))
     try:
         w = eigvalsh_tridiagonal(
             diag, np.full(n - 1, off), select="i", select_range=(0, 0),

@@ -181,6 +181,8 @@ _FMG_MIN_NODES = 33
 # LOBPCG needs at least five times its block size (one vector) of unknowns;
 # below that scipy switches to a dense solve with another return signature.
 _MIN_ACTIVE = 5
+# most LOBPCG iterations on each level, the fine one included
+_MAX_OUTER = 2000
 
 
 def _prolong(coarse: np.ndarray, fine: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -270,9 +272,7 @@ def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable, np.ndar
     return apply_a, vcycle, coarse, lift
 
 
-def _ground_state(
-    mask: np.ndarray, h2: float, tol: float, max_outer: int
-) -> tuple[float, np.ndarray, float, int]:
+def _ground_state(mask: np.ndarray, h2: float, tol: float) -> tuple[float, np.ndarray, float, int]:
     """LOBPCG ground pair of the masked stencil: lambda, unit v, residual, iterations.
 
     The start is the ground state on the 2h mask (_multigrid), solved by this
@@ -286,7 +286,7 @@ def _ground_state(
     apply_a, vcycle, coarse, lift = _multigrid(mask, h2)
     start = np.ones(n)
     if min(coarse.shape) >= _FMG_MIN_NODES and np.count_nonzero(coarse) >= _FMG_MIN_NODES:
-        start = lift(_ground_state(coarse, 4.0 * h2, _COARSE_TOL, max_outer)[1])
+        start = lift(_ground_state(coarse, 4.0 * h2, _COARSE_TOL)[1])
     with warnings.catch_warnings():
         # LOBPCG's own non-convergence notice; the caller's residual check decides
         warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
@@ -295,7 +295,7 @@ def _ground_state(
             start[:, None],
             M=LinearOperator((n, n), matvec=vcycle, dtype=float),
             tol=tol * box_min,
-            maxiter=max_outer,
+            maxiter=_MAX_OUTER,
             largest=False,
             retResidualNormsHistory=True,
         )
@@ -307,7 +307,7 @@ def _ground_state(
     return lam, v, res, len(history) - 2
 
 
-def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 2000) -> Eigenpair2D:
+def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     """Ground state of the masked five-point Laplacian.
 
     LOBPCG over active-cell vectors in np.nonzero(mask) order, preconditioned
@@ -319,7 +319,7 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 
     LOBPCG's absolute stop at tol times that bound gives a relative
     eigenresidual |A v - lambda v| / lambda <= tol, which is checked again
     in float64 on the result.  Only this fine-level check raises.
-    max_outer caps the LOBPCG iterations of each level; iterations reports
+    _MAX_OUTER caps the LOBPCG iterations of each level; iterations reports
     how many ran on the fine level.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
@@ -328,10 +328,10 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6, max_outer: int = 
         raise ParameterError(
             f"the mask has {grid.activeCount} active nodes; the solver needs at least {_MIN_ACTIVE}"
         )
-    lam, v, res, iterations = _ground_state(grid.mask, grid.spacing * grid.spacing, tol, max_outer)
+    lam, v, res, iterations = _ground_state(grid.mask, grid.spacing * grid.spacing, tol)
     if not res <= tol:
         raise NumericError(
-            f"LOBPCG missed tol={tol:g} within {max_outer} iterations (residual {res:.3e})"
+            f"LOBPCG missed tol={tol:g} within {_MAX_OUTER} iterations (residual {res:.3e})"
         )
     u = v / grid.spacing
     if float(u.sum()) < 0.0:

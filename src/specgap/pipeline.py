@@ -30,7 +30,7 @@ from .eigensolve2d import (
     vdberg_statistic,
 )
 from .errors import ParameterError
-from .potential import PotentialGrid, PotentialSpec, cone_model_potential, min_value, sample
+from .potential import PotentialGrid, PotentialSpec, sample
 from .rearrange import RearrangementReport, verify_chain
 from .sublevel import SublevelReport, minimize_functional, width, width_profile
 
@@ -51,6 +51,12 @@ STAT_SPREAD_MAX = 2.0  # max/min of the sup-norm statistic across D
 SLOPE_MAX = -1.0 / 6.0 + 0.05  # log-log slope of the sup ratio against D
 
 
+def _cone_model(d: float) -> Tuple[PotentialSpec, int]:
+    """The cone model potential on [0, D], with CONE_BENCH_N_FACTOR nodes per unit length."""
+    spec = PotentialSpec("coneModel", (float(d),), (0.0, float(d)))
+    return spec, int(round(CONE_BENCH_N_FACTOR * d))
+
+
 def _bench_specs() -> List[Tuple[str, PotentialSpec, int]]:
     rows: List[Tuple[str, PotentialSpec, int]] = [
         ("squareWell", PotentialSpec("squareWell", (), (0.0, 1.0)), 1000),
@@ -59,8 +65,7 @@ def _bench_specs() -> List[Tuple[str, PotentialSpec, int]]:
         ("quartic", PotentialSpec("quartic", (0.0,), (-12.0, 12.0)), 4000),
     ]
     for d in (16, 64, 256):
-        spec = PotentialSpec("coneModel", (float(d),), (0.0, float(d)))
-        rows.append((f"coneModel{d}", spec, CONE_BENCH_N_FACTOR * d))
+        rows.append((f"coneModel{d}", *_cone_model(d)))
     return rows
 
 
@@ -108,10 +113,10 @@ def bound(kind, params, interval, n):
     return summary, zip(levels.tolist(), widths.tolist(), functional.tolist()), True
 
 
-def eig1d(kind, params, interval, n, tol):
+def eig1d(kind, params, interval, n):
     """The ground eigenpair of one potential."""
     grid = sample(PotentialSpec(kind=kind, params=params, interval=interval), n)
-    pair = smallest_eigenpair(grid, tol=tol)
+    pair = smallest_eigenpair(grid)
     summary = {
         "lambda1": pair.lambda1,
         "n": grid.n,
@@ -171,7 +176,7 @@ def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, ob
     """
     rows: List[Dict[str, object]] = []
     for name, grid in suite:
-        if min_value(grid) < 0:
+        if grid.values.min() < 0:
             raise ParameterError(f"{name}: sup-norm bound assumes a nonnegative potential")
         report = minimize_functional(grid)
         pair = smallest_eigenpair(grid)
@@ -251,7 +256,7 @@ def domain_sweep(families, D, resolution):
             pair = smallest_eigenpair(grid)
             upper, sandwich_ok = _sandwich(pair.lambda1, report)
             shifted = (pair.lambda1 - _PI2) * scale_l * scale_l
-            width_ratio = width(grid, min_value(grid) + 1.0 / (scale_l * scale_l)) / scale_l
+            width_ratio = width(grid, grid.values.min() + 1.0 / (scale_l * scale_l)) / scale_l
             ok = sandwich_ok and PRODUCT_BAND[0] <= shifted <= PRODUCT_BAND[1]
             rows.append(
                 {
@@ -367,8 +372,7 @@ def gj_compare_run(D, spacing, tol):
         t, _ = minimal_width(poly)
         _, hf = normalize_gj(poly)
         lam_gj = smallest_eigenpair(gj_potential(hf)).lambda1
-        model = cone_model_potential(d, int(round(CONE_BENCH_N_FACTOR * d)))
-        lam_model = smallest_eigenpair(model).lambda1
+        lam_model = smallest_eigenpair(sample(*_cone_model(d))).lambda1
         ratio = ((lam_gj - _PI2) / (t * t)) / lam_model
         rows.append(
             {

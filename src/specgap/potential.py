@@ -1,13 +1,13 @@
 """Potentials on an interval, stored as uniform grids.
 
 A grid holds samples V_0..V_{n+1} at the n+2 nodes x_i = a + i*dx with
-dx = (b-a)/(n+1), endpoints included. Values above the cap are clamped, so
-every grid is finite even for model potentials with a pole.
+dx = (b-a)/(n+1), endpoints included. `sample` clamps values above
+DEFAULT_CAP, so every grid is finite even for model potentials with a pole.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -43,7 +43,6 @@ class PotentialGrid:
     a: float
     b: float
     values: np.ndarray
-    cap: float = DEFAULT_CAP
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -53,8 +52,6 @@ class PotentialGrid:
         _check_interval(self.a, self.b, len(vals) - 2)
         if not np.all(np.isfinite(vals)):
             raise ParameterError("grid values must be finite")
-        if np.any(vals > self.cap * (1 + 1e-15) + 1e-300):
-            raise ParameterError("grid values exceed the cap")
 
     @property
     def n(self) -> int:
@@ -114,29 +111,15 @@ def _evaluate(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     raise ParameterError(f"unknown potential kind {kind!r}")
 
 
-def sample(spec: PotentialSpec, n: int, cap: float = DEFAULT_CAP) -> PotentialGrid:
+def sample(spec: PotentialSpec, n: int) -> PotentialGrid:
     """Evaluate a spec on the uniform grid with n interior nodes.
 
-    Values above the cap (including the cone model's pole) are clamped to it.
+    Values above DEFAULT_CAP (including the cone model's pole) are clamped to it.
     """
     a, b = spec.interval
     if n < 3:
         raise ParameterError(f"need at least 3 interior nodes, got {n}")
     _check_interval(a, b, n)
-    if not cap > 0:
-        raise ParameterError(f"cap must be positive, got {cap}")
     x = np.linspace(a, b, n + 2)
-    vals = np.minimum(_evaluate(spec, x), cap)
-    return PotentialGrid(a=a, b=b, values=vals, cap=cap)
+    return PotentialGrid(a=a, b=b, values=np.minimum(_evaluate(spec, x), DEFAULT_CAP))
 
-
-def cone_model_potential(D: float, n: int) -> PotentialGrid:
-    """Grid for V(x) = D^2/(D-x)^2 - 1 on [0, D], pole clamped at DEFAULT_CAP."""
-    if D <= 1:
-        raise ParameterError(f"cone model needs D > 1, got {D}")
-    spec = PotentialSpec(kind="coneModel", params=[float(D)], interval=(0.0, float(D)))
-    return sample(spec, n)
-
-
-def min_value(grid: PotentialGrid) -> float:
-    return float(grid.values.min())

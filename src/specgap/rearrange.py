@@ -38,15 +38,6 @@ def _center_out_positions(m: int) -> np.ndarray:
     return (m - 1) // 2 + np.where(k % 2 == 1, step, -step)
 
 
-def symmetric_decreasing(f: np.ndarray) -> np.ndarray:
-    """Equimeasurable rearrangement of |f| peaking at the center node."""
-    f = np.abs(np.asarray(f, dtype=float))
-    order = np.argsort(-f, kind="stable")
-    out = np.empty_like(f)
-    out[_center_out_positions(len(f))] = f[order]
-    return out
-
-
 def symmetric_increasing(V: np.ndarray) -> np.ndarray:
     """Equimeasurable rearrangement of V dipping at the center node."""
     V = np.asarray(V, dtype=float)
@@ -54,6 +45,12 @@ def symmetric_increasing(V: np.ndarray) -> np.ndarray:
     out = np.empty_like(V)
     out[_center_out_positions(len(V))] = V[order]
     return out
+
+
+def symmetric_decreasing(f: np.ndarray) -> np.ndarray:
+    """Equimeasurable rearrangement of |f| peaking at the center node; the
+    increasing one of -|f|, negated (IEEE negation is exact)."""
+    return -symmetric_increasing(-np.abs(f))
 
 
 def _gradient_energy(f: np.ndarray, dx: float) -> float:
@@ -79,7 +76,7 @@ def verify_chain(grid: PotentialGrid, pair: Eigenpair1D) -> RearrangementReport:
 
     boundary = float(grid.values.max())
     star_values = np.concatenate(([boundary], v_star, [boundary]))
-    grid_star = PotentialGrid(a=grid.a, b=grid.b, values=star_values, cap=grid.cap)
+    grid_star = PotentialGrid(a=grid.a, b=grid.b, values=star_values)
     lambda_star = smallest_eigenpair(grid_star).lambda1
 
     return RearrangementReport(

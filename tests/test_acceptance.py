@@ -15,8 +15,9 @@ import pytest
 from specgap import pipeline
 from specgap.constants import ConstantTriple, objective
 from specgap.eigensolve1d import smallest_eigenpair
-from specgap.potential import PotentialSpec, cone_model_potential, sample
+from specgap.potential import PotentialSpec, sample
 from test_eigensolve1d import shortest_mass_interval
+from test_potential import cone_model
 
 PI2 = math.pi**2
 
@@ -33,7 +34,7 @@ def cone_scaling_run(d_list):
     """
     rows = []
     for d in sorted(float(v) for v in d_list):
-        grid = cone_model_potential(d, int(round(pipeline.CONE_BENCH_N_FACTOR * d)))
+        grid = cone_model(d, int(round(pipeline.CONE_BENCH_N_FACTOR * d)))
         pair = smallest_eigenpair(grid)
         half_width, _ = shortest_mass_interval(pair.f, grid.dx, 0.5)
         rows.append(
@@ -78,7 +79,7 @@ def vdberg_result():
 def test_criterion_01_square_well_matches_discrete_closed_form():
     t0 = time.perf_counter()
     grid = sample(PotentialSpec("squareWell", (), (0.0, 1.0)), 1000)
-    pair = smallest_eigenpair(grid, tol=1e-10)
+    pair = smallest_eigenpair(grid)
     elapsed = time.perf_counter() - t0
     dx = grid.dx
     closed = (2.0 / (dx * dx)) * (1.0 - math.cos(math.pi * dx))
@@ -96,7 +97,7 @@ def test_criterion_01_square_well_matches_discrete_closed_form():
 def test_criterion_02_harmonic_ground_energy():
     t0 = time.perf_counter()
     grid = sample(PotentialSpec("harmonic", (0.0,), (-12.0, 12.0)), 4000)
-    pair = smallest_eigenpair(grid, tol=1e-10)
+    pair = smallest_eigenpair(grid)
     elapsed = time.perf_counter() - t0
     err = abs(pair.lambda1 - 1.0)
     ok = err <= 1e-4 and elapsed < 2.0

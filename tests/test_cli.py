@@ -474,6 +474,32 @@ def test_every_public_function_is_reached(tmp_path):
     assert sorted(name for code, name in public.items() if code not in called) == []
 
 
+def test_every_default_is_passed_somewhere():
+    # a default parameter that no call in the package overrides sets nothing:
+    # it is a constant and belongs in the function; main's argv=None stands
+    # for sys.argv, which the console script and `python -m specgap` give it
+    trees = [ast.parse(p.read_text()) for p in Path(specgap.__file__).parent.glob("*.py")]
+    defaulted = {}  # public function name -> [(position or None, parameter)]
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_" and node.name != "main":
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+                found += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                defaulted.setdefault(node.name, []).extend(found)
+    passed = set()
+    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        for position, parameter in defaulted.get(name, []):
+            keywords = {k.arg for k in call.keywords}  # None is a **mapping
+            if keywords & {parameter, None} or position is not None and position < len(call.args):
+                passed.add((name, parameter))
+    unpassed = [(name, p) for name, found in defaulted.items() for _, p in found]
+    assert sorted(set(unpassed) - passed) == []
+
+
 _INFEASIBLE = {"alpha": 0.5, "beta": 0.25, "gamma": 2}  # objective nan, exits 1
 
 
@@ -503,6 +529,38 @@ def test_seed_of_an_unseeded_command_is_unknown_key(tmp_path, capsys, command):
     assert main([command, "--seed", "1", "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.startswith("input error: unknown config key 'seed'")
     assert not (tmp_path / "s.json").exists()
+
+
+def test_eig1d_tol_is_unknown_key(tmp_path, capsys):
+    # the 1D solver's accuracy comes from its residual target, not a setting
+    assert main(["eig1d", "--set", "tol=1e-6", "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("input error: unknown config key 'tol'")
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_zero_params_is_a_parameter(tmp_path):
+    # params=0 is the centre 0, as the list [0] is, not the default centre
+    harmonic = ["bound", "--set", "kind=harmonic", "--set", "interval=0,1"]
+    assert main(harmonic + ["--set", "params=0", "--out", str(tmp_path / "z")]) == 0
+    (tmp_path / "list.json").write_text(json.dumps({"params": [0.0]}))
+    assert main(harmonic + ["--input", str(tmp_path / "list.json"), "--out", str(tmp_path / "l")]) == 0
+    assert main(harmonic + ["--set", "params=0.5", "--out", str(tmp_path / "h")]) == 0
+    assert load(tmp_path / "z")[0]["summary"] == load(tmp_path / "l")[0]["summary"]
+    assert load(tmp_path / "z")[0]["summary"] != load(tmp_path / "h")[0]["summary"]
+
+
+def test_zero_slope_is_input_error(tmp_path, capsys):
+    args = ["bound", "--set", "kind=linearWell", "--set", "params=0", "--out", str(tmp_path / "s")]
+    assert main(args) == 2
+    assert "linearWell slope must be positive" in capsys.readouterr().err
+
+
+def test_false_budget_is_input_error(tmp_path, capsys):
+    # JSON false is not the budget 0
+    (tmp_path / "f.json").write_text('{"budget": false}')
+    assert main(["constants", "--input", str(tmp_path / "f.json"), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith("input error: expected an integer, got False")
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_search_mode_still_checks_the_triple(tmp_path, capsys):
@@ -535,8 +593,9 @@ def test_bad_set_syntax(tmp_path, capsys):
     "command, setting",
     [
         ("bound", "n=abc"),
-        ("eig1d", "tol=abc"),
+        ("vdberg", "tol=abc"),
         ("constants", "budget=x"),
+        ("constants", "budget="),  # empty is not 0
         ("bound", "n=1,2"),
         # non-integral sizes are rejected, not truncated
         ("eig1d", "n=999.9"),

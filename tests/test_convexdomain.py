@@ -515,15 +515,15 @@ def test_boundary_graphs_span_vertical_ends(angle):
 
 def test_cone_model_balancing_invariant():
     from specgap.eigensolve1d import smallest_eigenpair
-    from specgap.potential import cone_model_potential
     from specgap.sublevel import width
+    from test_potential import cone_model
 
     for D in (16.0, 64.0, 1024.0):
         n = int(8 * D)
         x = np.linspace(0.0, D, n + 2)
         hf = manual_hf(1.0 - x / D, b=D)
         L = localization_scale(hf)
-        grid = cone_model_potential(D, n)
+        grid = cone_model(D, n)
         w = width(grid, L**-2)
         assert 0.25 <= w / L <= 4.0
         lam = smallest_eigenpair(grid).lambda1

@@ -5,9 +5,9 @@ import pytest
 
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
-from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample
+from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.sublevel import minimize_functional, width
-from test_potential import shift
+from test_potential import cone_model, shift
 from test_sublevel import is_interval_sublevel
 
 PI2 = math.pi**2
@@ -42,7 +42,7 @@ def test_ground_state_positive_in_the_tails():
     for g in [
         grid_of("quartic", (-12.0, 12.0), 4000),
         grid_of("harmonic", (-12.0, 12.0), 100000),
-        cone_model_potential(1024.0, 8192),
+        cone_model(1024.0, 8192),
     ]:
         assert np.all(smallest_eigenpair(g).f > 0)
 
@@ -114,7 +114,7 @@ def test_unimodal_ground_state():
     for g in [
         grid_of("harmonic", (-10.0, 10.0), 1500),
         grid_of("linearWell", (-10.0, 10.0), 1500),
-        cone_model_potential(64.0, 512),
+        cone_model(64.0, 512),
     ]:
         pair = smallest_eigenpair(g)
         d = np.diff(pair.f)
@@ -220,7 +220,7 @@ def test_sine_bound_harmonic_dominated_by_functional():
 
 def test_sine_bound_cone_between_lambda_and_functional():
     D = 100.0
-    g = cone_model_potential(D, 800)
+    g = cone_model(D, 800)
     y = D ** (-2.0 / 3.0)
     v = sine_testfunction_bound(g, y)
     lam1 = smallest_eigenpair(g).lambda1
@@ -232,7 +232,7 @@ def test_sine_bound_never_exceeds_sharp_functional_on_suite():
     for g in [
         grid_of("harmonic", (-12.0, 12.0), 2000),
         grid_of("quartic", (-12.0, 12.0), 2000),
-        cone_model_potential(32.0, 400),
+        cone_model(32.0, 400),
     ]:
         r = minimize_functional(g)
         v = sine_testfunction_bound(g, r.yStar)
@@ -321,7 +321,7 @@ def test_mass_interval_rejects_bad_args():
 
 def test_cone_localization_product_sane():
     D = 100.0
-    g = cone_model_potential(D, 800)
+    g = cone_model(D, 800)
     pair = smallest_eigenpair(g)
     length, _ = shortest_mass_interval(pair.f, dx=g.dx, alpha=0.5)
     product = length * math.sqrt(pair.lambda1)

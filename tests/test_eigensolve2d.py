@@ -438,12 +438,13 @@ def test_solve_leaves_no_reference_cycles():
         gc.enable()
 
 
-def test_unreachable_tolerance_raises():
+def test_unreachable_tolerance_raises(monkeypatch):
     grid = rasterize(square(), 1.0 / 16.0)
+    monkeypatch.setattr(eigensolve2d, "_MAX_OUTER", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError):
-            smallest_eigenpair_2d(grid, tol=1e-15, max_outer=1)
+        with pytest.raises(NumericError, match="within 1 iterations"):
+            smallest_eigenpair_2d(grid, tol=1e-15)
 
 
 def test_bad_tolerance_rejected():

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from specgap.errors import ParameterError
-from specgap.potential import (
-    PotentialGrid,
-    PotentialSpec,
-    cone_model_potential,
-    min_value,
-    sample,
-)
+from specgap.potential import DEFAULT_CAP, PotentialGrid, PotentialSpec, sample
 
 
 def shift(grid, c):
-    """Test reference: add the constant c to every value. The cap shifts along."""
-    return PotentialGrid(a=grid.a, b=grid.b, values=grid.values + c, cap=grid.cap + c)
+    """Test reference: add the constant c to every value."""
+    return PotentialGrid(a=grid.a, b=grid.b, values=grid.values + c)
+
+
+def cone_model(D, n):
+    """Test reference: V(x) = D^2/(D-x)^2 - 1 on [0, D], pole clamped at DEFAULT_CAP."""
+    return sample(PotentialSpec(kind="coneModel", params=[float(D)], interval=(0.0, float(D))), n)
 
 
 def test_square_well_is_zero_everywhere():
@@ -49,7 +48,7 @@ def test_linear_well_slope_parameter():
 
 def test_cone_model_midpoint_value():
     # V(x) = D^2/(D-x)^2 - 1; at D=10, x=5 this is 100/25 - 1 = 3
-    g = cone_model_potential(10.0, n=9)
+    g = cone_model(10.0, n=9)
     assert g.a == 0.0 and g.b == 10.0
     x = np.linspace(g.a, g.b, 11)
     assert x[5] == 5.0
@@ -58,40 +57,40 @@ def test_cone_model_midpoint_value():
 
 
 def test_cone_model_small_d():
-    g = cone_model_potential(4.0, n=3)
+    g = cone_model(4.0, n=3)
     # nodes at 0, 1, 2, 3, 4; x=2 gives 16/4 - 1 = 3
     assert g.values[2] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_cone_model_pole_is_capped():
-    g = cone_model_potential(10.0, n=99)
+    g = cone_model(10.0, n=99)
     assert np.all(np.isfinite(g.values))
-    assert np.all(g.values <= g.cap)
-    assert g.values[-1] == g.cap
+    assert np.all(g.values <= DEFAULT_CAP)
+    assert g.values[-1] == DEFAULT_CAP
 
 
 def test_cone_model_monotone_and_zero_at_origin():
-    g = cone_model_potential(32.0, n=255)
+    g = cone_model(32.0, n=255)
     assert g.values[0] == 0.0
     assert np.all(np.diff(g.values) >= 0)
 
 
 def test_cone_via_sample_matches_helper():
-    spec = PotentialSpec(kind="coneModel", params=[10.0], interval=(0.0, 10.0))
-    g1 = sample(spec, n=49)
-    g2 = cone_model_potential(10.0, n=49)
-    np.testing.assert_array_equal(g1.values, g2.values)
+    # the closed form at every node but the pole, where sample clamps
+    g = cone_model(10.0, n=49)
+    x = np.linspace(0.0, 10.0, 51)
+    np.testing.assert_array_equal(g.values[:-1], 100.0 / (10.0 - x[:-1]) ** 2 - 1.0)
+    assert g.values[-1] == DEFAULT_CAP
 
 
-def test_explicit_cap_clamps_values():
-    spec = PotentialSpec(kind="coneModel", params=[10.0], interval=(0.0, 10.0))
-    g = sample(spec, n=99, cap=100.0)
-    assert g.cap == 100.0
-    assert g.values.max() == 100.0
-    # uncapped nodes keep exact values
-    x = np.linspace(0, 10, 101)
-    exact = 100.0 / (10.0 - x[5]) ** 2 - 1.0
-    assert g.values[5] == pytest.approx(exact, rel=1e-14)
+def test_default_cap_clamps_values():
+    # a slope so steep that the outer nodes pass the cap; the rest keep exact values
+    spec = PotentialSpec(kind="linearWell", params=[1e13], interval=(-1.0, 1.0))
+    g = sample(spec, n=99)
+    assert g.values.max() == DEFAULT_CAP
+    assert g.values[0] == g.values[-1] == DEFAULT_CAP
+    x = np.linspace(-1.0, 1.0, 101)
+    np.testing.assert_array_equal(g.values[46:55], 1e13 * np.abs(x[46:55]))
 
 
 def test_samples_kind_interpolates_linearly():
@@ -121,34 +120,27 @@ def test_shift_round_trip_exact():
 
 def test_shift_moves_minimum():
     g = sample(PotentialSpec(kind="harmonic", params=[], interval=(-1.0, 1.0)), n=15)
-    assert min_value(g) == 0.0
-    assert min_value(shift(g, -1.0)) == -1.0
-    assert min_value(shift(g, 5.0)) == 5.0
+    assert g.values.min() == 0.0
+    assert shift(g, -1.0).values.min() == -1.0
+    assert shift(g, 5.0).values.min() == 5.0
 
 
 def test_shift_preserves_interval_and_size():
     g = sample(PotentialSpec(kind="squareWell", params=[], interval=(0.0, 1.0)), n=7)
     h = shift(g, 5.0)
     np.testing.assert_array_equal(h.values, np.full(9, 5.0))
-    assert h.cap == g.cap + 5.0
-
-
-def test_min_value_square_well():
-    g = sample(PotentialSpec(kind="squareWell", params=[], interval=(0.0, 1.0)), n=3)
-    assert min_value(g) == 0.0
+    assert h.n == g.n and h.dx == g.dx
 
 
 def test_invalid_specs_raise():
     with pytest.raises(ParameterError):
         sample(PotentialSpec(kind="coneModel", params=[1.0], interval=(0.0, 1.0)), n=3)
-    with pytest.raises(ParameterError):
-        cone_model_potential(0.5, n=9)
+    with pytest.raises(ParameterError, match="D > 1"):
+        sample(PotentialSpec(kind="coneModel", params=[0.5], interval=(0.0, 0.5)), n=9)
     with pytest.raises(ParameterError):
         sample(PotentialSpec(kind="squareWell", params=[], interval=(1.0, 0.0)), n=3)
     with pytest.raises(ParameterError):
         sample(PotentialSpec(kind="squareWell", params=[], interval=(0.0, 1.0)), n=2)
-    with pytest.raises(ParameterError):
-        sample(PotentialSpec(kind="squareWell", params=[], interval=(0.0, 1.0)), n=3, cap=-1.0)
     with pytest.raises(ParameterError):
         sample(PotentialSpec(kind="mystery", params=[], interval=(0.0, 1.0)), n=3)
     with pytest.raises(ParameterError):
@@ -164,6 +156,6 @@ def test_grid_reports_node_count():
 
 def test_grid_validation():
     with pytest.raises(ParameterError):
-        PotentialGrid(a=0.0, b=1.0, values=np.array([0.0, np.inf, 0.0, 0.0, 0.0]), cap=1e12)
+        PotentialGrid(a=0.0, b=1.0, values=np.array([0.0, np.inf, 0.0, 0.0, 0.0]))
     with pytest.raises(ParameterError):
-        PotentialGrid(a=0.0, b=1.0, values=np.zeros(4), cap=1e12)  # n would be 2
+        PotentialGrid(a=0.0, b=1.0, values=np.zeros(4))  # n would be 2

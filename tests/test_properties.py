@@ -90,8 +90,7 @@ _PARAMS = st.lists(_NUMBER, min_size=1, max_size=6).map(",".join)
 # the keys each fuzzed command takes, with sizes capped so an example stays fast
 _FUZZ = {
     "bound": {"kind": st.sampled_from(_KINDS), "params": _PARAMS, "interval": _PAIR, "n": _SIZE},
-    "eig1d": {"kind": st.sampled_from(_KINDS), "params": _PARAMS, "interval": _PAIR,
-              "n": _SIZE, "tol": _NUMBER},
+    "eig1d": {"kind": st.sampled_from(_KINDS), "params": _PARAMS, "interval": _PAIR, "n": _SIZE},
     "constants": {"alpha": _NUMBER, "beta": _NUMBER, "gamma": _NUMBER,
                   "budget": st.integers(-5, 2000).map(str)},
     "rearrangeCheck": {"count": st.integers(-1, 2).map(str), "knots": st.integers(-1, 50).map(str),
@@ -126,8 +125,6 @@ def _reject_constant(name):
 @example(argv=["bound", "--set", "interval=-inf,0"])
 @example(argv=["eig1d", "--set", "interval=0,1e200"])
 @example(argv=["eig1d", "--set", "interval=0,1.3615560046475493e-121"])
-@example(argv=["eig1d", "--set", "tol=inf"])
-@example(argv=["eig1d", "--set", "tol=1e200"])
 @example(argv=["constants", "--set", "gamma=inf"])
 @example(argv=["eig1d", "--set", "params=inf"])
 @example(argv=["eig1d", "--set", "n=999.9"])

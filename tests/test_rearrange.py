@@ -40,6 +40,22 @@ def test_center_out_positions_match_placement_loop():
         np.testing.assert_array_equal(_center_out_positions(m), expected[:m])
 
 
+def test_decreasing_matches_direct_placement_bit_for_bit():
+    # reference: sort |f| descending (stable) and place it center-out directly;
+    # the negated increasing rearrangement of -|f| must give the same bits
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 5, 64, 301):
+        f = rng.integers(-3, 4, m).astype(float) * rng.choice([1.0, 0.5], m)
+        f[rng.random(m) < 0.2] = -0.0
+        f[rng.random(m) < 0.1] = 0.0
+        mag = np.abs(f)
+        expected = np.empty(m)
+        expected[_center_out_positions(m)] = mag[np.argsort(-mag, kind="stable")]
+        out = symmetric_decreasing(f)
+        assert out.tobytes() == expected.tobytes()
+        assert not np.any(np.signbit(out))
+
+
 def test_decreasing_stable_ties():
     out = symmetric_decreasing(np.array([2.0, 1.0, 2.0]))
     np.testing.assert_array_equal(out, [1.0, 2.0, 2.0])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from specgap.potential import PotentialGrid, PotentialSpec, cone_model_potential, sample
+from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.sublevel import minimize_functional, width, width_profile
-from test_potential import shift
+from test_potential import cone_model, shift
 
 PI2 = math.pi**2
 
@@ -33,7 +33,7 @@ def test_width_linear_ramp():
 
 def test_width_cone_matches_closed_form():
     # w(y) = D(1 - 1/sqrt(1+y)); D=10, y=3 gives 5
-    g = cone_model_potential(10.0, n=9999)
+    g = cone_model(10.0, n=9999)
     assert width(g, 3.0) == pytest.approx(5.0, abs=2e-3)
 
 
@@ -85,7 +85,7 @@ def test_functional_value_harmonic_near_one():
 
 
 def test_functional_value_cone():
-    g = cone_model_potential(10.0, n=9999)
+    g = cone_model(10.0, n=9999)
     assert functional_value(g, 3.0) == pytest.approx(3.04, abs=0.01)
 
 
@@ -132,7 +132,7 @@ def test_minimize_quartic_matches_calculus():
 
 def test_minimize_cone_scaling():
     D = 100.0
-    g = cone_model_potential(D, n=800)
+    g = cone_model(D, n=800)
     r = minimize_functional(g)
     s = D ** (-2.0 / 3.0)
     assert s <= r.yStar <= 4.0 * s
@@ -144,7 +144,7 @@ def test_report_invariants_on_suite():
         grid_of("harmonic", (-12.0, 12.0), 2000),
         grid_of("linearWell", (-12.0, 12.0), 2000),
         grid_of("quartic", (-12.0, 12.0), 2000),
-        cone_model_potential(64.0, n=512),
+        cone_model(64.0, n=512),
     ]:
         r = minimize_functional(g)
         assert r.yStar > g.values.min()
@@ -210,7 +210,7 @@ def test_scan_is_exact_against_brute_force():
 
 def test_width_profile_equals_per_level_loop():
     rng = np.random.default_rng(8)
-    grids = [double_well(999), cone_model_potential(32.0, 300), grid_of("squareWell", (0.0, 1.0), 50)]
+    grids = [double_well(999), cone_model(32.0, 300), grid_of("squareWell", (0.0, 1.0), 50)]
     grids.append(PotentialGrid(a=0.0, b=1.0, values=rng.integers(0, 6, 302).astype(float)))
     for g in grids:
         levels, widths, functional = width_profile(g)
