@@ -33,35 +33,35 @@ class ConstantTriple:
 REFERENCE_TRIPLE = ConstantTriple(alpha=99.0 / 100.0, beta=7.0 / 1000.0, gamma=14.1327)
 
 
-def _bracket(alpha: float, beta: float, gamma: float) -> float:
-    """sqrt(alpha)/2 * (1 - beta/pi^2) - (1+gamma)^(-1/2)"""
-    return math.sqrt(alpha) / 2.0 * (1.0 - beta / _PI2) - (1.0 + gamma) ** -0.5
-
-
-def _value(alpha: float, beta: float, gamma: float) -> float:
-    """The objective of the triple, or -inf when it is infeasible.
+def _ray(alpha: float, beta: float):
+    """gamma -> the objective of (alpha, beta, gamma), or -inf when infeasible.
 
     Feasible means alpha in (0,1), beta in (0, pi^2), finite positive gamma,
     and a nonnegative bracket: sqrt(alpha)/2 * (1 - beta/pi^2) >=
     (1+gamma)^(-1/2), equivalent to gamma >= (4/alpha) * (1 - beta/pi^2)^(-2) - 1.
     A feasible triple scores at least 0, since every term is nonnegative.
+    The terms of (alpha, beta) alone are computed once per ray.
     """
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < _PI2 and 0.0 < gamma < math.inf):
-        return -math.inf
-    bracket = _bracket(alpha, beta, gamma)
-    if bracket < 0.0:
-        return -math.inf
-    return min(bracket * bracket / gamma, 1.0 - alpha, alpha * beta)
+    if not (0.0 < alpha < 1.0 and 0.0 < beta < _PI2):
+        return lambda gamma: -math.inf
+    head = math.sqrt(alpha) / 2.0 * (1.0 - beta / _PI2)
+    cap = min(1.0 - alpha, alpha * beta)
+
+    def value(gamma: float) -> float:
+        bracket = head - (1.0 + gamma) ** -0.5 if 0.0 < gamma < math.inf else -1.0
+        return min(bracket * bracket / gamma, cap) if bracket >= 0.0 else -math.inf
+
+    return value
 
 
 def is_feasible(t: ConstantTriple) -> bool:
     """alpha in (0,1), beta in (0, pi^2), and finite gamma past its lower threshold."""
-    return _value(t.alpha, t.beta, t.gamma) > -math.inf
+    return _ray(t.alpha, t.beta)(t.gamma) > -math.inf
 
 
 def objective(t: ConstantTriple) -> float:
     """min of the gradient term, 1 - alpha, and alpha*beta, for feasible t."""
-    value = _value(t.alpha, t.beta, t.gamma)
+    value = _ray(t.alpha, t.beta)(t.gamma)
     if value == -math.inf:
         raise ParameterError(f"infeasible triple {t}")
     return value
@@ -124,15 +124,13 @@ def search(budget: int, seed: int) -> Tuple[ConstantTriple, float]:
         if not spend(1):
             break
         g = g0 * (1.0 + float(rng.exponential(1.0)))
-        val = _value(a, b, g)
+        val = _ray(a, b)(g)
         for _ in range(3):
             # refine gamma along its whole admissible ray
             room = min(30, budget - evals)
             if room < 4:
                 break
-            gg, vv, used = _golden_max(
-                lambda x: _value(a, b, x), g0 * (1.0 + 1e-12), g0 * 100.0, room - 2
-            )
+            gg, vv, used = _golden_max(_ray(a, b), g0 * (1.0 + 1e-12), g0 * 100.0, room - 2)
             evals += used
             if vv > val:
                 g, val = gg, vv
@@ -143,7 +141,7 @@ def search(budget: int, seed: int) -> Tuple[ConstantTriple, float]:
                     break
                 na = min(max(a + radius * float(rng.standard_normal()), 1e-6), 1 - 1e-12)
                 nb = max(b * (1.0 + radius * float(rng.standard_normal())), 1e-9)
-                nv = _value(na, nb, g)
+                nv = _ray(na, nb)(g)
                 if nv > val:
                     a, b, val = na, nb, nv
                     g0 = _gamma_floor(a, b)

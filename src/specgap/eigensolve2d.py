@@ -9,7 +9,9 @@ inverse of the bounding box's Dirichlet Laplacian, by type-I sine transforms
 taken from numpy's real FFT.  LOBPCG starts from the ground state of the
 same problem on the grid of twice the spacing, solved loosely in the same
 way and prolonged (full multigrid); the operator, LOBPCG and the final
-residual check are float64.
+residual check are float64.  A mask equal to its mirror image about its
+middle column is solved on its half, where the even ground state lives,
+and checked on the full mask.
 """
 
 from __future__ import annotations
@@ -198,7 +200,27 @@ def _prolong(coarse: np.ndarray, fine: np.ndarray, mask: np.ndarray) -> np.ndarr
     return fine
 
 
-def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable, np.ndarray, Callable]:
+def _stencil(x: np.ndarray, t: np.ndarray, m: np.ndarray, fold: bool) -> np.ndarray:
+    """-S x on the mask m, into t; fold adds column 1's mirror image to column 0."""
+    np.multiply(x, -4.0, out=t)
+    t[1:, :] += x[:-1, :]
+    t[:-1, :] += x[1:, :]
+    t[:, 1:] += x[:, :-1]
+    t[:, :-1] += x[:, 1:]
+    if fold:
+        t[:, :1] += x[:, 1:2]
+    t *= m
+    return t
+
+
+def _unfold(a: np.ndarray, fold: bool) -> np.ndarray:
+    """With fold, the whole array that a half even about its column 0 stands for."""
+    return np.hstack((a[:, :0:-1], a)) if fold else a
+
+
+def _multigrid(
+    mask: np.ndarray, h2: float, fold: bool
+) -> tuple[Callable, Callable, np.ndarray, Callable]:
     """The masked five-point Laplacian, one float32 multigrid V-cycle for it,
     the 2h mask, and lift, the prolongation P from that mask.
 
@@ -215,78 +237,80 @@ def _multigrid(mask: np.ndarray, h2: float) -> tuple[Callable, Callable, np.ndar
     float64 arrays of its own.  The 2h mask is the padded mask at the nodes
     (2i, 2j); lift needs two or more levels, which a 2h mask of 3 or more
     nodes across implies.
+    With fold, mask is the half of a mask even about its column 0, which
+    coarsens onto itself: the stencil and P^T add column 1's mirror image to
+    column 0, and the coarsest level mirrors its residual out to the box.
+    That is self-adjoint under the weight 1/2 on column 0 and 1 elsewhere,
+    so the functions scale column 0 by sqrt(1/2), which makes it symmetric.
     """
-    levels = max(1, ((min(mask.shape) - 1) // 4).bit_length())
+    levels = max(1, ((min(_unfold(mask, fold).shape) - 1) // 4).bit_length())
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [padded[:: 1 << k, :: 1 << k] for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
     x64, t64 = np.zeros(padded.shape), np.zeros(padded.shape)
-    box_inverse = _box_inverse(masks[-1].shape)
+    box_inverse = _box_inverse(_unfold(masks[-1], fold).shape)
     active = np.ravel_multi_index(np.nonzero(mask), padded.shape)
     coarse = padded[::2, ::2]
-
-    def stencil(x: np.ndarray, t: np.ndarray, m: np.ndarray) -> np.ndarray:  # -S x on m, into t
-        np.multiply(x, -4.0, out=t)
-        t[1:, :] += x[:-1, :]
-        t[:-1, :] += x[1:, :]
-        t[:, 1:] += x[:, :-1]
-        t[:, :-1] += x[:, 1:]
-        t *= m
-        return t
+    edge = math.sqrt(0.5) if fold else 1.0
+    root = np.where(np.nonzero(mask)[1] == 0, edge, 1.0)
 
     def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k (g_k is 0 off it)
-        return np.add(stencil(xs[k], ts[k], masks[k]), gs[k], out=ts[k])
+        return np.add(_stencil(xs[k], ts[k], masks[k], fold), gs[k], out=ts[k])
 
     def smooth(k: int) -> None:  # one Jacobi sweep: S has diagonal 4
         xs[k] += np.multiply(residual(k), 0.2, out=ts[k])
 
     def apply_a(v: np.ndarray) -> np.ndarray:
-        x64.ravel()[active] = v.ravel()
-        return stencil(x64, t64, padded).ravel()[active] / -h2
+        x64.ravel()[active] = v.ravel() / root
+        return _stencil(x64, t64, padded, fold).ravel()[active] / -h2 * root
 
     def vcycle(r: np.ndarray) -> np.ndarray:
-        gs[0].ravel()[active] = h2 * r.ravel()
+        gs[0].ravel()[active] = h2 * r.ravel() / root
         for k in range(levels):  # pre-smooth, restrict the residual
             np.multiply(gs[k], 0.2, out=xs[k])  # the first sweep, from zero
             smooth(k)
             t = residual(k)
             if k + 1 < levels:
-                for v in (t.T, t[:, ::2]):  # P^T, one axis at a time
+                for v, mirror in ((t.T, fold), (t[:, ::2], False)):  # P^T, one axis at a time
                     v[1::2] *= 0.5
                     v[:-2:2] += v[1::2]
                     v[2::2] += v[1::2]
+                    if mirror:
+                        v[0] += v[1]
                 np.multiply(t[::2, ::2], masks[k + 1], out=gs[k + 1])
-        xs[-1] += box_inverse(ts[-1]) * masks[-1]
+        xs[-1] += box_inverse(_unfold(ts[-1], fold))[:, -ts[-1].shape[1] :] * masks[-1]
         for k in reversed(range(levels)):  # prolong the correction, post-smooth
             if k + 1 < levels:
                 xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
-        return xs[0].ravel()[active].astype(np.float64)
+        return xs[0].ravel()[active].astype(np.float64) * root
 
     def lift(c: np.ndarray) -> np.ndarray:
         full = np.zeros(coarse.shape)
         full[coarse] = c
-        return _prolong(full, np.empty(padded.shape), padded).ravel()[active]
+        full[:, 0] /= edge
+        return _prolong(full, np.empty(padded.shape), padded).ravel()[active] * root
 
     return apply_a, vcycle, coarse, lift
 
 
-def _ground_state(mask: np.ndarray, h2: float, tol: float) -> tuple[float, np.ndarray, float, int]:
-    """LOBPCG ground pair of the masked stencil: lambda, unit v, residual, iterations.
+def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[np.ndarray, int]:
+    """LOBPCG ground state of the masked stencil: unit v and iterations.
 
     The start is the ground state on the 2h mask (_multigrid), solved by this
     function to _COARSE_TOL and prolonged by P (full multigrid: Brandt,
-    Math. Comp. 31, 1977), or the all-ones vector when that mask is below
-    _FMG_MIN_NODES.  The residual |A v - lambda v| / lambda is recomputed in
-    float64 and not checked here; iterations counts this level's only.
+    Math. Comp. 31, 1977), or the all-ones vector when that mask, unfolded,
+    is below _FMG_MIN_NODES.  With fold, mask is a half and v is scaled as
+    _multigrid's vectors are.  iterations counts this level's only.
     """
     n = int(np.count_nonzero(mask))
-    box_min = sum(float(_dirichlet_symbol(m, h2)[0]) for m in mask.shape)
-    apply_a, vcycle, coarse, lift = _multigrid(mask, h2)
+    box_min = sum(float(_dirichlet_symbol(m, h2)[0]) for m in _unfold(mask, fold).shape)
+    apply_a, vcycle, coarse, lift = _multigrid(mask, h2, fold)
     start = np.ones(n)
-    if min(coarse.shape) >= _FMG_MIN_NODES and np.count_nonzero(coarse) >= _FMG_MIN_NODES:
-        start = lift(_ground_state(coarse, 4.0 * h2, _COARSE_TOL)[1])
+    whole = _unfold(coarse, fold)  # the gate reads the full 2h mask
+    if min(whole.shape) >= _FMG_MIN_NODES and np.count_nonzero(whole) >= _FMG_MIN_NODES:
+        start = lift(_ground_state(coarse, 4.0 * h2, _COARSE_TOL, fold)[0])
     with warnings.catch_warnings():
         # LOBPCG's own non-convergence notice; the caller's residual check decides
         warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
@@ -299,12 +323,8 @@ def _ground_state(mask: np.ndarray, h2: float, tol: float) -> tuple[float, np.nd
             largest=False,
             retResidualNormsHistory=True,
         )
-    v = x[:, 0] / np.linalg.norm(x[:, 0])
-    av = apply_a(v)
-    lam = float(v @ av)
-    res = float(np.linalg.norm(av - lam * v)) / lam
     # the history holds the start, one entry per iteration and a final re-check
-    return lam, v, res, len(history) - 2
+    return x[:, 0] / np.linalg.norm(x[:, 0]), len(history) - 2
 
 
 def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
@@ -319,6 +339,10 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     LOBPCG's absolute stop at tol times that bound gives a relative
     eigenresidual |A v - lambda v| / lambda <= tol, which is checked again
     in float64 on the result.  Only this fine-level check raises.
+    A mask with an odd number of columns that equals its mirror image
+    about the middle one, and whose half holds _MIN_ACTIVE nodes, is solved
+    on that half, as the simple ground state is even (_multigrid's fold);
+    the check then runs on the even extension over the full mask.
     _MAX_OUTER caps the LOBPCG iterations of each level; iterations reports
     how many ran on the fine level.
     """
@@ -328,7 +352,22 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
         raise ParameterError(
             f"the mask has {grid.activeCount} active nodes; the solver needs at least {_MIN_ACTIVE}"
         )
-    lam, v, res, iterations = _ground_state(grid.mask, grid.spacing * grid.spacing, tol)
+    mask, h2 = grid.mask, grid.spacing * grid.spacing
+    half = mask[:, (mask.shape[1] - 1) // 2 :]
+    fold = mask.shape[1] % 2 == 1 and np.count_nonzero(half) >= _MIN_ACTIVE
+    fold = fold and np.array_equal(mask, mask[:, ::-1])
+    v, iterations = _ground_state(half if fold else mask, h2, tol, fold)
+    if fold:  # the even extension, with the mirror column's scale undone
+        x = np.zeros(half.shape)
+        x[half] = v
+        x[:, 0] /= math.sqrt(0.5)
+        v = _unfold(x, fold)[mask]
+        v /= np.linalg.norm(v)
+    x = np.zeros(mask.shape)
+    x[mask] = v
+    av = _stencil(x, np.empty(mask.shape), mask, False)[mask] / -h2
+    lam = float(v @ av)
+    res = float(np.linalg.norm(av - lam * v)) / lam
     if not res <= tol:
         raise NumericError(
             f"LOBPCG missed tol={tol:g} within {_MAX_OUTER} iterations (residual {res:.3e})"

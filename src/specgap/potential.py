@@ -71,6 +71,9 @@ def _evaluate(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     a, b = spec.interval
     kind = spec.kind
     p = list(spec.params or [])
+    most = {"squareWell": 0, "harmonic": 1, "quartic": 1, "linearWell": 2}.get(kind, len(p))
+    if len(p) > most:
+        raise ParameterError(f"{kind} takes at most {most} parameters, got {len(p)}")
     if kind == "squareWell":
         return np.zeros_like(x)
     if kind == "linearWell":

@@ -555,6 +555,22 @@ def test_zero_slope_is_input_error(tmp_path, capsys):
     assert "linearWell slope must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        (["kind=harmonic", "params=0.5,99,7"], "harmonic takes at most 1 parameters, got 3"),
+        (["params=5"], "squareWell takes at most 0 parameters, got 1"),
+    ],
+    ids=["harmonic", "squareWell"],
+)
+def test_extra_params_are_input_error(tmp_path, capsys, sets, message):
+    # a mistyped params list used to run with the parameters the kind reads
+    args = ["bound", *(a for s in sets for a in ("--set", s)), "--out", str(tmp_path / "p")]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_false_budget_is_input_error(tmp_path, capsys):
     # JSON false is not the budget 0
     (tmp_path / "f.json").write_text('{"budget": false}')

@@ -5,7 +5,6 @@ import pytest
 
 from specgap.constants import (
     ConstantTriple,
-    _bracket,
     _gamma_floor,
     _golden_max,
     is_feasible,
@@ -16,6 +15,11 @@ from specgap.errors import ParameterError
 
 REFERENCE = ConstantTriple(alpha=99.0 / 100.0, beta=7.0 / 1000.0, gamma=14.1327)
 REFERENCE_VALUE = 0.004078255002164759
+
+
+def _bracket(alpha, beta, gamma):
+    """Test reference: sqrt(alpha)/2 * (1 - beta/pi^2) - (1+gamma)^(-1/2)"""
+    return math.sqrt(alpha) / 2.0 * (1.0 - beta / math.pi**2) - (1.0 + gamma) ** -0.5
 
 
 def case2_gradient_term(t):
@@ -154,3 +158,24 @@ def test_search_finds_improvement_with_moderate_budget():
 def test_search_rejects_bad_budget():
     with pytest.raises(ParameterError):
         search(budget=0, seed=0)
+
+
+# search results at the commit before the (alpha, beta) terms were computed
+# once per golden-section ray; that change must not move a bit
+SEARCH_REPRS = {
+    (2000, 0): "(ConstantTriple(alpha=0.9953115216047178, beta=0.011348783696631936, "
+    "gamma=14.076078182932068), 0.004116170239064046)",
+    (2000, 3): "(ConstantTriple(alpha=0.9955313903148136, beta=0.009908576321419303, "
+    "gamma=14.052049758016134), 0.004120548666877154)",
+    (200000, 1): "(ConstantTriple(alpha=0.995637389807252, beta=0.004204543577885013, "
+    "gamma=14.03159326667883), 0.004131343410296008)",
+    (200000, 7): "(ConstantTriple(alpha=0.9957767103853571, beta=0.004482178449833512, "
+    "gamma=14.030291387896284), 0.004132059155700996)",
+    (37, 2): "(ConstantTriple(alpha=0.9934853002660169, beta=0.007418028031637104, "
+    "gamma=14.077091608972992), 0.0041073228809821415)",
+}
+
+
+@pytest.mark.parametrize("budget, seed", list(SEARCH_REPRS))
+def test_search_results_are_pinned(budget, seed):
+    assert repr(search(budget, seed)) == SEARCH_REPRS[budget, seed]

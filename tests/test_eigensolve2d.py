@@ -22,6 +22,7 @@ from specgap.convexdomain import (
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.eigensolve2d import (
     _FMG_MIN_NODES,
+    _MIN_ACTIVE,
     MAX_GRID_NODES,
     Eigenpair2D,
     MaskedGrid,
@@ -361,7 +362,7 @@ def test_full_multigrid_start_matches_sparse_shift_invert():
     ] + random_hull_grids(31, 20)
     recursed = 0
     for grid in grids:
-        recursed += min(_multigrid(grid.mask, grid.spacing**2)[2].shape) >= _FMG_MIN_NODES
+        recursed += min(_multigrid(grid.mask, grid.spacing**2, False)[2].shape) >= _FMG_MIN_NODES
         reference = eigsh(
             _masked_laplacian(grid), k=1, sigma=0.0, which="LM", return_eigenvectors=False
         )[0]
@@ -406,23 +407,137 @@ def test_cone_converges_in_few_iterations():
     assert 0 < pair.iterations <= 16
 
 
+class Fold:
+    """The half of a mirror-symmetric grid that the solver folds onto.
+
+    Half vectors follow np.nonzero(half) order and carry the solver's scale
+    sqrt(1/2) on the mirror column (root); even() extends an unscaled half
+    vector to the whole mask, and restrict() reads a full vector on the half.
+    """
+
+    def __init__(self, grid):
+        mask = grid.mask
+        assert mask.shape[1] % 2 == 1 and np.array_equal(mask, mask[:, ::-1])
+        self.mask, self.m = mask, (mask.shape[1] - 1) // 2
+        self.half = mask[:, self.m :]
+        self.root = np.where(np.nonzero(self.half)[1] == 0, math.sqrt(0.5), 1.0)
+
+    def even(self, v):
+        x = np.zeros(self.mask.shape)
+        x[:, self.m :][self.half] = v
+        x[:, : self.m] = x[:, : self.m : -1]
+        return x[self.mask]
+
+    def restrict(self, w):
+        x = np.zeros(self.mask.shape)
+        x[self.mask] = w
+        return x[:, self.m :][self.half]
+
+
 @pytest.mark.parametrize(
-    "grid",
-    [rasterize(generate_family("cone", 8.0), 1.0 / 16.0), thin_strip()],
-    ids=["cone", "empty-coarsest"],
+    "grid, fold",
+    [
+        (rasterize(generate_family("cone", 8.0), 1.0 / 16.0), False),
+        (thin_strip(), False),
+        (rasterize(generate_family("cone", 8.0), 1.0 / 16.0), True),
+    ],
+    ids=["cone", "empty-coarsest", "cone-folded"],
 )
-def test_vcycle_is_symmetric_positive_definite(grid):
-    apply_a, vcycle, _, _ = _multigrid(grid.mask, grid.spacing**2)
+def test_vcycle_is_symmetric_positive_definite(grid, fold):
+    # folded, the cycle and the operator act on scaled half vectors, where
+    # symmetry under the weight 1/2 on the mirror column is plain symmetry
+    f = Fold(grid) if fold else None
+    apply_a, vcycle, _, _ = _multigrid(f.half if fold else grid.mask, grid.spacing**2, fold)
     masked = _masked_laplacian(grid)
+    if fold:
+        reference = lambda x: f.root * f.restrict(masked @ f.even(x / f.root))
+    else:
+        reference = lambda x: masked @ x
     rng = np.random.default_rng(7)
     for _ in range(3):
-        x, y = rng.standard_normal((2, grid.activeCount))
+        x, y = rng.standard_normal((2, f.root.size if fold else grid.activeCount))
         mx, my = vcycle(x), vcycle(y)
         # the cycle runs in float32, so it is symmetric to float32 rounding
         assert mx @ y == pytest.approx(x @ my, rel=1e-5)
         assert mx @ x > 0.0
         # the operator keeps float64 arrays of its own and stays exact
-        np.testing.assert_allclose(apply_a(x), masked @ x, rtol=1e-12, atol=1e-9)
+        np.testing.assert_allclose(apply_a(x), reference(x), rtol=1e-12, atol=1e-9)
+
+
+def symmetric_hull_grids(seed, count):
+    # random hulls mirrored about y = 0, at a spacing that puts a grid column
+    # on the axis; the mask is intersected with its mirror image, so it is
+    # symmetric even where rounding decides a node on a slanted edge
+    rng = np.random.default_rng(seed)
+    grids = []
+    while len(grids) < count:
+        pts = rng.normal(size=(int(rng.integers(3, 15)), 2)) * rng.uniform(0.3, 3.0, size=2)
+        pts = np.vstack([pts, pts * [1.0, -1.0]])
+        poly = ConvexPolygon(vertices=pts[ConvexHull(pts).vertices])
+        top = poly.vertices[:, 1].max()
+        k = int(rng.integers(20, 50))
+        if 2.0 * top / (2 * k) > 0.25 * inradius(poly):
+            continue
+        try:
+            grid = rasterize(poly, 2.0 * top / (2 * k))
+        except GeometryError:
+            continue
+        mask = grid.mask & grid.mask[:, ::-1]
+        if mask.shape[1] % 2 == 1 and mask.sum() >= 100:
+            grids.append(MaskedGrid(spacing=grid.spacing, origin=grid.origin, mask=mask))
+    return grids
+
+
+def test_folded_operator_is_the_laplacian_on_even_functions():
+    for grid in [rasterize(generate_family("cone", d), 1.0 / 16.0) for d in (8.0, 16.0)]:
+        f = Fold(grid)
+        apply_a = _multigrid(f.half, grid.spacing**2, True)[0]
+        x = np.random.default_rng(5).standard_normal(f.root.size)
+        expected = f.restrict(_masked_laplacian(grid) @ f.even(x))
+        np.testing.assert_allclose(apply_a(f.root * x) / f.root, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_folded_solve_matches_sparse_shift_invert():
+    # the cones put the mirror column at every offset modulo the coarsest
+    # spacing; 1/40 and 1/50 leave a half whose columns do not divide evenly
+    grids = [
+        rasterize(generate_family("cone", d), spacing)
+        for d in (8.0, 16.0)
+        for spacing in (1.0 / 16.0, 1.0 / 40.0, 1.0 / 50.0)
+    ] + symmetric_hull_grids(37, 8)
+    for grid in grids:
+        Fold(grid)  # mirror-symmetric with an odd number of columns
+        reference = eigsh(
+            _masked_laplacian(grid), k=1, sigma=0.0, which="LM", return_eigenvectors=False
+        )[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = smallest_eigenpair_2d(grid, tol=1e-8)
+        assert pair.lambda1 == pytest.approx(reference, rel=1e-10)
+        assert pair.residual <= 1e-8
+        u = np.zeros(grid.mask.shape)
+        u[grid.mask] = pair.u
+        assert np.array_equal(u, u[:, ::-1])
+
+
+def test_symmetric_mask_with_a_small_half_solves_whole():
+    # a plus of five nodes: its half holds four, too few for LOBPCG
+    mask = np.zeros((5, 5), dtype=bool)
+    mask[1:4, 2] = mask[2, 1:4] = True
+    assert np.count_nonzero(mask[:, 2:]) < _MIN_ACTIVE <= np.count_nonzero(mask)
+    grid = MaskedGrid(spacing=0.25, origin=np.zeros(2), mask=mask)
+    pair = smallest_eigenpair_2d(grid, tol=1e-8)
+    exact = np.linalg.eigvalsh(_masked_laplacian(grid).toarray())[0]
+    assert pair.lambda1 == pytest.approx(exact, rel=1e-10)
+    assert np.all(pair.u > 0.0)
+
+
+def test_rectangle_keeps_its_multigrid_start(rect_pair):
+    # the normalized 8 x 1 rectangle folds onto a half of 33 columns; its 2h
+    # half has 17, but the full 2h mask has 33, so the full-multigrid start
+    # stays on. Started from ones, the solve took 17 iterations.
+    _, pair, _ = rect_pair
+    assert 0 < pair.iterations <= 10
 
 
 def test_solve_leaves_no_reference_cycles():

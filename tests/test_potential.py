@@ -147,6 +147,16 @@ def test_invalid_specs_raise():
         sample(PotentialSpec(kind="samples", params=[1.0], interval=(0.0, 1.0)), n=3)
 
 
+@pytest.mark.parametrize(
+    "kind, most", [("squareWell", 0), ("harmonic", 1), ("quartic", 1), ("linearWell", 2)]
+)
+def test_extra_params_rejected(kind, most):
+    spec = PotentialSpec(kind=kind, params=[0.5] * most, interval=(0.0, 1.0))
+    assert sample(spec, n=9).n == 9
+    with pytest.raises(ParameterError, match=f"{kind} takes at most {most} parameters"):
+        sample(PotentialSpec(kind=kind, params=[0.5] * (most + 1), interval=(0.0, 1.0)), n=9)
+
+
 def test_grid_reports_node_count():
     g = sample(PotentialSpec(kind="squareWell", params=[], interval=(0.0, 2.0)), n=7)
     assert g.n == 7
