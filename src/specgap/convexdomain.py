@@ -117,12 +117,9 @@ def minimal_width(poly: ConvexPolygon) -> tuple[float, int]:
     widths = dist.max(axis=1)
     wmin = float(widths.min())
     tied = np.flatnonzero(widths <= wmin * (1.0 + 1e-12))
-    if tied.size > 1:
-        proj = v @ t[tied].T
-        spans = proj.max(axis=0) - proj.min(axis=0)
-        k = int(tied[np.argmax(spans)])
-    else:
-        k = int(tied[0])
+    proj = v @ t[tied].T
+    spans = proj.max(axis=0) - proj.min(axis=0)
+    k = int(tied[np.argmax(spans)])
     return float(widths[k]), k
 
 

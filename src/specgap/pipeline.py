@@ -73,9 +73,10 @@ THM1_NAMES = tuple(name for name, _, _ in _bench_specs())
 
 
 def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, PotentialGrid]]:
-    """Named nonnegative benchmark potentials for the two-sided check."""
+    """Named nonnegative benchmark potentials for the two-sided check, each
+    name once, in the order first given."""
     table = {name: (spec, n) for name, spec, n in _bench_specs()}
-    picked = THM1_NAMES if names is None else list(names)
+    picked = THM1_NAMES if names is None else list(dict.fromkeys(names))
     if not picked:
         raise ParameterError("verifyThm1 needs at least one suite member name")
     unknown = [name for name in picked if name not in table]

@@ -38,55 +38,40 @@ def width(grid: PotentialGrid, y: float) -> float:
     return grid.dx * int(np.count_nonzero(interior <= y))
 
 
-def _sorted_counts(grid: PotentialGrid, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Number of interior nodes with V <= y for each y in `levels`, and
-    the node indices in value order."""
+def _scan(grid: PotentialGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every distinct sample value y in ascending order, boundary samples
+    included, with the number of interior nodes where V <= y and whether
+    those nodes are consecutive.
+
+    The sublevel at y consists of the count smallest interior values, so
+    prefix extrema of the node indices in value order tell whether it is one
+    block: it is exactly when (max index - min index + 1) equals the count.
+    """
+    levels = np.unique(grid.values)
     interior = grid.values[1:-1]
     order = np.argsort(interior, kind="stable")
-    return np.searchsorted(interior[order], levels, side="right"), order
+    counts = np.searchsorted(interior[order], levels, side="right")
+    first = np.minimum.accumulate(order)[counts - 1]
+    last = np.maximum.accumulate(order)[counts - 1]
+    return levels, counts, last - first + 1 == counts
 
 
 def width_profile(grid: PotentialGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every distinct interior sample value y with width(y) and
     1/width(y)^2 + y there, in one O(n log n) pass."""
-    levels = np.unique(grid.values[1:-1])
-    counts, _ = _sorted_counts(grid, levels)
-    widths = grid.dx * counts
+    levels, counts, _ = _scan(grid)
+    rises = np.diff(counts, prepend=0) > 0  # the levels an interior node holds
+    levels, widths = levels[rises], grid.dx * counts[rises]
     return levels, widths, 1.0 / (widths * widths) + levels
-
-
-def _candidate_scan(
-    grid: PotentialGrid,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Distinct sample values strictly above min V, with width and an
-    is-the-sublevel-an-interval flag at each.
-
-    Returns None for a constant potential (no admissible candidate level).
-    The interval flags come from prefix extrema of node indices in value
-    order: the sublevel at a candidate consists of the count smallest
-    values, so it is contiguous exactly when (max index - min index + 1)
-    equals the count.
-    """
-    vmin = float(grid.values.min())
-    candidates = np.unique(grid.values)
-    candidates = candidates[candidates > vmin]
-    if len(candidates) == 0:
-        return None
-    counts, order = _sorted_counts(grid, candidates)
-    first_idx = np.minimum.accumulate(order)
-    last_idx = np.maximum.accumulate(order)
-    widths = grid.dx * counts
-    contiguous = (last_idx[counts - 1] - first_idx[counts - 1] + 1) == counts
-    return candidates, widths, contiguous
 
 
 def minimize_functional(grid: PotentialGrid) -> SublevelReport:
     """Exact discrete minimization of 1/w(y)^2 + y over levels y > min V."""
-    scan = _candidate_scan(grid)
-    if scan is None:
+    levels, counts, contiguous = _scan(grid)
+    if len(levels) == 1:
         # constant potential: every level above the constant sees the whole
         # interval, so take the full width and a level one epsilon up
-        vmin = float(grid.values.min())
+        vmin = float(levels[0])
         span = grid.b - grid.a
         y_star = vmin + np.finfo(float).eps * max(1.0, abs(vmin))
         f_star = 1.0 / (span * span) + vmin
@@ -99,9 +84,9 @@ def minimize_functional(grid: PotentialGrid) -> SublevelReport:
             upperBoundSharp=_PI2 / (span * span) + vmin,
         )
 
-    candidates, widths, contiguous = scan
-    positive = widths > 0
-    candidates, widths, contiguous = candidates[positive], widths[positive], contiguous[positive]
+    # the levels above min V = levels[0] whose sublevel holds a node
+    keep = np.flatnonzero(grid.dx * counts[1:] > 0) + 1
+    candidates, widths, contiguous = levels[keep], grid.dx * counts[keep], contiguous[keep]
     f_vals = 1.0 / (widths * widths) + candidates
     k = int(np.argmin(f_vals))  # ties resolve to the smallest level
     y_star = float(candidates[k])

@@ -181,6 +181,14 @@ def test_verify_thm1_subset(tmp_path):
     assert lines[1].endswith(",1")
 
 
+def test_verify_thm1_repeated_name_runs_once(tmp_path):
+    prefix = tmp_path / "v"
+    assert main(["verifyThm1", "--out", str(prefix), "--set", "names=squareWell,squareWell"]) == 0
+    data, lines = load(prefix)
+    assert [line.split(",")[0] for line in lines[1:]] == ["squareWell"]
+    assert [r["potential"] for r in data["summary"]["rows"]] == ["squareWell"]
+
+
 def test_rearrange_check_small(tmp_path):
     prefix = tmp_path / "r"
     args = ["rearrangeCheck", "--out", str(prefix), "--set", "count=2", "--seed", "7"]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -179,3 +180,53 @@ SEARCH_REPRS = {
 @pytest.mark.parametrize("budget, seed", list(SEARCH_REPRS))
 def test_search_results_are_pinned(budget, seed):
     assert repr(search(budget, seed)) == SEARCH_REPRS[budget, seed]
+
+
+@functools.lru_cache(maxsize=None)
+def exact_optimum():
+    """Test reference: the largest objective any triple reaches.
+
+    At the optimum the three terms are equal, to t: alpha = 1 - t,
+    beta = t/(1 - t), and the gradient term, maximized over gamma, is t as
+    well. With u = (1+gamma)^(-1/2) that term is (s - u)^2 u^2/(1 - u^2) on
+    (0, s), s = sqrt(alpha)/2 (1 - beta/pi^2). Its logarithm is concave there,
+    so bisection on the derivative's sign finds the inner maximum; that
+    maximum falls as t grows, so bisection on t finds the root.
+    """
+
+    def gradient_max(t):
+        alpha, beta = 1.0 - t, t / (1.0 - t)
+        s = math.sqrt(alpha) / 2.0 * (1.0 - beta / math.pi**2)
+        lo, hi = 0.0, s
+        for _ in range(100):
+            u = 0.5 * (lo + hi)
+            if 1.0 / u + u / (1.0 - u * u) > 1.0 / (s - u):
+                lo = u
+            else:
+                hi = u
+        return (s - u) ** 2 * u * u / (1.0 - u * u)
+
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        t = 0.5 * (lo + hi)
+        if gradient_max(t) > t:
+            lo = t
+        else:
+            hi = t
+    return lo
+
+
+def test_exact_optimum_is_about_one_over_242():
+    t_star = exact_optimum()
+    assert 1.0 / t_star == pytest.approx(241.9312, abs=1e-4)
+    assert REFERENCE_VALUE < t_star
+
+
+@pytest.mark.parametrize("budget, seed", list(SEARCH_REPRS))
+def test_search_stays_below_the_exact_optimum(budget, seed):
+    assert search(budget, seed)[1] <= exact_optimum() * (1.0 + 1e-12)
+
+
+def test_long_search_is_near_the_exact_optimum():
+    t_star = exact_optimum()
+    assert (t_star - search(200000, 1)[1]) / t_star < 1e-3

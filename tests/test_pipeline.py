@@ -5,6 +5,7 @@ import math
 import pytest
 
 from specgap import pipeline, rearrange
+from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from test_potential import shift
@@ -38,8 +39,29 @@ def test_thm1_suite_names_and_sizes():
 def test_thm1_suite_subset_filter():
     suite = pipeline.thm1_suite(["harmonic", "squareWell"])
     assert [name for name, _ in suite] == ["harmonic", "squareWell"]
+    # a repeated name runs once, at its first place
+    suite = pipeline.thm1_suite(["harmonic", "squareWell", "harmonic", "squareWell"])
+    assert [name for name, _ in suite] == ["harmonic", "squareWell"]
     with pytest.raises(Exception):
         pipeline.thm1_suite(["noSuchWell"])
+
+
+# |a_1|, the first zero of Ai (DLMF 9.9)
+AIRY_A1 = 2.338107410459767
+
+
+def test_cone_model_tends_to_the_airy_limit():
+    # at the localization scale the cone model is a linear well with a wall,
+    # so lambda (D/2)^(2/3) -> |a_1|, and the gap shrinks like D^(-2/3)
+    gaps = []
+    for d in (16, 64, 256, 1024, 4096):
+        pair = smallest_eigenpair(sample(*pipeline._cone_model(d)))
+        gaps.append(pair.lambda1 * (d / 2.0) ** (2.0 / 3.0) - AIRY_A1)
+    assert all(gap > 0 for gap in gaps)
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))
+    for a, b in zip(gaps, gaps[1:]):
+        assert b / a == pytest.approx(4.0 ** (-2.0 / 3.0), abs=0.03)
+    assert gaps[-1] < 0.015
 
 
 def test_verify_thm1_squarewell_row():

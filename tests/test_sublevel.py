@@ -1,10 +1,11 @@
 import math
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
 from specgap.potential import PotentialGrid, PotentialSpec, sample
-from specgap.sublevel import minimize_functional, width, width_profile
+from specgap.sublevel import SublevelReport, minimize_functional, width, width_profile
 from test_potential import cone_model, shift
 
 PI2 = math.pi**2
@@ -217,3 +218,148 @@ def test_width_profile_equals_per_level_loop():
         np.testing.assert_array_equal(levels, np.unique(g.values[1:-1]))
         assert widths.tolist() == [width(g, y) for y in levels.tolist()]
         assert functional.tolist() == [functional_value(g, y) for y in levels.tolist()]
+
+
+# Test reference: the scan as two helpers, the interior levels for the profile
+# and every sample level for the minimizer; the one scan must not move a bit
+
+
+def _sorted_counts(grid: PotentialGrid, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Number of interior nodes with V <= y for each y in `levels`, and
+    the node indices in value order."""
+    interior = grid.values[1:-1]
+    order = np.argsort(interior, kind="stable")
+    return np.searchsorted(interior[order], levels, side="right"), order
+
+
+def reference_width_profile(grid: PotentialGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    levels = np.unique(grid.values[1:-1])
+    counts, _ = _sorted_counts(grid, levels)
+    widths = grid.dx * counts
+    return levels, widths, 1.0 / (widths * widths) + levels
+
+
+def _candidate_scan(
+    grid: PotentialGrid,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Distinct sample values strictly above min V, with width and an
+    is-the-sublevel-an-interval flag at each; None for a constant potential."""
+    vmin = float(grid.values.min())
+    candidates = np.unique(grid.values)
+    candidates = candidates[candidates > vmin]
+    if len(candidates) == 0:
+        return None
+    counts, order = _sorted_counts(grid, candidates)
+    first_idx = np.minimum.accumulate(order)
+    last_idx = np.maximum.accumulate(order)
+    widths = grid.dx * counts
+    contiguous = (last_idx[counts - 1] - first_idx[counts - 1] + 1) == counts
+    return candidates, widths, contiguous
+
+
+def reference_minimize_functional(grid: PotentialGrid) -> SublevelReport:
+    scan = _candidate_scan(grid)
+    if scan is None:
+        vmin = float(grid.values.min())
+        span = grid.b - grid.a
+        y_star = vmin + np.finfo(float).eps * max(1.0, abs(vmin))
+        f_star = 1.0 / (span * span) + vmin
+        return SublevelReport(
+            yStar=y_star,
+            widthAtYStar=span,
+            fStar=f_star,
+            isInterval=True,
+            lowerBound=f_star / 250.0,
+            upperBoundSharp=PI2 / (span * span) + vmin,
+        )
+    candidates, widths, contiguous = scan
+    positive = widths > 0
+    candidates, widths, contiguous = candidates[positive], widths[positive], contiguous[positive]
+    f_vals = 1.0 / (widths * widths) + candidates
+    k = int(np.argmin(f_vals))
+    star_is_interval = bool(contiguous[k])
+    upper_sharp = None
+    if star_is_interval and np.any(contiguous):
+        g_vals = PI2 / (widths[contiguous] ** 2) + candidates[contiguous]
+        upper_sharp = float(g_vals.min())
+    return SublevelReport(
+        yStar=float(candidates[k]),
+        widthAtYStar=float(widths[k]),
+        fStar=float(f_vals[k]),
+        isInterval=star_is_interval,
+        lowerBound=float(f_vals[k]) / 250.0,
+        upperBoundSharp=upper_sharp,
+    )
+
+
+def random_grid(rng, zeros=(0.0,)):
+    """A grid of 3 to 40 interior nodes on a random interval: tied small
+    integers or uniform draws, scaled to magnitudes from 1e-300 to 1e300,
+    with some samples replaced by the given zeros."""
+    n = int(rng.integers(3, 41))
+    if rng.random() < 0.5:
+        values = rng.integers(0, int(rng.integers(1, 7)), n + 2).astype(float)
+    else:
+        values = rng.uniform(-1.0, 1.0, n + 2)
+    scale, offset = rng.choice([1.0, 0.37, 1e300, 1e-300, 3e-308]), rng.choice([0.0, -2.5, 1e300])
+    values = values * scale + offset
+    values[rng.random(n + 2) < 0.2] = rng.choice(zeros)
+    a = float(rng.uniform(-5.0, 5.0))
+    return PotentialGrid(a=a, b=a + float(rng.uniform(0.1, 20.0)), values=values)
+
+
+def edge_grids():
+    """Constant grids, n = 3, a boundary-only minimum, and the one grid
+    whose minimizing level only a boundary sample holds."""
+    grids = [
+        PotentialGrid(a=0.0, b=1.0, values=np.full(n + 2, c))
+        for n in (3, 50)
+        for c in (0.0, -1e300, 1e-300, 7.5)
+    ]
+    grids.append(PotentialGrid(a=0.0, b=1.0, values=[3.0, 1.0, 2.0, 1.0, 0.0]))
+    grids.append(PotentialGrid(a=0.0, b=1.0, values=[1.0, 1.0, 1.0, 1.0, 2.0]))
+    grids.append(PotentialGrid(a=0.0, b=1.0, values=[1e300, -1e300, 1e300, -1e300, 1e-300]))
+    grids += [cone_model(d, n) for d, n in ((16.0, 128), (64.0, 512))]
+    grids.append(PotentialGrid(a=0.0, b=10.0, values=[5.0, 0.0, 10.0, 10.0, 100.0]))
+    return grids
+
+
+def assert_same_scan(grid):
+    assert repr(minimize_functional(grid)) == repr(reference_minimize_functional(grid))
+    for got, want in zip(width_profile(grid), reference_width_profile(grid)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_boundary_level_can_win():
+    # V = 5 holds at the left end only; its sublevel is the one node at 0,
+    # and the profile, which lists interior levels, leaves it out
+    grid = PotentialGrid(a=0.0, b=10.0, values=[5.0, 0.0, 10.0, 10.0, 100.0])
+    r = minimize_functional(grid)
+    assert (r.yStar, r.widthAtYStar) == (5.0, 2.5)
+    assert r.fStar == pytest.approx(5.16, abs=1e-15)
+    assert width_profile(grid)[0].tolist() == [0.0, 10.0]
+
+
+def test_scan_matches_reference_on_edge_grids():
+    for grid in edge_grids():
+        assert_same_scan(grid)
+
+
+def test_scan_matches_reference_on_random_grids():
+    rng = np.random.default_rng(18)
+    for _ in range(3000):
+        assert_same_scan(random_grid(rng))
+
+
+def test_scan_matches_reference_up_to_the_sign_of_zero():
+    # np.unique keeps one of +0.0 and -0.0, from all samples where the
+    # reference kept one from the interior, so the zero level may change sign
+    rng = np.random.default_rng(180)
+    for _ in range(1000):
+        grid = random_grid(rng, zeros=(0.0, -0.0))
+        assert repr(minimize_functional(grid)) == repr(reference_minimize_functional(grid))
+        levels, widths, functional = width_profile(grid)
+        ref_levels, ref_widths, ref_functional = reference_width_profile(grid)
+        assert np.abs(levels).tobytes() == np.abs(ref_levels).tobytes()
+        assert widths.tobytes() == ref_widths.tobytes()
+        assert functional.tobytes() == ref_functional.tobytes()
