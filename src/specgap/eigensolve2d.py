@@ -1,4 +1,4 @@
-"""Masked-grid Dirichlet Laplacian ground states and derived diagnostics.
+"""Masked-grid Dirichlet Laplacian ground states.
 
 Domains are rasterized onto uniform grid nodes; nodes strictly inside the
 polygon are active and all outside neighbors are held at zero.  The smallest
@@ -24,15 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .convexdomain import (
-    MAX_GRID_NODES,
-    ConvexPolygon,
-    HeightFunction,
-    inradius,
-    localization_scale,
-    longest_run,
-)
-from .eigensolve1d import Eigenpair1D
+from .convexdomain import MAX_GRID_NODES, ConvexPolygon, inradius
 from .errors import GeometryError, NumericError, ParameterError
 
 
@@ -311,20 +303,25 @@ def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[
     whole = _unfold(coarse, fold)  # the gate reads the full 2h mask
     if min(whole.shape) >= _FMG_MIN_NODES and np.count_nonzero(whole) >= _FMG_MIN_NODES:
         start = lift(_ground_state(coarse, 4.0 * h2, _COARSE_TOL, fold)[0])
+    iterations = 0
+
+    def precondition(r: np.ndarray) -> np.ndarray:  # once in each iteration that runs
+        nonlocal iterations
+        iterations += 1
+        return vcycle(r)
+
     with warnings.catch_warnings():
         # LOBPCG's own non-convergence notice; the caller's residual check decides
         warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
-        _, x, history = lobpcg(
+        _, x = lobpcg(
             LinearOperator((n, n), matvec=apply_a, dtype=float),
             start[:, None],
-            M=LinearOperator((n, n), matvec=vcycle, dtype=float),
+            M=LinearOperator((n, n), matvec=precondition, dtype=float),
             tol=tol * box_min,
-            maxiter=_MAX_OUTER,
+            maxiter=_MAX_OUTER - 1,  # scipy numbers its iterations from 0 to maxiter
             largest=False,
-            retResidualNormsHistory=True,
         )
-    # the history holds the start, one entry per iteration and a final re-check
-    return x[:, 0] / np.linalg.norm(x[:, 0]), len(history) - 2
+    return x[:, 0] / np.linalg.norm(x[:, 0]), iterations
 
 
 def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
@@ -370,54 +367,11 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     res = float(np.linalg.norm(av - lam * v)) / lam
     if not res <= tol:
         raise NumericError(
-            f"LOBPCG missed tol={tol:g} within {_MAX_OUTER} iterations (residual {res:.3e})"
+            f"LOBPCG missed tol={tol:g} after {iterations} of at most {_MAX_OUTER} iterations"
+            f" (residual {res:.3e})"
         )
     u = v / grid.spacing
     if float(u.sum()) < 0.0:
         u = -u
     return Eigenpair2D(lambda1=lam, u=u, residual=res, iterations=iterations, grid=grid)
 
-
-def vdberg_statistic(pair: Eigenpair2D, rho: float, dm: float) -> float:
-    """Scale-invariant sup-norm statistic sup|u| * rho * (D/rho)^(1/6).
-
-    Relies on the unit L2 normalization of u, so sup|u| is the ratio of
-    norms that the diameter-inradius bound controls.
-    """
-    if not (math.isfinite(rho) and rho > 0.0 and math.isfinite(dm) and dm > 0.0):
-        raise ParameterError("inradius and diameter must be positive")
-    return float(np.max(np.abs(pair.u))) * rho * (dm / rho) ** (1.0 / 6.0)
-
-
-def gj_profile_error(pair: Eigenpair2D, hf: HeightFunction, profile: Eigenpair1D) -> float:
-    """Sup distance between the 2D ground state and its 1D-profile surrogate.
-
-    Both fields are max-normalized; the surrogate is profile(x) times the
-    transverse sine mode pinned to the local boundary graphs.  The sup runs
-    over active cells whose x lies in the middle half of the longest run
-    where h stays above the localization threshold.
-    """
-    if profile.f.size != hf.h.size - 2:
-        raise ParameterError("1D profile grid does not match the height function grid")
-    scale = localization_scale(hf)
-    start, stop = longest_run(hf.h >= 1.0 - 1.0 / (scale * scale))
-    if stop == start:
-        raise ParameterError("height function never reaches the localization level")
-    nodes = hf.nodes()
-    x_lo = nodes[start]
-    x_hi = nodes[stop - 1]
-    center = 0.5 * (x_lo + x_hi)
-    quarter = 0.25 * (x_hi - x_lo)
-    xa, ya = pair.grid.points()
-    sel = (xa >= center - quarter) & (xa <= center + quarter)
-    if not sel.any():
-        raise ParameterError("no active cells fall in the concentric half-window")
-    xq = xa[sel]
-    yq = ya[sel]
-    u1 = pair.u[sel] / float(np.max(np.abs(pair.u)))
-    phi_nodes = np.concatenate(([0.0], profile.f / float(np.max(np.abs(profile.f))), [0.0]))
-    phi = np.interp(xq, nodes, phi_nodes)
-    f1v = np.interp(xq, nodes, hf.f1)
-    hv = np.maximum(np.interp(xq, nodes, hf.h), 1e-12)
-    alpha = math.pi * (yq - f1v) / hv
-    return float(np.max(np.abs(u1 - phi * np.sin(alpha))))

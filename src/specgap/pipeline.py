@@ -13,22 +13,19 @@ import numpy as np
 
 from .convexdomain import (
     ConvexPolygon,
+    HeightFunction,
     diameter,
     generate_family,
     gj_potential,
     inradius,
     localization_scale,
+    longest_run,
     minimal_width,
     normalize_gj,
 )
 from .constants import ConstantTriple, is_feasible, objective, search
-from .eigensolve1d import smallest_eigenpair
-from .eigensolve2d import (
-    gj_profile_error,
-    rasterize,
-    smallest_eigenpair_2d,
-    vdberg_statistic,
-)
+from .eigensolve1d import Eigenpair1D, smallest_eigenpair
+from .eigensolve2d import Eigenpair2D, rasterize, smallest_eigenpair_2d
 from .errors import ParameterError
 from .potential import PotentialGrid, PotentialSpec, sample
 from .rearrange import RearrangementReport, verify_chain
@@ -101,7 +98,7 @@ def _all_pass(rows: List[Dict[str, object]]):
 def bound(kind, params, interval, n):
     """The sublevel-width bounds of one potential, and its width profile."""
     grid = sample(PotentialSpec(kind=kind, params=params, interval=interval), n)
-    report = minimize_functional(grid)
+    report, levels, widths, functional = width_profile(grid)
     summary = {
         "yStar": report.yStar,
         "widthAtYStar": report.widthAtYStar,
@@ -110,7 +107,6 @@ def bound(kind, params, interval, n):
         "lower": report.lowerBound,
         "upperSharp": report.upperBoundSharp,
     }
-    levels, widths, functional = width_profile(grid)
     return summary, zip(levels.tolist(), widths.tolist(), functional.tolist()), True
 
 
@@ -167,6 +163,41 @@ def _chain(grid: PotentialGrid, f: np.ndarray, report: RearrangementReport) -> T
         and report.psLeft <= report.psRight + slack
         and report.lambdaRearranged <= report.lambdaOriginal + slack
     )
+
+
+def _gj_profile_error(
+    pair: Eigenpair2D, hf: HeightFunction, profile: Eigenpair1D, scale_l: float
+) -> float:
+    """Sup distance between the 2D ground state and its 1D-profile surrogate.
+
+    Both fields are max-normalized; the surrogate is profile(x) times the
+    transverse sine mode pinned to the local boundary graphs.  The sup runs
+    over active cells whose x lies in the middle half of the longest run
+    where h stays above the threshold of the localization scale scale_l.
+    """
+    if profile.f.size != hf.h.size - 2:
+        raise ParameterError("1D profile grid does not match the height function grid")
+    start, stop = longest_run(hf.h >= 1.0 - 1.0 / (scale_l * scale_l))
+    if stop == start:
+        raise ParameterError("height function never reaches the localization level")
+    nodes = hf.nodes()
+    x_lo = nodes[start]
+    x_hi = nodes[stop - 1]
+    center = 0.5 * (x_lo + x_hi)
+    quarter = 0.25 * (x_hi - x_lo)
+    xa, ya = pair.grid.points()
+    sel = (xa >= center - quarter) & (xa <= center + quarter)
+    if not sel.any():
+        raise ParameterError("no active cells fall in the concentric half-window")
+    xq = xa[sel]
+    yq = ya[sel]
+    u1 = pair.u[sel] / float(np.max(np.abs(pair.u)))
+    phi_nodes = np.concatenate(([0.0], profile.f / float(np.max(np.abs(profile.f))), [0.0]))
+    phi = np.interp(xq, nodes, phi_nodes)
+    f1v = np.interp(xq, nodes, hf.f1)
+    hv = np.maximum(np.interp(xq, nodes, hf.h), 1e-12)
+    alpha = math.pi * (yq - f1v) / hv
+    return float(np.max(np.abs(u1 - phi * np.sin(alpha))))
 
 
 def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, object]]:
@@ -286,13 +317,12 @@ def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
 
     pair = smallest_eigenpair_2d(rasterize(poly, spacing), tol=tol)
     sup_ratio = float(np.max(np.abs(pair.u)))
-    statistic = vdberg_statistic(pair, rho, dm)
 
     poly_n, hf = normalize_gj(poly)
     scale_l = localization_scale(hf)
     profile = smallest_eigenpair(gj_potential(hf))
     pair_n = smallest_eigenpair_2d(rasterize(poly_n, spacing), tol=tol)
-    gj_error = gj_profile_error(pair_n, hf, profile)
+    gj_error = _gj_profile_error(pair_n, hf, profile, scale_l)
 
     lam_norm = pair.lambda1 * w * w
     return {
@@ -300,7 +330,7 @@ def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
         "rho": rho,
         "lambda1": pair.lambda1,
         "supRatio": sup_ratio,
-        "statistic": statistic,
+        "statistic": sup_ratio * rho * (dm / rho) ** (1.0 / 6.0),
         "L": scale_l,
         "gjError": gj_error,
         "diameter": dm,
@@ -365,7 +395,7 @@ def gj_compare_run(D, spacing, tol):
     rect_n, rect_hf = normalize_gj(rect)
     rect_profile = smallest_eigenpair(gj_potential(rect_hf))
     rect_pair = smallest_eigenpair_2d(rasterize(rect_n, spacing), tol=tol)
-    rect_error = gj_profile_error(rect_pair, rect_hf, rect_profile)
+    rect_error = _gj_profile_error(rect_pair, rect_hf, rect_profile, localization_scale(rect_hf))
 
     rows = []
     for d in sizes:

@@ -56,18 +56,26 @@ def _scan(grid: PotentialGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return levels, counts, last - first + 1 == counts
 
 
-def width_profile(grid: PotentialGrid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every distinct interior sample value y with width(y) and
-    1/width(y)^2 + y there, in one O(n log n) pass."""
-    levels, counts, _ = _scan(grid)
+def width_profile(grid: PotentialGrid) -> Tuple[SublevelReport, np.ndarray, np.ndarray, np.ndarray]:
+    """minimize_functional's report, then every distinct interior sample
+    value y with width(y) and 1/width(y)^2 + y there, from one O(n log n)
+    scan."""
+    levels, counts, contiguous = _scan(grid)
+    report = _minimize(grid, levels, counts, contiguous)
     rises = np.diff(counts, prepend=0) > 0  # the levels an interior node holds
     levels, widths = levels[rises], grid.dx * counts[rises]
-    return levels, widths, 1.0 / (widths * widths) + levels
+    return report, levels, widths, 1.0 / (widths * widths) + levels
 
 
 def minimize_functional(grid: PotentialGrid) -> SublevelReport:
     """Exact discrete minimization of 1/w(y)^2 + y over levels y > min V."""
-    levels, counts, contiguous = _scan(grid)
+    return _minimize(grid, *_scan(grid))
+
+
+def _minimize(
+    grid: PotentialGrid, levels: np.ndarray, counts: np.ndarray, contiguous: np.ndarray
+) -> SublevelReport:
+    """minimize_functional on the scan (_scan) of grid."""
     if len(levels) == 1:
         # constant potential: every level above the constant sees the whole
         # interval, so take the full width and a level one epsilon up

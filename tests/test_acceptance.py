@@ -24,6 +24,19 @@ PI2 = math.pi**2
 CONE_D_1D = [16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0]
 CONE_D_2D = [8.0, 16.0, 32.0, 64.0]
 
+# DLMF 9.9: Ai at a_1' = -1.018792971647471, the first zero of Ai', and
+# |Ai'| at a_1 = -2.338107410459767, the first zero of Ai
+AIRY_AT_A1_PRIME = 0.5356566560156998
+AIRY_PRIME_AT_A1 = 0.7012108227206915
+# Beyond the disk the cone's channel potential is about pi^2/4 + (pi^2/(2D)) x,
+# so at the localization scale D^(1/3) the ground state tends to the Airy
+# profile Ai(k^(1/3) x + a_1), k = pi^2/(2D), with int_{a_1}^inf Ai^2 = Ai'(a_1)^2;
+# its sup-norm statistic then tends to this constant as D -> infinity
+STATISTIC_LIMIT = (PI2 / 2.0) ** (1.0 / 6.0) * AIRY_AT_A1_PRIME / AIRY_PRIME_AT_A1
+# the gap to the limit shrinks like D^(-2/3): by 2^(-2/3) per doubling of D
+GAP_RATIO = 2.0 ** (-2.0 / 3.0)
+GAP_RATIO_BAND = (GAP_RATIO - 0.08, GAP_RATIO + 0.08)
+
 
 def cone_scaling_run(d_list):
     """Ground energies of the cone model family and their decay rate.
@@ -218,6 +231,26 @@ def test_criterion_09_cone_domain_supnorm_scaling(vdberg_result):
         f"D={CONE_D_2D}, max|rho-1|={rho_off:.1e} <= 1e-3, supRatio slope={slope:.4f} "
         f"<= {-1.0 / 6.0 + 0.05:.4f}, statistic max/min={spread:.3f} <= 2, {elapsed:.0f}s < 900s",
     )
+
+
+def test_cone_statistic_is_sup_ratio_times_scales(vdberg_result):
+    rows, _ = vdberg_result
+    for r in rows:
+        rho = r["rho"]
+        assert r["statistic"] == r["supRatio"] * rho * (r["diameter"] / rho) ** (1.0 / 6.0)
+
+
+def test_cone_statistic_tends_to_the_airy_limit(vdberg_result):
+    rows, _ = vdberg_result
+    stats = [r["statistic"] for r in rows]
+    assert [r["D"] for r in rows] == CONE_D_2D
+    assert all(b < a for a, b in zip(stats, stats[1:]))
+    gaps = [s - STATISTIC_LIMIT for s in stats]
+    for a, b in zip(gaps, gaps[1:]):
+        assert GAP_RATIO_BAND[0] <= b / a <= GAP_RATIO_BAND[1]
+    # Richardson extrapolation of the two largest sizes, one doubling apart
+    limit = (stats[-1] - GAP_RATIO * stats[-2]) / (1.0 - GAP_RATIO)
+    assert limit == pytest.approx(STATISTIC_LIMIT, rel=1e-2)
 
 
 def test_criterion_10_channel_energy_consistency(vdberg_result):

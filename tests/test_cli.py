@@ -508,6 +508,33 @@ def test_every_default_is_passed_somewhere():
     assert sorted(set(unpassed) - passed) == []
 
 
+def _package_imports():
+    """Each specgap module's name, with the specgap modules it imports from."""
+    imports = {}
+    for path in Path(specgap.__file__).parent.glob("*.py"):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = (a.name for a in node.names)
+                found.update(n.split(".")[1] for n in names if n.startswith("specgap."))
+            elif isinstance(node, ast.ImportFrom):
+                module = "specgap." + node.module if node.level and node.module else node.module
+                if module in (None, "specgap"):  # from . import m, from specgap import m
+                    found.update(a.name for a in node.names)
+                elif module.startswith("specgap."):
+                    found.add(module.split(".")[1])
+        imports[path.stem] = found
+    return imports
+
+
+def test_module_layering():
+    # the 2D solver stands on the geometry alone; what a run measures and
+    # judges lives in pipeline, and only the CLI calls it
+    imports = _package_imports()
+    assert imports["eigensolve2d"] == {"convexdomain", "errors"}
+    assert sorted(name for name, found in imports.items() if "pipeline" in found) == ["cli"]
+
+
 _INFEASIBLE = {"alpha": 0.5, "beta": 0.25, "gamma": 2}  # objective nan, exits 1
 
 

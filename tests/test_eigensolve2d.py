@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from specgap.convexdomain import (
     generate_family,
     gj_potential,
     inradius,
+    localization_scale,
     normalize_gj,
 )
 from specgap.eigensolve1d import smallest_eigenpair
@@ -30,12 +32,11 @@ from specgap.eigensolve2d import (
     _components,
     _dirichlet_symbol,
     _multigrid,
-    gj_profile_error,
     rasterize,
     smallest_eigenpair_2d,
-    vdberg_statistic,
 )
 from specgap.errors import GeometryError, NumericError, ParameterError
+from specgap.pipeline import _gj_profile_error
 
 PI2 = math.pi**2
 
@@ -285,6 +286,8 @@ def test_ground_state_positive_normalized(square_pair):
     grid, pair = square_pair
     assert np.all(pair.u > 0.0)
     assert np.sum(pair.u**2) * grid.spacing**2 == pytest.approx(1.0, abs=1e-12)
+    # at unit L2 norm the product of sines peaks at 2
+    assert float(np.max(pair.u)) == pytest.approx(2.0, rel=1e-3)
     assert pair.residual <= 1e-8
 
 
@@ -294,7 +297,8 @@ def test_disk_matches_bessel_ground_state():
     assert pair.lambda1 == pytest.approx(DISK_LAMBDA, rel=5e-3)
     ratio = float(np.max(np.abs(pair.u)))
     assert ratio == pytest.approx(DISK_SUP_RATIO, rel=5e-3)
-    assert vdberg_statistic(pair, 1.0, 2.0) == pytest.approx(DISK_STATISTIC, rel=5e-3)
+    # the statistic sup|u| rho (D/rho)^(1/6) at inradius 1 and diameter 2
+    assert ratio * 2.0 ** (1.0 / 6.0) == pytest.approx(DISK_STATISTIC, rel=5e-3)
 
 
 def test_quarter_scaling_law():
@@ -558,8 +562,19 @@ def test_unreachable_tolerance_raises(monkeypatch):
     monkeypatch.setattr(eigensolve2d, "_MAX_OUTER", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError, match="within 1 iterations"):
+        with pytest.raises(NumericError, match="after 1 of at most 1 iterations"):
             smallest_eigenpair_2d(grid, tol=1e-15)
+
+
+def test_stalled_solve_reports_the_iterations_that_ran():
+    # LOBPCG gives up on tol=1e-15 once its residual stops falling, long
+    # before the cap, and the message counts the iterations that ran
+    grid = rasterize(square(), 1.0 / 32.0)
+    with pytest.raises(NumericError) as info:
+        smallest_eigenpair_2d(grid, tol=1e-15)
+    ran = re.search(r"after (\d+) of at most (\d+) iterations", str(info.value))
+    assert ran is not None and int(ran[2]) == eigensolve2d._MAX_OUTER
+    assert 0 < int(ran[1]) < 100
 
 
 def test_bad_tolerance_rejected():
@@ -580,35 +595,19 @@ def test_mask_below_five_active_nodes_rejected():
     assert np.all(pair.u > 0)
 
 
-# ---------- vdberg_statistic ----------
-
-
-def test_statistic_formula(square_pair):
-    _, pair = square_pair
-    sup = float(np.max(np.abs(pair.u)))
-    expect = sup * 0.5 * (math.sqrt(2.0) / 0.5) ** (1.0 / 6.0)
-    assert vdberg_statistic(pair, 0.5, math.sqrt(2.0)) == pytest.approx(expect, rel=1e-12)
-    # unit square sup ratio tends to 2 (product of sines)
-    assert sup == pytest.approx(2.0, rel=1e-3)
-
-
-def test_statistic_rejects_bad_scales(square_pair):
-    _, pair = square_pair
-    with pytest.raises(ParameterError):
-        vdberg_statistic(pair, 0.0, 1.0)
-    with pytest.raises(ParameterError):
-        vdberg_statistic(pair, 1.0, -2.0)
+# ---------- the sup-norm statistic sup|u| rho (D/rho)^(1/6) ----------
 
 
 def test_statistic_scale_invariance():
     vals = []
     for side, spacing in ((1.0, 1.0 / 64.0), (3.0, 3.0 / 64.0)):
         pair = smallest_eigenpair_2d(rasterize(square(side), spacing), tol=1e-7)
-        vals.append(vdberg_statistic(pair, side / 2.0, side * math.sqrt(2.0)))
+        rho, dm = side / 2.0, side * math.sqrt(2.0)
+        vals.append(float(np.max(np.abs(pair.u))) * rho * (dm / rho) ** (1.0 / 6.0))
     assert vals[1] == pytest.approx(vals[0], rel=1e-6)
 
 
-# ---------- gj_profile_error ----------
+# ---------- pipeline._gj_profile_error on a 2D ground state ----------
 
 
 @pytest.fixture(scope="module")
@@ -622,7 +621,7 @@ def rect_pair():
 
 def test_rectangle_profile_separates(rect_pair):
     hf, pair, profile = rect_pair
-    err = gj_profile_error(pair, hf, profile)
+    err = _gj_profile_error(pair, hf, profile, localization_scale(hf))
     assert 0.0 <= err <= 1e-2
 
 
@@ -637,11 +636,19 @@ def test_profile_error_empty_window(rect_pair):
     )
     profile = smallest_eigenpair(gj_potential(far))
     with pytest.raises(ParameterError):
-        gj_profile_error(pair, far, profile)
+        _gj_profile_error(pair, far, profile, localization_scale(far))
 
 
 def test_profile_grid_mismatch_rejected(rect_pair):
     hf, pair, profile = rect_pair
     other = HeightFunction(a=0.0, b=8.0, h=np.ones(30), f1=np.zeros(30), f2=np.ones(30))
     with pytest.raises(ParameterError):
-        gj_profile_error(pair, other, profile)
+        _gj_profile_error(pair, other, profile, localization_scale(other))
+
+
+def test_profile_error_level_never_reached(rect_pair):
+    _, pair, _ = rect_pair
+    low = HeightFunction(a=0.0, b=8.0, h=np.full(300, 0.5), f1=np.zeros(300), f2=np.full(300, 0.5))
+    profile = smallest_eigenpair(gj_potential(low))
+    with pytest.raises(ParameterError, match="never reaches"):
+        _gj_profile_error(pair, low, profile, 2.0)

@@ -1,10 +1,11 @@
 """Tests for the shared run plumbing behind the CLI commands."""
 
 import math
+import sys
 
 import pytest
 
-from specgap import pipeline, rearrange
+from specgap import pipeline, rearrange, sublevel
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
 from specgap.potential import PotentialGrid, PotentialSpec, sample
@@ -168,6 +169,37 @@ def test_vdberg_sweep_small_member():
     )
     assert 1.0 / 20.0 <= row["shiftedProduct"] <= 20.0
     assert 0.5 <= row["oneDimRatio"] <= 2.0
+
+
+def test_each_height_function_finds_its_localization_scale_once(monkeypatch):
+    # the profile error takes the scale its caller found, at every binding
+    scale = pipeline.localization_scale
+    calls = []
+
+    def counting(hf):
+        calls.append(hf.b)
+        return scale(hf)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("specgap.") and hasattr(module, "localization_scale"):
+            monkeypatch.setattr(module, "localization_scale", counting)
+    pipeline.vdberg_sweep([8.0, 12.0], spacing=1.0 / 16.0, tol=1e-6)
+    assert len(calls) == 2
+    pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 16.0, tol=1e-6)
+    assert len(calls) == 3
+
+
+def test_bound_scans_the_samples_once(monkeypatch):
+    scan = sublevel._scan
+    calls = []
+
+    def counting(grid):
+        calls.append(grid.n)
+        return scan(grid)
+
+    monkeypatch.setattr(sublevel, "_scan", counting)
+    pipeline.bound("harmonic", (0.0,), (-12.0, 12.0), 4000)
+    assert calls == [4000]
 
 
 def test_vdberg_sweep_sorts_by_size():
