@@ -23,7 +23,7 @@ from .convexdomain import (
     minimal_width,
     normalize_gj,
 )
-from .constants import ConstantTriple, is_feasible, objective, search
+from .constants import ConstantTriple, exact_optimum, is_feasible, objective, search
 from .eigensolve1d import Eigenpair1D, smallest_eigenpair
 from .eigensolve2d import Eigenpair2D, rasterize, smallest_eigenpair_2d
 from .errors import ParameterError
@@ -44,6 +44,9 @@ RATIO_BAND = (0.5, 2.0)  # 2D normalized energy over the 1D channel energy
 GJ_RATIO_BAND = (0.25, 4.0)  # channel excess energy over the cone model's
 RECT_ERROR_BUDGET = 1e-2  # 8x1 rectangle: 2D ground state against its 1D profile
 RHO_TOL = 1e-3  # |inradius - 1| of the generated cones
+# smallest 2D solver tol a command accepts: the float64 residual stalls a
+# little below 1e-12, and under 1e-13 LOBPCG can spend its whole cap first
+MIN_TOL = 1e-13
 STAT_SPREAD_MAX = 2.0  # max/min of the sup-norm statistic across D
 SLOPE_MAX = -1.0 / 6.0 + 0.05  # log-log slope of the sup ratio against D
 
@@ -131,7 +134,8 @@ def thm1_check(names):
 
 def constant_triple(alpha, beta, gamma, budget, seed):
     """The given triple's objective when budget is 0, else the best triple
-    a seeded search finds within budget evaluations."""
+    a seeded search finds within budget evaluations; the summary sets it
+    against the exact optimum, the best any triple reaches."""
     if budget > 0:
         triple, value = search(budget, seed)
         summary = {"mode": "search", "objective": value, "feasible": 1, "budget": budget}
@@ -140,7 +144,14 @@ def constant_triple(alpha, beta, gamma, budget, seed):
         feasible = is_feasible(triple)
         value = objective(triple) if feasible else None
         summary = {"mode": "evaluate", "objective": value, "feasible": int(feasible)}
-    summary.update(alpha=triple.alpha, beta=triple.beta, gamma=triple.gamma)
+    exact = exact_optimum()
+    summary.update(
+        alpha=triple.alpha,
+        beta=triple.beta,
+        gamma=triple.gamma,
+        exactObjective=exact,
+        exactGap=None if value is None else (exact - value) / exact,
+    )
     row = [triple.alpha, triple.beta, triple.gamma, float("nan") if value is None else value]
     return summary, [row], bool(summary["feasible"])
 
@@ -373,8 +384,14 @@ def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     return {"allPass": int(ok), "slope": slope, "statSpread": spread}
 
 
+def _check_tol(tol: float) -> None:
+    if tol < MIN_TOL:
+        raise ParameterError(f"tol must be at least {MIN_TOL:g}, got {tol:g}")
+
+
 def vdberg(D, spacing, tol):
     """vdberg_sweep over the sizes D, judged by vdberg_verdict."""
+    _check_tol(tol)
     rows = vdberg_sweep(D, spacing, tol)
     verdict = vdberg_verdict(rows)
     return dict(verdict, rows=rows), None, verdict["allPass"]
@@ -390,6 +407,7 @@ def gj_compare_run(D, spacing, tol):
     track the cone model potential's ground energy within GJ_RATIO_BAND.
     allPass requires both. The CSV has one row per check.
     """
+    _check_tol(tol)
     sizes = _sizes("gjCompare", D)
     rect = ConvexPolygon(vertices=np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 1.0], [0.0, 1.0]]))
     rect_n, rect_hf = normalize_gj(rect)

@@ -18,6 +18,7 @@ import pytest
 import specgap
 from specgap import pipeline
 from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _write_outputs, main, run
+from specgap.constants import exact_optimum
 from specgap.convexdomain import MAX_GRID_NODES
 
 
@@ -168,6 +169,37 @@ def test_constants_search_deterministic(tmp_path):
     assert data["summary"]["mode"] == "search"
     assert data["summary"]["objective"] >= 0.004078
     assert data["config"]["seed"] == 3
+
+
+def test_constants_summary_holds_the_gap_to_the_exact_optimum(tmp_path):
+    runs = {
+        "ev": (0, []),
+        "se": (0, ["--set", "budget=2000", "--seed", "1"]),
+        "in": (1, ["--set", "alpha=0.5", "--set", "beta=0.25", "--set", "gamma=2"]),
+    }
+    for name, (status, sets) in runs.items():
+        assert main(["constants", *sets, "--out", str(tmp_path / name)]) == status
+    exact = exact_optimum()
+    for name in ("ev", "se"):
+        data, lines = load(tmp_path / name)
+        summary = data["summary"]
+        assert summary["exactObjective"] == exact
+        assert summary["exactGap"] == (exact - summary["objective"]) / exact
+        assert lines[0] == "alpha,beta,gamma,objective"
+    assert load(tmp_path / "ev")[0]["summary"]["exactGap"] == pytest.approx(0.01334, abs=1e-5)
+    assert 0.0 < load(tmp_path / "se")[0]["summary"]["exactGap"] < 2e-3
+    infeasible = load(tmp_path / "in")[0]["summary"]
+    assert infeasible["exactObjective"] == exact and infeasible["exactGap"] is None
+
+
+@pytest.mark.parametrize("command", ["vdberg", "gjCompare"])
+def test_tol_below_the_residual_floor_is_input_error(tmp_path, capsys, command):
+    # the float64 residual cannot reach 1e-15: rejected before any solve,
+    # where it would spend the whole iteration cap and exit 1
+    prefix = tmp_path / "t"
+    assert main([command, "--set", "tol=1e-15", "--out", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith("input error: tol must be at least 1e-13, got 1e-15")
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_verify_thm1_subset(tmp_path):

@@ -4,18 +4,107 @@ import math
 import numpy as np
 import pytest
 
-from specgap.constants import (
-    ConstantTriple,
-    _gamma_floor,
-    _golden_max,
-    is_feasible,
-    objective,
-    search,
-)
+from specgap.constants import ConstantTriple, exact_optimum as src_exact_optimum
+from specgap.constants import is_feasible, objective, search
 from specgap.errors import ParameterError
 
 REFERENCE = ConstantTriple(alpha=99.0 / 100.0, beta=7.0 / 1000.0, gamma=14.1327)
 REFERENCE_VALUE = 0.004078255002164759
+_PI2 = math.pi**2
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _gamma_floor(alpha, beta):
+    """Test reference: the smallest feasible gamma of (alpha, beta)."""
+    return (4.0 / alpha) * (1.0 - beta / _PI2) ** -2 - 1.0
+
+
+def _ray(alpha, beta):
+    """Test reference: gamma -> the objective of (alpha, beta, gamma), or
+    -inf when infeasible, one Python float at a time."""
+    if not (0.0 < alpha < 1.0 and 0.0 < beta < _PI2):
+        return lambda gamma: -math.inf
+    head = math.sqrt(alpha) / 2.0 * (1.0 - beta / _PI2)
+    cap = min(1.0 - alpha, alpha * beta)
+
+    def value(gamma):
+        bracket = head - (1.0 + gamma) ** -0.5 if 0.0 < gamma < math.inf else -1.0
+        return min(bracket * bracket / gamma, cap) if bracket >= 0.0 else -math.inf
+
+    return value
+
+
+def _golden_max(fn, lo, hi, iters):
+    """Test reference: golden-section maximization; returns (argmax, value, evals used)."""
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = fn(x1), fn(x2)
+    evals = 2
+    for _ in range(iters):
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = fn(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = fn(x1)
+        evals += 1
+    return (x1, f1, evals) if f1 >= f2 else (x2, f2, evals)
+
+
+def reference_search(budget, seed):
+    """Test reference: the search one restart and one evaluation at a time.
+
+    Each restart spawns its own child seed and spends evaluations from the
+    budget until it runs out; `search` must match it to the bit.
+    """
+    evals = 0
+
+    def spend(k):
+        nonlocal evals
+        if evals + k > budget:
+            return False
+        evals += k
+        return True
+
+    best = REFERENCE
+    best_val = _ray(best.alpha, best.beta)(best.gamma)
+    evals += 1
+
+    seq = np.random.SeedSequence(seed)
+    while evals < budget:
+        rng = np.random.default_rng(seq.spawn(1)[0])
+        a = float(rng.uniform(0.9, 0.9999))
+        b = float(rng.uniform(1e-4, 0.05))
+        g0 = _gamma_floor(a, b)
+        if not spend(1):
+            break
+        g = g0 * (1.0 + float(rng.exponential(1.0)))
+        val = _ray(a, b)(g)
+        for _ in range(3):
+            room = min(30, budget - evals)
+            if room < 4:
+                break
+            gg, vv, used = _golden_max(_ray(a, b), g0 * (1.0 + 1e-12), g0 * 100.0, room - 2)
+            evals += used
+            if vv > val:
+                g, val = gg, vv
+            radius = 0.05
+            for _ in range(4):
+                if not spend(1):
+                    break
+                na = min(max(a + radius * float(rng.standard_normal()), 1e-6), 1 - 1e-12)
+                nb = max(b * (1.0 + radius * float(rng.standard_normal())), 1e-9)
+                nv = _ray(na, nb)(g)
+                if nv > val:
+                    a, b, val = na, nb, nv
+                    g0 = _gamma_floor(a, b)
+                radius *= 0.5
+        if val > best_val:
+            best, best_val = ConstantTriple(alpha=a, beta=b, gamma=g), val
+
+    return best, best_val
 
 
 def _bracket(alpha, beta, gamma):
@@ -182,6 +271,58 @@ def test_search_results_are_pinned(budget, seed):
     assert repr(search(budget, seed)) == SEARCH_REPRS[budget, seed]
 
 
+BUDGETS = [*range(1, 9), *range(30, 36), *range(100, 111), *range(203, 211)]
+
+
+def _random_pairs(count):
+    rng = np.random.default_rng(20)
+    return list(zip(rng.integers(1, 3000, count).tolist(), rng.integers(0, 2**32, count).tolist()))
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_search_matches_the_reference_at_every_cut(budget):
+    # one full restart spends 103 evaluations after the reference triple's
+    # one, so these budgets cut the last restart in its start, its golden
+    # sections and its neighbour steps, or not at all (104, 207)
+    for seed in (0, budget):
+        assert repr(search(budget, seed)) == repr(reference_search(budget, seed))
+
+
+def test_search_matches_the_reference_on_random_pairs():
+    for budget, seed in _random_pairs(200):
+        assert repr(search(budget, seed)) == repr(reference_search(budget, seed)), (budget, seed)
+
+
+def _closed_form(alpha, beta, gamma):
+    """Test reference: the objective in scalar Python floats, None when infeasible."""
+    if not (0.0 < alpha < 1.0 and 0.0 < beta < _PI2 and gamma > 0.0):
+        return None
+    bracket = math.sqrt(alpha) / 2.0 * (1.0 - beta / _PI2) - (1.0 + gamma) ** -0.5
+    if bracket < 0.0:
+        return None
+    return min(bracket * bracket / gamma, 1.0 - alpha, alpha * beta)
+
+
+def test_objective_is_the_scalar_closed_form_to_the_bit():
+    # triples near the search's; np.power(1 + gamma, -0.5) can differ from
+    # Python's float power in the last bit (on some machines for about one
+    # input in twenty), and the objective must follow Python's
+    rng = np.random.default_rng(21)
+    alpha = rng.uniform(0.9, 0.9999, 10_000)
+    beta = rng.uniform(1e-4, 0.05, 10_000)
+    gamma = np.array([_gamma_floor(a, b) for a, b in zip(alpha.tolist(), beta.tolist())])
+    gamma *= rng.uniform(0.99, 3.0, 10_000)
+    feasible = 0
+    for a, b, g in zip(alpha.tolist(), beta.tolist(), gamma.tolist()):
+        t = ConstantTriple(alpha=a, beta=b, gamma=g)
+        closed = _closed_form(a, b, g)
+        assert is_feasible(t) is (closed is not None)
+        if closed is not None:
+            assert objective(t).hex() == closed.hex(), t
+            feasible += 1
+    assert 9_000 < feasible < 10_000
+
+
 @functools.lru_cache(maxsize=None)
 def exact_optimum():
     """Test reference: the largest objective any triple reaches.
@@ -220,6 +361,7 @@ def test_exact_optimum_is_about_one_over_242():
     t_star = exact_optimum()
     assert 1.0 / t_star == pytest.approx(241.9312, abs=1e-4)
     assert REFERENCE_VALUE < t_star
+    assert src_exact_optimum() == t_star == 0.0041334072626970095
 
 
 @pytest.mark.parametrize("budget, seed", list(SEARCH_REPRS))
