@@ -295,7 +295,9 @@ def localization_scale(hf: HeightFunction) -> float:
     """Fixed point of L -> length of the longest run where h >= 1 - 1/L^2.
 
     The run length is nonincreasing in L, so the crossing is unique; it is
-    found by bisection and capped at b - a.
+    found by bisection and capped at b - a.  The bisection stops once the
+    midpoint rounds onto an end of the bracket: every later step would then
+    leave the midpoint, which is the result, where it is.
     """
     h = hf.h
     peak = float(h.max())
@@ -316,6 +318,8 @@ def localization_scale(hf: HeightFunction) -> float:
     hi = span
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if excess(mid) > 0.0:
             lo = mid
         else:

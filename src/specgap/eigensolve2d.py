@@ -12,6 +12,13 @@ way and prolonged (full multigrid); the operator, LOBPCG and the final
 residual check are float64.  A mask equal to its mirror image about its
 middle column is solved on its half, where the even ground state lives,
 and checked on the full mask.
+
+The solver's arrays, masks included, are the [:, :-1] views of
+C-contiguous bases with one extra zero column, the guard.  Read flat, row
+neighbours lie one row width apart and column neighbours side by side, and
+the guard stands in for the box edge at both ends of each row, so each
+stencil shift, Jacobi sweep and column pass of the grid transfers is one
+contiguous or stride-2 pass instead of one short loop per row.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import lobpcg
 
 from .convexdomain import MAX_GRID_NODES, ConvexPolygon, inradius
 from .errors import GeometryError, NumericError, ParameterError
@@ -179,29 +186,50 @@ _MIN_ACTIVE = 5
 _MAX_OUTER = 2000
 
 
+def _guarded(a: np.ndarray) -> np.ndarray:
+    """a with one zero column appended, as a C-contiguous base whose [:, :-1] is a."""
+    base = np.zeros((a.shape[0], a.shape[1] + 1), dtype=a.dtype)
+    base[:, :-1] = a
+    return base
+
+
 def _prolong(coarse: np.ndarray, fine: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """fine = P coarse on the mask, by bilinear interpolation from the nodes (2i, 2j).
 
-    fine has shape 2 * coarse.shape - 1 and keeps its own dtype.
+    All three are guarded bases (_guarded), fine's view is twice coarse's
+    less one along each axis, and fine keeps its own dtype.  Its row width
+    is even, so the column pass is one stride-2 pass over the flat base; the
+    sums it writes into fine's guard are zeroed by the mask's.
     """
-    fine[::2, ::2] = coarse
-    for v in (fine[:, ::2], fine.T):  # one axis at a time
-        np.add(v[:-2:2], v[2::2], out=v[1::2])
-        v[1::2] *= 0.5
+    fine[::2, ::2] = coarse[:, :-1]
+    v, flat = fine[:, ::2], fine.ravel()
+    np.add(v[:-2:2], v[2::2], out=v[1::2])  # rows, on the even columns
+    v[1::2] *= 0.5
+    np.add(flat[:-2:2], flat[2::2], out=flat[1:-1:2])  # columns
+    flat[1:-1:2] *= 0.5
     fine *= mask
     return fine
 
 
 def _stencil(x: np.ndarray, t: np.ndarray, m: np.ndarray, fold: bool) -> np.ndarray:
-    """-S x on the mask m, into t; fold adds column 1's mirror image to column 0."""
-    np.multiply(x, -4.0, out=t)
-    t[1:, :] += x[:-1, :]
-    t[:-1, :] += x[1:, :]
-    t[:, 1:] += x[:, :-1]
-    t[:, :-1] += x[:, 1:]
+    """-S x on the mask m, into t; fold adds column 1's mirror image to column 0.
+
+    x, t and m are guarded bases (_guarded) of row width w, read flat: row
+    neighbours lie w entries apart, and x's guard, which must be zero, is
+    the box edge at both ends of each row.  Each node adds the terms it adds
+    over the box, in the same order, plus the guard's zeros; m's guard
+    zeroes t's.
+    """
+    w = x.shape[1]
+    flat, out = x.ravel(), t.ravel()
+    np.multiply(flat, -4.0, out=out)
+    out[w:] += flat[:-w]
+    out[:-w] += flat[w:]
+    out[1:] += flat[:-1]
+    out[:-1] += flat[1:]
     if fold:
-        t[:, :1] += x[:, 1:2]
-    t *= m
+        out[::w] += flat[1::w]
+    out *= m.ravel()
     return t
 
 
@@ -217,12 +245,20 @@ def _multigrid(
     the 2h mask, and lift, the prolongation P from that mask.
 
     The functions act on float64 active-cell vectors in np.nonzero(mask)
-    order.  Level k solves S x = (2^k h)^2 b for the unscaled stencil S on
-    the nodes (2^k i, 2^k j) of the zero-padded box, down to 4 to 8
-    intervals across its shorter side.  Two masked Jacobi sweeps (omega 0.8)
-    precede and follow the correction P (next level's cycle) P^T r, with
-    bilinear P (_prolong), or on the coarsest level the box's exact inverse
-    by type-I sine transforms (_box_inverse).
+    order, of shape (n,) or (n, 1), and keep the shape.  Level k solves
+    S x = (2^k h)^2 b for the unscaled stencil S on the nodes (2^k i, 2^k j)
+    of the zero-padded box, down to 4 to 8 intervals across its shorter
+    side.  Two masked Jacobi sweeps (omega 0.8) precede and follow the
+    correction P (next level's cycle) P^T r, with bilinear P (_prolong), or
+    on the coarsest level the box's exact inverse by type-I sine transforms
+    (_box_inverse).
+    Every level's arrays and masks, and the operator's, are guarded bases
+    (_guarded).  The stencil, the sweeps and P^T run on them flat: each
+    level that restricts has odd padded sides, so its row width is even,
+    the column passes are stride-2 passes over the whole base, and P^T's
+    row pass runs on the even columns alone, with the odd ones (no longer
+    read) holding the halved values.  Only P's row pass, the gathers
+    between levels and the coarsest solve use the [:, :-1] views.
     The mirrored sweeps contract in the energy norm, so the cycle is SPD to
     float32 rounding: its levels are float32 (mixed-precision multigrid:
     Goeddeke, Strzodka & Turek, IJPEDS 22, 2007), while the operator keeps
@@ -237,12 +273,12 @@ def _multigrid(
     """
     levels = max(1, ((min(_unfold(mask, fold).shape) - 1) // 4).bit_length())
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
-    masks = [padded[:: 1 << k, :: 1 << k] for k in range(levels)]
+    masks = [_guarded(padded[:: 1 << k, :: 1 << k]) for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
-    x64, t64 = np.zeros(padded.shape), np.zeros(padded.shape)
-    box_inverse = _box_inverse(_unfold(masks[-1], fold).shape)
-    active = np.ravel_multi_index(np.nonzero(mask), padded.shape)
-    coarse = padded[::2, ::2]
+    x64, t64 = np.zeros(masks[0].shape), np.zeros(masks[0].shape)
+    last = masks[-1][:, :-1]
+    box_inverse = _box_inverse(_unfold(last, fold).shape)
+    active = np.ravel_multi_index(np.nonzero(mask), masks[0].shape)
     edge = math.sqrt(0.5) if fold else 1.0
     root = np.where(np.nonzero(mask)[1] == 0, edge, 1.0)
 
@@ -254,7 +290,8 @@ def _multigrid(
 
     def apply_a(v: np.ndarray) -> np.ndarray:
         x64.ravel()[active] = v.ravel() / root
-        return _stencil(x64, t64, padded, fold).ravel()[active] / -h2 * root
+        av = _stencil(x64, t64, masks[0], fold).ravel()[active] / -h2 * root
+        return av.reshape(v.shape)
 
     def vcycle(r: np.ndarray) -> np.ndarray:
         gs[0].ravel()[active] = h2 * r.ravel() / root
@@ -262,29 +299,35 @@ def _multigrid(
             np.multiply(gs[k], 0.2, out=xs[k])  # the first sweep, from zero
             smooth(k)
             t = residual(k)
-            if k + 1 < levels:
-                for v, mirror in ((t.T, fold), (t[:, ::2], False)):  # P^T, one axis at a time
-                    v[1::2] *= 0.5
-                    v[:-2:2] += v[1::2]
-                    v[2::2] += v[1::2]
-                    if mirror:
-                        v[0] += v[1]
-                np.multiply(t[::2, ::2], masks[k + 1], out=gs[k + 1])
-        xs[-1] += box_inverse(_unfold(ts[-1], fold))[:, -ts[-1].shape[1] :] * masks[-1]
+            if k + 1 < levels:  # P^T, one axis at a time
+                flat, w = t.ravel(), t.shape[1]
+                flat[1::2] *= 0.5  # columns, flat: the guard adds zeros
+                flat[::2] += flat[1::2]
+                flat[2::2] += flat[1:-1:2]
+                if fold:
+                    flat[::w] += flat[1::w]
+                even, odd, n = flat[::2], flat[1::2], w // 2  # rows, on the even columns
+                np.multiply(even, 0.5, out=odd)  # halves, where nothing is read any more
+                even[:-n] += odd[n:]  # of which only the even rows are gathered
+                even[n:] += odd[:-n]
+                np.multiply(t[::2, ::2], masks[k + 1][:, :-1], out=gs[k + 1][:, :-1])
+        t = ts[-1][:, :-1]
+        xs[-1][:, :-1] += box_inverse(_unfold(t, fold))[:, -t.shape[1] :] * last
         for k in reversed(range(levels)):  # prolong the correction, post-smooth
             if k + 1 < levels:
                 xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
-        return xs[0].ravel()[active].astype(np.float64) * root
+        return (xs[0].ravel()[active].astype(np.float64) * root).reshape(r.shape)
 
     def lift(c: np.ndarray) -> np.ndarray:
-        full = np.zeros(coarse.shape)
-        full[coarse] = c
+        full = np.zeros(masks[1].shape)
+        full[masks[1]] = c
         full[:, 0] /= edge
-        return _prolong(full, np.empty(padded.shape), padded).ravel()[active] * root
+        fine = np.zeros(masks[0].shape)  # _prolong never writes its last guard entry
+        return _prolong(full, fine, masks[0]).ravel()[active] * root
 
-    return apply_a, vcycle, coarse, lift
+    return apply_a, vcycle, padded[::2, ::2], lift
 
 
 def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[np.ndarray, int]:
@@ -314,9 +357,9 @@ def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[
         # LOBPCG's own non-convergence notice; the caller's residual check decides
         warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
         _, x = lobpcg(
-            LinearOperator((n, n), matvec=apply_a, dtype=float),
+            apply_a,
             start[:, None],
-            M=LinearOperator((n, n), matvec=precondition, dtype=float),
+            M=precondition,
             tol=tol * box_min,
             maxiter=_MAX_OUTER - 1,  # scipy numbers its iterations from 0 to maxiter
             largest=False,
@@ -360,9 +403,10 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
         x[:, 0] /= math.sqrt(0.5)
         v = _unfold(x, fold)[mask]
         v /= np.linalg.norm(v)
-    x = np.zeros(mask.shape)
-    x[mask] = v
-    av = _stencil(x, np.empty(mask.shape), mask, False)[mask] / -h2
+    guarded = _guarded(mask)
+    x = np.zeros(guarded.shape)
+    x[guarded] = v
+    av = _stencil(x, np.empty(x.shape), guarded, False)[guarded] / -h2
     lam = float(v @ av)
     res = float(np.linalg.norm(av - lam * v)) / lam
     if not res <= tol:

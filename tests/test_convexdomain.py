@@ -347,6 +347,47 @@ def test_localization_half_tent():
     assert localization_scale(hf) == pytest.approx(2.0, abs=0.02)
 
 
+def reference_localization_scale(hf):
+    # the former loop: all 100 bisection steps, whether or not they move
+    span = hf.b - hf.a
+
+    def excess(scale):
+        start, stop = convexdomain.longest_run(hf.h >= 1.0 - 1.0 / (scale * scale))
+        return min((stop - start) * hf.dx, span) - scale
+
+    if excess(span) >= 0.0:
+        return span
+    lo, hi = min(1e-3, 0.5 * span), span
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_localization_stops_where_the_full_bisection_ends(monkeypatch):
+    # the bracket stops moving after 53 to 57 steps on these families; the
+    # early stop must return the 100-step loop's float to the bit
+    runs = []
+    longest_run = convexdomain.longest_run
+
+    def counting(mask):
+        runs.append(1)
+        return longest_run(mask)
+
+    for kind in ("cone", "stadium", "isoTriangle"):
+        for d in (8.0, 16.0, 32.0, 64.0, 128.0, 256.0):
+            hf = normalize_gj(generate_family(kind, d))[1]
+            expected = reference_localization_scale(hf)
+            monkeypatch.setattr(convexdomain, "longest_run", counting)
+            runs.clear()
+            assert localization_scale(hf) == expected
+            monkeypatch.setattr(convexdomain, "longest_run", longest_run)
+            assert len(runs) < 60
+
+
 def test_localization_requires_unit_peak():
     hf = manual_hf(np.full(100, 0.5))
     with pytest.raises(ParameterError):

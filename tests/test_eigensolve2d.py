@@ -32,6 +32,7 @@ from specgap.eigensolve2d import (
     _components,
     _dirichlet_symbol,
     _multigrid,
+    _unfold,
     rasterize,
     smallest_eigenpair_2d,
 )
@@ -390,8 +391,14 @@ def test_full_multigrid_start_matches_sparse_shift_invert():
             (63, 31),
         ),
         (thin_strip(), (127, 7)),
+        # an even number of columns, so no fold: the active nodes touch all
+        # four box sides, and only the zero guard column keeps rows apart
+        (
+            MaskedGrid(spacing=1.0 / 64.0, origin=np.zeros(2), mask=np.ones((63, 32), dtype=bool)),
+            (63, 32),
+        ),
     ],
-    ids=["prime-dst-axis", "fills-box", "empty-coarsest"],
+    ids=["prime-dst-axis", "fills-box", "empty-coarsest", "fills-box-unfolded"],
 )
 def test_rectangles_match_discrete_closed_form(grid, interior):
     h = grid.spacing
@@ -490,6 +497,118 @@ def symmetric_hull_grids(seed, count):
         if mask.shape[1] % 2 == 1 and mask.sum() >= 100:
             grids.append(MaskedGrid(spacing=grid.spacing, origin=grid.origin, mask=mask))
     return grids
+
+
+def reference_stencil(x, t, m, fold):
+    # the box layout: one pass per shift over the mask's own shape
+    np.multiply(x, -4.0, out=t)
+    t[1:, :] += x[:-1, :]
+    t[:-1, :] += x[1:, :]
+    t[:, 1:] += x[:, :-1]
+    t[:, :-1] += x[:, 1:]
+    if fold:
+        t[:, :1] += x[:, 1:2]
+    t *= m
+    return t
+
+
+def reference_prolong(coarse, fine, mask):
+    fine[::2, ::2] = coarse
+    for v in (fine[:, ::2], fine.T):  # one axis at a time
+        np.add(v[:-2:2], v[2::2], out=v[1::2])
+        v[1::2] *= 0.5
+    fine *= mask
+    return fine
+
+
+def reference_multigrid(mask, h2, fold):
+    # _multigrid on arrays of the padded box's shape, with no guard column
+    levels = max(1, ((min(_unfold(mask, fold).shape) - 1) // 4).bit_length())
+    padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
+    masks = [padded[:: 1 << k, :: 1 << k] for k in range(levels)]
+    xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
+    x64, t64 = np.zeros(padded.shape), np.zeros(padded.shape)
+    box_inverse = _box_inverse(_unfold(masks[-1], fold).shape)
+    active = np.ravel_multi_index(np.nonzero(mask), padded.shape)
+    coarse = padded[::2, ::2]
+    edge = math.sqrt(0.5) if fold else 1.0
+    root = np.where(np.nonzero(mask)[1] == 0, edge, 1.0)
+
+    def residual(k):
+        return np.add(reference_stencil(xs[k], ts[k], masks[k], fold), gs[k], out=ts[k])
+
+    def smooth(k):
+        xs[k] += np.multiply(residual(k), 0.2, out=ts[k])
+
+    def apply_a(v):
+        x64.ravel()[active] = v.ravel() / root
+        return reference_stencil(x64, t64, padded, fold).ravel()[active] / -h2 * root
+
+    def vcycle(r):
+        gs[0].ravel()[active] = h2 * r.ravel() / root
+        for k in range(levels):
+            np.multiply(gs[k], 0.2, out=xs[k])
+            smooth(k)
+            t = residual(k)
+            if k + 1 < levels:
+                for v, mirror in ((t.T, fold), (t[:, ::2], False)):
+                    v[1::2] *= 0.5
+                    v[:-2:2] += v[1::2]
+                    v[2::2] += v[1::2]
+                    if mirror:
+                        v[0] += v[1]
+                np.multiply(t[::2, ::2], masks[k + 1], out=gs[k + 1])
+        xs[-1] += box_inverse(_unfold(ts[-1], fold))[:, -ts[-1].shape[1] :] * masks[-1]
+        for k in reversed(range(levels)):
+            if k + 1 < levels:
+                xs[k] += reference_prolong(xs[k + 1], ts[k], masks[k])
+            smooth(k)
+            smooth(k)
+        return xs[0].ravel()[active].astype(np.float64) * root
+
+    def lift(c):
+        full = np.zeros(coarse.shape)
+        full[coarse] = c
+        full[:, 0] /= edge
+        return reference_prolong(full, np.empty(padded.shape), padded).ravel()[active] * root
+
+    return apply_a, vcycle, coarse, lift
+
+
+def guarded_layout_cases():
+    # (mask, h^2, fold)
+    cone = rasterize(generate_family("cone", 8.0), 1.0 / 16.0)
+    cases = [(cone.mask, 1.0 / 256.0, False), (Fold(cone).half, 1.0 / 256.0, True)]
+    cases += [(thin_strip().mask, 1.0 / 4096.0, False)]
+    cases += [(np.ones((63, 31), dtype=bool), 1.0 / 4096.0, False)]
+    for grid in symmetric_hull_grids(37, 2):
+        cases += [(grid.mask, grid.spacing**2, False), (Fold(grid).half, grid.spacing**2, True)]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "mask, h2, fold",
+    guarded_layout_cases(),
+    ids=["cone", "cone-folded", "empty-coarsest", "fills-box"]
+    + [f"hull-{i}{tag}" for i in (1, 2) for tag in ("", "-folded")],
+)
+def test_guarded_layout_matches_the_box_layout_to_the_bit(mask, h2, fold):
+    # the flat passes over guarded bases do what the box layout did, node
+    # by node in the same order; calls alternate, so a guard column or a
+    # scratch entry left dirty by one call would show in the next
+    apply_a, vcycle, coarse, lift = _multigrid(mask, h2, fold)
+    ref_a, ref_cycle, ref_coarse, ref_lift = reference_multigrid(mask, h2, fold)
+    assert np.array_equal(coarse, ref_coarse) and min(coarse.shape) >= 3
+    rng = np.random.default_rng(19)
+    xs = rng.standard_normal((3, np.count_nonzero(mask)))
+    for x in (xs[0], xs[1], xs[0], xs[2]):
+        assert np.array_equal(apply_a(x), ref_a(x))
+        assert np.array_equal(vcycle(x), ref_cycle(x))
+        # LOBPCG passes (n, 1) blocks, and gets the same numbers back in that shape
+        assert np.array_equal(vcycle(x[:, None]), ref_cycle(x)[:, None])
+        assert np.array_equal(apply_a(x[:, None]), ref_a(x)[:, None])
+    for c in rng.standard_normal((2, np.count_nonzero(coarse))):
+        assert np.array_equal(lift(c), ref_lift(c))
 
 
 def test_folded_operator_is_the_laplacian_on_even_functions():
