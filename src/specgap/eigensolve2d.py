@@ -4,14 +4,13 @@ Domains are rasterized onto uniform grid nodes; nodes strictly inside the
 polygon are active and all outside neighbors are held at zero.  The smallest
 eigenpair of the matrix-free five-point stencil on active cells comes from
 LOBPCG (Knyazev 2001) preconditioned by one float32 geometric multigrid
-V-cycle (Knyazev & Neymeyr, ETNA 15, 2003) whose coarsest level is the exact
-inverse of the bounding box's Dirichlet Laplacian, by type-I sine transforms
-taken from numpy's real FFT.  LOBPCG starts from the ground state of the
-same problem on the grid of twice the spacing, solved loosely in the same
-way and prolonged (full multigrid); the operator, LOBPCG and the final
-residual check are float64.  A mask equal to its mirror image about its
-middle column is solved on its half, where the even ground state lives,
-and checked on the full mask.
+V-cycle (Knyazev & Neymeyr, ETNA 15, 2003) whose coarsest level is solved
+exactly on its mask by a float32 sparse LU.  LOBPCG starts from the ground
+state of the same problem on the grid of twice the spacing, solved loosely
+in the same way and prolonged (full multigrid); the operator, LOBPCG and
+the final residual check are float64.  A mask equal to its mirror image
+about its middle column is solved on its half, where the even ground state
+lives, and checked on the full mask.
 
 The solver's arrays, masks included, are the [:, :-1] views of
 C-contiguous bases with one extra zero column, the guard.  Read flat, row
@@ -29,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import lobpcg
+import scipy.sparse as sp
+from scipy.sparse.linalg import lobpcg, splu
 
 from .convexdomain import MAX_GRID_NODES, ConvexPolygon, inradius
 from .errors import GeometryError, NumericError, ParameterError
@@ -142,36 +142,6 @@ def _components(lo: np.ndarray, hi: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(breaks))
 
 
-def _dirichlet_symbol(n: int, h2: float) -> np.ndarray:
-    """Eigenvalues of the three-point Dirichlet stencil on n nodes, ascending."""
-    return (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / h2
-
-
-def _box_inverse(shape: tuple[int, int]) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverse of the unscaled five-point stencil on a zero-padded box.
-
-    The stencil is diagonal in the type-I sine basis, so its inverse is
-    dst(dst(r) / symbol) / (4 (n0 + 1)(n1 + 1)) with the unnormalized DST-I
-    y_k = 2 sum_j a_j sin(pi (j + 1)(k + 1) / (n + 1)) along each axis,
-    read off the real FFT of the odd extension (0, a, 0, -reversed a) as
-    minus its imaginary part.
-    """
-    n0, n1 = shape
-    symbol = np.add.outer(_dirichlet_symbol(n0, 1.0), _dirichlet_symbol(n1, 1.0))
-    scale = 0.25 / ((n0 + 1) * (n1 + 1) * symbol)
-
-    def dst2(a: np.ndarray) -> np.ndarray:
-        for _ in range(2):  # along axis 1, then along axis 0 after a transpose
-            m, n = a.shape
-            z = np.zeros((m, 2 * n + 2))
-            z[:, 1 : n + 1] = a
-            z[:, n + 2 :] = -a[:, ::-1]
-            a = -np.fft.rfft(z)[:, 1 : n + 1].imag.T
-        return a
-
-    return lambda r: dst2(dst2(r) * scale)
-
-
 # The full-multigrid start solves the 2h problem only to this relative
 # residual: it supplies a start vector, and a tighter coarse solve (1e-6)
 # saved almost no fine-level iterations on the vdberg cones.
@@ -238,6 +208,20 @@ def _unfold(a: np.ndarray, fold: bool) -> np.ndarray:
     return np.hstack((a[:, :0:-1], a)) if fold else a
 
 
+def _coarsest_solve(mask: np.ndarray, fold: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """x = S^-1 r for the unscaled stencil S of _stencil on the guarded mask, by float32 sparse LU.
+
+    r and x are float32 vectors over np.flatnonzero(mask).  S is built on the
+    flat base, where the guard keeps rows apart, and restricted to the mask;
+    with fold, column 0's right neighbour counts twice.  An empty mask gives
+    a 0 x 0 factor, whose solve returns an empty vector.
+    """
+    n, w, active = mask.size, mask.shape[1], np.flatnonzero(mask)
+    right = np.where(np.arange(n - 1) % w == 0, -2.0 if fold else -1.0, -1.0)
+    s = sp.diags([-1.0, -1.0, 4.0, right, -1.0], [-w, -1, 0, 1, w], shape=(n, n), format="csc")
+    return splu(s[active][:, active].astype(np.float32)).solve
+
+
 def _multigrid(
     mask: np.ndarray, h2: float, fold: bool
 ) -> tuple[Callable, Callable, np.ndarray, Callable]:
@@ -247,37 +231,38 @@ def _multigrid(
     The functions act on float64 active-cell vectors in np.nonzero(mask)
     order, of shape (n,) or (n, 1), and keep the shape.  Level k solves
     S x = (2^k h)^2 b for the unscaled stencil S on the nodes (2^k i, 2^k j)
-    of the zero-padded box, down to 4 to 8 intervals across its shorter
-    side.  Two masked Jacobi sweeps (omega 0.8) precede and follow the
-    correction P (next level's cycle) P^T r, with bilinear P (_prolong), or
-    on the coarsest level the box's exact inverse by type-I sine transforms
-    (_box_inverse).
+    of the zero-padded box, down to 16 to 32 intervals across the shorter
+    side of mask.  Two masked Jacobi sweeps (omega 0.8) precede and follow
+    the correction P (next level's cycle) P^T r, with bilinear P (_prolong),
+    or on the coarsest level the masked stencil's exact solve
+    (_coarsest_solve).  That solve keeps the correction on the coarsest
+    mask, and at 4 to 8 intervals a thin domain's mask holds only a node
+    or two across, too few to carry it.
     Every level's arrays and masks, and the operator's, are guarded bases
     (_guarded).  The stencil, the sweeps and P^T run on them flat: each
     level that restricts has odd padded sides, so its row width is even,
     the column passes are stride-2 passes over the whole base, and P^T's
     row pass runs on the even columns alone, with the odd ones (no longer
-    read) holding the halved values.  Only P's row pass, the gathers
-    between levels and the coarsest solve use the [:, :-1] views.
+    read) holding the halved values.  Only P's row pass and the gathers
+    between levels use the [:, :-1] views.
     The mirrored sweeps contract in the energy norm, so the cycle is SPD to
     float32 rounding: its levels are float32 (mixed-precision multigrid:
     Goeddeke, Strzodka & Turek, IJPEDS 22, 2007), while the operator keeps
     float64 arrays of its own.  The 2h mask is the padded mask at the nodes
-    (2i, 2j); lift needs two or more levels, which a 2h mask of 3 or more
+    (2i, 2j); lift needs two or more levels, which a 2h mask of 17 or more
     nodes across implies.
     With fold, mask is the half of a mask even about its column 0, which
-    coarsens onto itself: the stencil and P^T add column 1's mirror image to
-    column 0, and the coarsest level mirrors its residual out to the box.
+    coarsens onto itself: the stencil, P^T and the coarsest solve add column
+    1's mirror image to column 0.
     That is self-adjoint under the weight 1/2 on column 0 and 1 elsewhere,
     so the functions scale column 0 by sqrt(1/2), which makes it symmetric.
     """
-    levels = max(1, ((min(_unfold(mask, fold).shape) - 1) // 4).bit_length())
+    levels = max(1, ((min(mask.shape) - 1) // 16).bit_length())
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [_guarded(padded[:: 1 << k, :: 1 << k]) for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
     x64, t64 = np.zeros(masks[0].shape), np.zeros(masks[0].shape)
-    last = masks[-1][:, :-1]
-    box_inverse = _box_inverse(_unfold(last, fold).shape)
+    cact, coarsest = np.flatnonzero(masks[-1]), _coarsest_solve(masks[-1], fold)
     active = np.ravel_multi_index(np.nonzero(mask), masks[0].shape)
     edge = math.sqrt(0.5) if fold else 1.0
     root = np.where(np.nonzero(mask)[1] == 0, edge, 1.0)
@@ -311,8 +296,7 @@ def _multigrid(
                 even[:-n] += odd[n:]  # of which only the even rows are gathered
                 even[n:] += odd[:-n]
                 np.multiply(t[::2, ::2], masks[k + 1][:, :-1], out=gs[k + 1][:, :-1])
-        t = ts[-1][:, :-1]
-        xs[-1][:, :-1] += box_inverse(_unfold(t, fold))[:, -t.shape[1] :] * last
+        xs[-1].ravel()[cact] += coarsest(ts[-1].ravel()[cact])
         for k in reversed(range(levels)):  # prolong the correction, post-smooth
             if k + 1 < levels:
                 xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
@@ -337,10 +321,13 @@ def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[
     function to _COARSE_TOL and prolonged by P (full multigrid: Brandt,
     Math. Comp. 31, 1977), or the all-ones vector when that mask, unfolded,
     is below _FMG_MIN_NODES.  With fold, mask is a half and v is scaled as
-    _multigrid's vectors are.  iterations counts this level's only.
+    _multigrid's vectors are.  iterations counts this level's only.  LOBPCG
+    stops at tol times box_min, the smallest eigenvalue of the whole
+    (unfolded) bounding box's Dirichlet Laplacian: one three-point symbol
+    per axis.
     """
     n = int(np.count_nonzero(mask))
-    box_min = sum(float(_dirichlet_symbol(m, h2)[0]) for m in _unfold(mask, fold).shape)
+    box_min = sum((2.0 - 2.0 * math.cos(math.pi / (m + 1))) / h2 for m in _unfold(mask, fold).shape)
     apply_a, vcycle, coarse, lift = _multigrid(mask, h2, fold)
     start = np.ones(n)
     whole = _unfold(coarse, fold)  # the gate reads the full 2h mask

@@ -387,6 +387,8 @@ def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
 def _check_tol(tol: float) -> None:
     if tol < MIN_TOL:
         raise ParameterError(f"tol must be at least {MIN_TOL:g}, got {tol:g}")
+    if tol >= 1.0:  # a relative residual of 1 or more holds for a vector that is no eigenvector
+        raise ParameterError(f"tol must be below 1, got {tol:g}")
 
 
 def vdberg(D, spacing, tol):

@@ -202,6 +202,18 @@ def test_tol_below_the_residual_floor_is_input_error(tmp_path, capsys, command):
     assert not (tmp_path / "t.json").exists()
 
 
+@pytest.mark.parametrize("command", ["vdberg", "gjCompare"])
+@pytest.mark.parametrize("tol", ["1", "1e300"])
+def test_tol_of_one_or_more_is_input_error(tmp_path, capsys, command, tol):
+    # at tol=1e300 LOBPCG ran no iteration and the start vector, with a
+    # relative residual of 3.6, passed every check with exit 0
+    prefix = tmp_path / "t"
+    assert main([command, "--set", f"tol={tol}", "--out", str(prefix)]) == 2
+    message = f"input error: tol must be below 1, got {float(tol):g}"
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_verify_thm1_subset(tmp_path):
     prefix = tmp_path / "v"
     assert main(["verifyThm1", "--out", str(prefix), "--set", "names=squareWell"]) == 0

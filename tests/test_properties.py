@@ -1,19 +1,25 @@
-"""The paper's invariants as properties over random piecewise-linear wells."""
+"""The paper's invariants as properties over random piecewise-linear wells
+and random convex polygons."""
 
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from specgap.cli import main
+from specgap.convexdomain import ConvexPolygon, diameter, inradius
+from specgap.eigensolve2d import rasterize, smallest_eigenpair_2d
+from specgap.errors import GeometryError
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.sublevel import minimize_functional
 from test_eigensolve1d import sine_testfunction_bound
+from test_eigensolve2d import DISK_STATISTIC
 from test_potential import shift
 
 PI2 = math.pi**2
@@ -74,6 +80,55 @@ def test_scaling(grid, s):
     assert lam1 == pytest.approx(s * s * lam0, rel=1e-10)
     f0 = minimize_functional(grid).fStar
     assert minimize_functional(scaled).fStar == pytest.approx(s * s * f0, rel=1e-10)
+
+
+# The disk's statistic at spacing 1/16 is 1.19869, 1.7% below its exact
+# value DISK_STATISTIC: the staircase grid error, which may fall the other way
+# on another domain
+STATISTIC_GRID_SLACK = 0.017
+
+
+@st.composite
+def convex_polygons(draw):
+    """Polygons inscribed in a sheared ellipse of axes a and 1, scaled to unit
+    inradius: 3 to 16 distinct whole-degree angles, so every vertex set is in
+    convex position, from triangles to near-disks."""
+    degrees = sorted(draw(st.lists(st.integers(0, 359), min_size=3, max_size=16, unique=True)))
+    a, shear = draw(st.floats(1.0, 16.0)), draw(st.floats(-1.0, 1.0))
+    t = np.radians(degrees)
+    x, y = a * np.cos(t), np.sin(t)
+    poly = ConvexPolygon(vertices=np.column_stack([x + shear * y, y]))
+    return ConvexPolygon(vertices=poly.vertices / inradius(poly))
+
+
+@PROPERTY
+@given(poly=convex_polygons())
+# the largest statistic of 3,000 targeted examples off the suite, 1.18281
+@example(
+    poly=ConvexPolygon(
+        vertices=np.array(
+            [
+                [1.8802081080925217, 0.2815871881190426],
+                [-0.6206341855918892, 1.1250842496992342],
+                [-1.8909180731197344, -0.1308456905694246],
+                [-0.38806670242161945, -1.2470075531450986],
+            ]
+        )
+    )
+)
+def test_sup_norm_statistic_is_at_most_the_disks(poly):
+    # the paper's 2D bound: sup|u| rho (D/rho)^(1/6) at unit L2 norm is at
+    # most a universal constant, and the disk is the largest value measured
+    rho, dm = inradius(poly), diameter(poly)
+    assume(dm / rho <= 32.0)
+    try:
+        grid = rasterize(poly, 1.0 / 16.0)
+    except GeometryError:  # a thin tip whose nodes split from the rest
+        assume(False)
+    pair = smallest_eigenpair_2d(grid)
+    statistic = float(np.max(np.abs(pair.u))) * rho * (dm / rho) ** (1.0 / 6.0)
+    target(statistic)
+    assert statistic <= DISK_STATISTIC * (1.0 + STATISTIC_GRID_SLACK)
 
 
 _NUMBER = st.one_of(
