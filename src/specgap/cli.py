@@ -57,8 +57,12 @@ def _as_int(value) -> int:
 
 
 # largest accepted sizes, checked before anything is allocated; each admits
-# every command line in the README, the tests and the benchmark workloads
-MAX_SIZE = {"n": 1_000_000, "knots": 10_000, "count": 100_000, "resolution": 4096}
+# every command line in the README, the tests and the benchmark workloads;
+# a constants search holds an array row per restart, and its 10 million
+# evaluations take about 8 s and 120 MB
+MAX_SIZE = {
+    "n": 1_000_000, "knots": 10_000, "count": 100_000, "resolution": 4096, "budget": 10_000_000
+}
 
 
 def _size(key: str) -> Callable[[object], int]:
@@ -95,7 +99,7 @@ def _interval(value) -> Tuple[float, float]:
 
 
 def _budget(value) -> int:
-    budget = _as_int(value)
+    budget = _size("budget")(value)
     if budget < 0:
         raise ParameterError(f"expected a budget of at least 0, got {budget}")
     return budget
@@ -110,6 +114,7 @@ def _seed(value) -> int:
 
 # every config key's coercion, applied before the runner is called
 COERCE: Dict[str, Callable[[object], object]] = {
+    **{key: _size(key) for key in MAX_SIZE},  # budget's entry below adds its >= 0 rule
     "kind": str,
     "params": lambda value: tuple(_as_float_list(value)),
     "interval": _interval,
@@ -124,7 +129,6 @@ COERCE: Dict[str, Callable[[object], object]] = {
     "families": _as_str_list,
     "D": _as_float_list,
     "spacing": _as_float,
-    **{key: _size(key) for key in MAX_SIZE},
 }
 
 

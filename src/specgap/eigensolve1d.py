@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solveh_banded
 
-from specgap.errors import NumericError
+from specgap.errors import NumericError, ParameterError
 from specgap.potential import PotentialGrid
 
 # bisection stop relative to max(1, |Gershgorin lower bound|); it sets the
@@ -44,6 +44,9 @@ def smallest_eigenpair(grid: PotentialGrid) -> Eigenpair1D:
     dx = grid.dx
     diag = 2.0 / dx**2 + grid.values[1:-1]
     off = -1.0 / dx**2
+    norm_a = float(np.max(np.abs(diag))) + 2.0 * abs(off)
+    if not math.isfinite(norm_a * norm_a):  # LAPACK's bisection and LDL^T square entries
+        raise ParameterError(f"operator norm {norm_a:.3g} is too large: its square overflows")
     eps = np.finfo(float).eps
     abstol = _TOL * max(1.0, abs(float(diag.min()) - 2.0 * abs(off)))
     try:
@@ -54,7 +57,6 @@ def smallest_eigenpair(grid: PotentialGrid) -> Eigenpair1D:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"bisection for the lowest eigenvalue failed: {exc}") from exc
     # refining the grid cannot push the residual below rounding in ||A||
-    norm_a = float(np.max(np.abs(diag))) + 2.0 * abs(off)
     shift = w - max(2.0 * abstol, 64.0 * eps * norm_a)
     res_target = max(1e-8 * max(1.0, abs(w)), 64.0 * eps * norm_a)
     ab = np.zeros((2, n))

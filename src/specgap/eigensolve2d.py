@@ -6,8 +6,8 @@ eigenpair of the matrix-free five-point stencil on active cells comes from
 LOBPCG (Knyazev 2001) preconditioned by one float32 geometric multigrid
 V-cycle (Knyazev & Neymeyr, ETNA 15, 2003) whose coarsest level is solved
 exactly on its mask by a float32 sparse LU.  LOBPCG starts from the ground
-state of the same problem on the grid of twice the spacing, solved loosely
-in the same way and prolonged (full multigrid); the operator, LOBPCG and
+state on the cycle's coarser levels, solved loosely in the same way from
+coarse to fine and prolonged (full multigrid); the operator, LOBPCG and
 the final residual check are float64.  A mask equal to its mirror image
 about its middle column is solved on its half, where the even ground state
 lives, and checked on the full mask.
@@ -142,12 +142,13 @@ def _components(lo: np.ndarray, hi: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(breaks))
 
 
-# The full-multigrid start solves the 2h problem only to this relative
+# The full-multigrid start solves the coarse levels only to this relative
 # residual: it supplies a start vector, and a tighter coarse solve (1e-6)
 # saved almost no fine-level iterations on the vdberg cones.
 _COARSE_TOL = 1e-3
 # Below this many nodes across its shorter side, or this many active nodes,
-# a 2h mask is too small to be worth a solve, and LOBPCG starts from ones.
+# a coarse level's whole mask is too small to be worth a solve, and the
+# full-multigrid start begins from ones on the level above it.
 _FMG_MIN_NODES = 33
 # LOBPCG needs at least five times its block size (one vector) of unknowns;
 # below that scipy switches to a dense solve with another return signature.
@@ -224,48 +225,41 @@ def _coarsest_solve(mask: np.ndarray, fold: bool) -> Callable[[np.ndarray], np.n
 
 def _multigrid(
     mask: np.ndarray, h2: float, fold: bool
-) -> tuple[Callable, Callable, np.ndarray, Callable]:
-    """The masked five-point Laplacian, one float32 multigrid V-cycle for it,
-    the 2h mask, and lift, the prolongation P from that mask.
+) -> tuple[list[np.ndarray], Callable, Callable, Callable]:
+    """The level masks of mask's multigrid hierarchy and, for a level k, the
+    masked five-point Laplacian at (2^k h)^2, one float32 V-cycle for it
+    from level k down, and lift, the prolongation P from level k + 1 to k.
 
-    The functions act on float64 active-cell vectors in np.nonzero(mask)
-    order, of shape (n,) or (n, 1), and keep the shape.  Level k solves
-    S x = (2^k h)^2 b for the unscaled stencil S on the nodes (2^k i, 2^k j)
-    of the zero-padded box, down to 16 to 32 intervals across the shorter
-    side of mask.  Two masked Jacobi sweeps (omega 0.8) precede and follow
-    the correction P (next level's cycle) P^T r, with bilinear P (_prolong),
-    or on the coarsest level the masked stencil's exact solve
-    (_coarsest_solve).  That solve keeps the correction on the coarsest
-    mask, and at 4 to 8 intervals a thin domain's mask holds only a node
-    or two across, too few to carry it.
-    Every level's arrays and masks, and the operator's, are guarded bases
-    (_guarded).  The stencil, the sweeps and P^T run on them flat: each
-    level that restricts has odd padded sides, so its row width is even,
-    the column passes are stride-2 passes over the whole base, and P^T's
-    row pass runs on the even columns alone, with the odd ones (no longer
-    read) holding the halved values.  Only P's row pass and the gathers
-    between levels use the [:, :-1] views.
+    operator(k) returns a function of float64 vectors over np.nonzero(masks[k]),
+    of shape (n,) or (n, 1), that keeps the shape, and so does vcycle(k, r);
+    lift(k, c) maps such a vector from level k + 1 to k.  Level k holds the
+    nodes (2^k i, 2^k j) of the zero-padded box, down to 16 to 32 intervals
+    across the shorter side of mask (a coarser level holds too few nodes
+    across a thin domain), and solves S x = (2^k h)^2 b for the unscaled
+    stencil S: two masked Jacobi sweeps (omega 0.8) precede and follow the
+    correction P (next level's cycle) P^T r, with bilinear P (_prolong), or
+    on the coarsest level the exact solve _coarsest_solve, factored once.
+    Every level's arrays and masks are guarded bases (_guarded): a level
+    that restricts has odd padded sides, so its row width is even, P^T's
+    column pass is one stride-2 pass over the flat base, and its row pass
+    runs on the even columns alone, the odd ones (no longer read) holding
+    the halved values.
     The mirrored sweeps contract in the energy norm, so the cycle is SPD to
-    float32 rounding: its levels are float32 (mixed-precision multigrid:
-    Goeddeke, Strzodka & Turek, IJPEDS 22, 2007), while the operator keeps
-    float64 arrays of its own.  The 2h mask is the padded mask at the nodes
-    (2i, 2j); lift needs two or more levels, which a 2h mask of 17 or more
-    nodes across implies.
+    float32 rounding (mixed-precision multigrid: Goeddeke, Strzodka & Turek,
+    IJPEDS 22, 2007); each operator allocates float64 arrays of its own.
     With fold, mask is the half of a mask even about its column 0, which
     coarsens onto itself: the stencil, P^T and the coarsest solve add column
-    1's mirror image to column 0.
-    That is self-adjoint under the weight 1/2 on column 0 and 1 elsewhere,
-    so the functions scale column 0 by sqrt(1/2), which makes it symmetric.
+    1's mirror image to column 0.  That is self-adjoint under the weight
+    1/2 on column 0 and 1 elsewhere, so the functions scale column 0 by
+    sqrt(1/2), which makes it symmetric.
     """
     levels = max(1, ((min(mask.shape) - 1) // 16).bit_length())
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [_guarded(padded[:: 1 << k, :: 1 << k]) for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
-    x64, t64 = np.zeros(masks[0].shape), np.zeros(masks[0].shape)
-    cact, coarsest = np.flatnonzero(masks[-1]), _coarsest_solve(masks[-1], fold)
-    active = np.ravel_multi_index(np.nonzero(mask), masks[0].shape)
+    actives, coarsest = [np.flatnonzero(m) for m in masks], _coarsest_solve(masks[-1], fold)
     edge = math.sqrt(0.5) if fold else 1.0
-    root = np.where(np.nonzero(mask)[1] == 0, edge, 1.0)
+    roots = [np.where(a % m.shape[1] == 0, edge, 1.0) for a, m in zip(actives, masks)]
 
     def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k (g_k is 0 off it)
         return np.add(_stencil(xs[k], ts[k], masks[k], fold), gs[k], out=ts[k])
@@ -273,14 +267,19 @@ def _multigrid(
     def smooth(k: int) -> None:  # one Jacobi sweep: S has diagonal 4
         xs[k] += np.multiply(residual(k), 0.2, out=ts[k])
 
-    def apply_a(v: np.ndarray) -> np.ndarray:
-        x64.ravel()[active] = v.ravel() / root
-        av = _stencil(x64, t64, masks[0], fold).ravel()[active] / -h2 * root
-        return av.reshape(v.shape)
+    def operator(top: int) -> Callable[[np.ndarray], np.ndarray]:
+        x64, t64 = np.zeros(masks[top].shape), np.zeros(masks[top].shape)
 
-    def vcycle(r: np.ndarray) -> np.ndarray:
-        gs[0].ravel()[active] = h2 * r.ravel() / root
-        for k in range(levels):  # pre-smooth, restrict the residual
+        def apply_a(v: np.ndarray) -> np.ndarray:
+            x64.ravel()[actives[top]] = v.ravel() / roots[top]
+            av = _stencil(x64, t64, masks[top], fold).ravel()[actives[top]]
+            return (av / -(h2 * 4**top) * roots[top]).reshape(v.shape)
+
+        return apply_a
+
+    def vcycle(top: int, r: np.ndarray) -> np.ndarray:
+        gs[top].ravel()[actives[top]] = h2 * 4**top * r.ravel() / roots[top]
+        for k in range(top, levels):  # pre-smooth, restrict the residual
             np.multiply(gs[k], 0.2, out=xs[k])  # the first sweep, from zero
             smooth(k)
             t = residual(k)
@@ -296,76 +295,77 @@ def _multigrid(
                 even[:-n] += odd[n:]  # of which only the even rows are gathered
                 even[n:] += odd[:-n]
                 np.multiply(t[::2, ::2], masks[k + 1][:, :-1], out=gs[k + 1][:, :-1])
-        xs[-1].ravel()[cact] += coarsest(ts[-1].ravel()[cact])
-        for k in reversed(range(levels)):  # prolong the correction, post-smooth
+        xs[-1].ravel()[actives[-1]] += coarsest(ts[-1].ravel()[actives[-1]])
+        for k in reversed(range(top, levels)):  # prolong the correction, post-smooth
             if k + 1 < levels:
                 xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
-        return (xs[0].ravel()[active].astype(np.float64) * root).reshape(r.shape)
+        return (xs[top].ravel()[actives[top]].astype(np.float64) * roots[top]).reshape(r.shape)
 
-    def lift(c: np.ndarray) -> np.ndarray:
-        full = np.zeros(masks[1].shape)
-        full[masks[1]] = c
+    def lift(k: int, c: np.ndarray) -> np.ndarray:
+        full = np.zeros(masks[k + 1].shape)
+        full[masks[k + 1]] = c
         full[:, 0] /= edge
-        fine = np.zeros(masks[0].shape)  # _prolong never writes its last guard entry
-        return _prolong(full, fine, masks[0]).ravel()[active] * root
+        fine = np.zeros(masks[k].shape)  # _prolong never writes its last guard entry
+        return _prolong(full, fine, masks[k]).ravel()[actives[k]] * roots[k]
 
-    return apply_a, vcycle, padded[::2, ::2], lift
+    return [m[:, :-1] for m in masks], operator, vcycle, lift
 
 
 def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[np.ndarray, int]:
-    """LOBPCG ground state of the masked stencil: unit v and iterations.
+    """LOBPCG ground state of the masked stencil: unit v and level 0's iterations.
 
-    The start is the ground state on the 2h mask (_multigrid), solved by this
-    function to _COARSE_TOL and prolonged by P (full multigrid: Brandt,
-    Math. Comp. 31, 1977), or the all-ones vector when that mask, unfolded,
-    is below _FMG_MIN_NODES.  With fold, mask is a half and v is scaled as
-    _multigrid's vectors are.  iterations counts this level's only.  LOBPCG
-    stops at tol times box_min, the smallest eigenvalue of the whole
-    (unfolded) bounding box's Dirichlet Laplacian: one three-point symbol
-    per axis.
+    Full multigrid (Brandt, Math. Comp. 31, 1977) on _multigrid's levels:
+    from ones on the deepest level whose whole (unfolded) mask has
+    _FMG_MIN_NODES across and active, each level is solved to _COARSE_TOL
+    times box_min and lifted to start the next, and level 0 to tol times
+    box_min, the smallest eigenvalue of the level's whole (at level 0
+    unpadded) box's Dirichlet Laplacian: one three-point symbol per axis.
+    With fold, mask is a half and v is scaled as _multigrid's vectors are.
     """
-    n = int(np.count_nonzero(mask))
-    box_min = sum((2.0 - 2.0 * math.cos(math.pi / (m + 1))) / h2 for m in _unfold(mask, fold).shape)
-    apply_a, vcycle, coarse, lift = _multigrid(mask, h2, fold)
-    start = np.ones(n)
-    whole = _unfold(coarse, fold)  # the gate reads the full 2h mask
-    if min(whole.shape) >= _FMG_MIN_NODES and np.count_nonzero(whole) >= _FMG_MIN_NODES:
-        start = lift(_ground_state(coarse, 4.0 * h2, _COARSE_TOL, fold)[0])
-    iterations = 0
+    masks, operator, vcycle, lift = _multigrid(mask, h2, fold)
+    wholes = (_unfold(m, fold) for m in masks[1:])  # the gate reads whole masks
+    small = [min(w.shape) < _FMG_MIN_NODES or np.count_nonzero(w) < _FMG_MIN_NODES for w in wholes]
+    top = (small + [True]).index(True)  # the level above the first small one
+    v = np.ones(np.count_nonzero(masks[top]))
+    for k in range(top, -1, -1):
+        box = _unfold(masks[k] if k else mask, fold).shape
+        box_min = sum((2.0 - 2.0 * math.cos(math.pi / (m + 1))) / (h2 * 4**k) for m in box)
+        iterations = 0
 
-    def precondition(r: np.ndarray) -> np.ndarray:  # once in each iteration that runs
-        nonlocal iterations
-        iterations += 1
-        return vcycle(r)
+        def precondition(r: np.ndarray) -> np.ndarray:  # once in each iteration that runs
+            nonlocal iterations
+            iterations += 1
+            return vcycle(k, r)
 
-    with warnings.catch_warnings():
-        # LOBPCG's own non-convergence notice; the caller's residual check decides
-        warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
-        _, x = lobpcg(
-            apply_a,
-            start[:, None],
-            M=precondition,
-            tol=tol * box_min,
-            maxiter=_MAX_OUTER - 1,  # scipy numbers its iterations from 0 to maxiter
-            largest=False,
-        )
-    return x[:, 0] / np.linalg.norm(x[:, 0]), iterations
+        with warnings.catch_warnings():
+            # LOBPCG's own non-convergence notice; the caller's residual check decides
+            warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
+            _, x = lobpcg(
+                operator(k),
+                v[:, None],
+                M=precondition,
+                tol=(tol if k == 0 else _COARSE_TOL) * box_min,
+                maxiter=_MAX_OUTER - 1,  # scipy numbers its iterations from 0 to maxiter
+                largest=False,
+            )
+        v = x[:, 0] / np.linalg.norm(x[:, 0])
+        v = lift(k - 1, v) if k else v  # the next finer level's start
+    return v, iterations
 
 
 def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     """Ground state of the masked five-point Laplacian.
 
     LOBPCG over active-cell vectors in np.nonzero(mask) order, preconditioned
-    by one float32 multigrid V-cycle (_multigrid) and started from the
-    prolonged ground state of the 2h grid, solved loosely the same way down
-    to a floor (_ground_state).  The masked operator is a principal
-    submatrix of the bounding box's Dirichlet Laplacian, so by Cauchy
-    interlacing the box's smallest eigenvalue bounds lambda1 from below;
-    LOBPCG's absolute stop at tol times that bound gives a relative
-    eigenresidual |A v - lambda v| / lambda <= tol, which is checked again
-    in float64 on the result.  Only this fine-level check raises.
+    by one float32 multigrid V-cycle (_multigrid) and started by full
+    multigrid on the cycle's coarser levels (_ground_state).  The masked
+    operator is a principal submatrix of the bounding box's Dirichlet
+    Laplacian, so by Cauchy interlacing the box's smallest eigenvalue bounds
+    lambda1 from below; LOBPCG's absolute stop at tol times that bound gives
+    a relative eigenresidual |A v - lambda v| / lambda <= tol, which is
+    checked again in float64 on the result.  Only this fine-level check raises.
     A mask with an odd number of columns that equals its mirror image
     about the middle one, and whose half holds _MIN_ACTIVE nodes, is solved
     on that half, as the simple ground state is even (_multigrid's fold);

@@ -717,10 +717,21 @@ def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):
     assert not (tmp_path / "nn.json").exists()
 
 
+@pytest.mark.parametrize("width", ["1.2e-76", "9e-77"])
+def test_operator_norm_whose_square_overflows_is_input_error(tmp_path, capsys, width):
+    # 1/dx^2 is finite, but LAPACK's bisection and LDL^T square the matrix
+    # entries, and at these widths the square overflows
+    args = ["eig1d", "--out", str(tmp_path / "tiny"), "--set", "n=10"]
+    assert main(args + ["--set", f"interval=0,{width}"]) == 2
+    assert capsys.readouterr().err.startswith("input error: operator norm")
+    assert not (tmp_path / "tiny.json").exists()
+    assert main(args + ["--set", "interval=0,1e-75"]) == 0
+
+
 @pytest.mark.parametrize(
     "command, key",
     [("bound", "n"), ("eig1d", "n"), ("rearrangeCheck", "n"), ("rearrangeCheck", "knots"),
-     ("rearrangeCheck", "count"), ("domainSweep", "resolution")],
+     ("rearrangeCheck", "count"), ("domainSweep", "resolution"), ("constants", "budget")],
 )
 @pytest.mark.parametrize("over", [1, "9" * 401])
 def test_size_over_its_cap_is_input_error(tmp_path, capsys, command, key, over):

@@ -396,7 +396,8 @@ def test_full_multigrid_start_matches_sparse_shift_invert():
     ] + random_hull_grids(31, 20)
     recursed = 0
     for grid in grids:
-        recursed += min(_multigrid(grid.mask, grid.spacing**2, False)[2].shape) >= _FMG_MIN_NODES
+        masks = _multigrid(grid.mask, grid.spacing**2, False)[0]
+        recursed += len(masks) > 1 and min(masks[1].shape) >= _FMG_MIN_NODES
         reference = eigsh(
             _masked_laplacian(grid), k=1, sigma=0.0, which="LM", return_eigenvectors=False
         )[0]
@@ -492,7 +493,8 @@ def test_vcycle_is_symmetric_positive_definite(grid, fold):
     # folded, the cycle and the operator act on scaled half vectors, where
     # symmetry under the weight 1/2 on the mirror column is plain symmetry
     f = Fold(grid) if fold else None
-    apply_a, vcycle, _, _ = _multigrid(f.half if fold else grid.mask, grid.spacing**2, fold)
+    _, operator, cycle, _ = _multigrid(f.half if fold else grid.mask, grid.spacing**2, fold)
+    apply_a, vcycle = operator(0), lambda r: cycle(0, r)
     masked = _masked_laplacian(grid)
     if fold:
         reference = lambda x: f.root * f.restrict(masked @ f.even(x / f.root))
@@ -627,33 +629,41 @@ def guarded_layout_cases():
 )
 def test_guarded_layout_matches_the_box_layout_to_the_bit(mask, h2, fold):
     # the flat passes over guarded bases do what the box layout did, node
-    # by node in the same order; calls alternate, so a guard column or a
-    # scratch entry left dirty by one call would show in the next
-    apply_a, vcycle, coarse, lift = _multigrid(mask, h2, fold)
-    ref_a, ref_cycle, ref_coarse, ref_lift = reference_multigrid(mask, h2, fold)
-    assert np.array_equal(coarse, ref_coarse)
+    # by node in the same order, and level k of the one hierarchy does what
+    # a hierarchy built on level k's mask at (2^k h)^2 did; calls alternate
+    # between levels, so a guard column or a scratch entry left dirty by one
+    # call would show in the next
+    masks, operator, vcycle, lift = _multigrid(mask, h2, fold)
+    expected = level_masks(mask)
+    assert len(masks) == len(expected)
+    refs = [reference_multigrid(m, 4**k * h2, fold) for k, m in enumerate(expected)]
+    ops = [operator(k) for k in range(len(masks))]
     rng = np.random.default_rng(19)
-    xs = rng.standard_normal((3, np.count_nonzero(mask)))
-    for x in (xs[0], xs[1], xs[0], xs[2]):
-        assert np.array_equal(apply_a(x), ref_a(x))
-        assert np.array_equal(vcycle(x), ref_cycle(x))
-        # LOBPCG passes (n, 1) blocks, and gets the same numbers back in that shape
-        assert np.array_equal(vcycle(x[:, None]), ref_cycle(x)[:, None])
-        assert np.array_equal(apply_a(x[:, None]), ref_a(x)[:, None])
-    if len(level_masks(mask)) == 1:
-        # lift reads a second level; the full-multigrid gate never calls it
-        # here, as the whole 2h mask is under _FMG_MIN_NODES across
-        whole = np.hstack((coarse[:, :0:-1], coarse)) if fold else coarse
-        assert min(whole.shape) < _FMG_MIN_NODES
-        return
-    for c in rng.standard_normal((2, np.count_nonzero(coarse))):
-        assert np.array_equal(lift(c), ref_lift(c))
+    xs = [rng.standard_normal((3, np.count_nonzero(m))) for m in masks]
+    for i in (0, 1, 0, 2):
+        for k, (ref_a, ref_cycle, _, _) in enumerate(refs):
+            x = xs[k][i]
+            assert np.array_equal(masks[k], expected[k])
+            assert np.array_equal(ops[k](x), ref_a(x))
+            assert np.array_equal(vcycle(k, x), ref_cycle(x))
+            # LOBPCG passes (n, 1) blocks, and gets the same numbers back in that shape
+            assert np.array_equal(vcycle(k, x[:, None]), ref_cycle(x)[:, None])
+            assert np.array_equal(ops[k](x[:, None]), ref_a(x)[:, None])
+    for k, (_, _, ref_coarse, ref_lift) in enumerate(refs[:-1]):
+        assert np.array_equal(masks[k + 1], ref_coarse)
+        for c in rng.standard_normal((2, np.count_nonzero(ref_coarse))):
+            assert np.array_equal(lift(k, c), ref_lift(c))
+    # lift reads a level below k; the full-multigrid gate never asks for
+    # one below the coarsest, as its whole 2h mask is under _FMG_MIN_NODES across
+    coarse = refs[-1][2]
+    whole = np.hstack((coarse[:, :0:-1], coarse)) if fold else coarse
+    assert min(whole.shape) < _FMG_MIN_NODES
 
 
 def test_folded_operator_is_the_laplacian_on_even_functions():
     for grid in [rasterize(generate_family("cone", d), 1.0 / 16.0) for d in (8.0, 16.0)]:
         f = Fold(grid)
-        apply_a = _multigrid(f.half, grid.spacing**2, True)[0]
+        apply_a = _multigrid(f.half, grid.spacing**2, True)[1](0)
         x = np.random.default_rng(5).standard_normal(f.root.size)
         expected = f.restrict(_masked_laplacian(grid) @ f.even(x))
         np.testing.assert_allclose(apply_a(f.root * x) / f.root, expected, rtol=1e-12, atol=1e-12)
@@ -692,6 +702,24 @@ def test_symmetric_mask_with_a_small_half_solves_whole():
     exact = np.linalg.eigvalsh(_masked_laplacian(grid).toarray())[0]
     assert pair.lambda1 == pytest.approx(exact, rel=1e-10)
     assert np.all(pair.u > 0.0)
+
+
+@pytest.mark.parametrize(
+    "poly", [generate_family("cone", 8.0), normalize_gj(rectangle(8.0, 1.0))[0]],
+    ids=["cone-folded", "rectangle"],
+)
+def test_one_hierarchy_and_one_lu_per_solve(monkeypatch, poly):
+    # the full-multigrid start walks the fine solve's own levels, so the
+    # coarsest mask is factored once, however many levels the start solves
+    calls = {"_multigrid": 0, "_coarsest_solve": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(eigensolve2d, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(eigensolve2d, name, counted)
+    smallest_eigenpair_2d(rasterize(poly, 1.0 / 64.0), tol=1e-7)
+    assert calls == {"_multigrid": 1, "_coarsest_solve": 1}
 
 
 def test_rectangle_keeps_its_multigrid_start(rect_pair):

@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from specgap.cli import main
+from specgap.cli import MAX_SIZE, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +27,13 @@ def test_readme_examples_exit_zero(tmp_path):
         out = argv.index("--out") + 1
         argv[out] = str(tmp_path / Path(argv[out]).name)
         assert main(argv) == 0, line
+
+
+def test_readme_caps_table_lists_max_size():
+    # the table of size caps names every key of MAX_SIZE with its maximum, and nothing else
+    table = re.search(
+        r"\| key \| commands \| maximum \|\n\|---\|---\|---\|\n((?:\|.*\|\n)+)", README.read_text()
+    ).group(1)
+    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([\d,]+) \|$", table, flags=re.MULTILINE)
+    assert len(rows) == table.count("\n")
+    assert {key: int(most.replace(",", "")) for key, most in rows} == MAX_SIZE
