@@ -69,7 +69,9 @@ def _size(key: str) -> Callable[[object], int]:
     def coerce(value) -> int:
         size = _as_int(value)
         if size > MAX_SIZE[key]:
-            raise ParameterError(f"{key} must be at most {MAX_SIZE[key]}, got {size}")
+            digits = len(str(size))  # a float() of a long integer overflows
+            got = size if digits <= 20 else f"an integer of {digits} digits"
+            raise ParameterError(f"{key} must be at most {MAX_SIZE[key]}, got {got}")
         return size
 
     return coerce

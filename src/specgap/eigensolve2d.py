@@ -212,15 +212,30 @@ def _unfold(a: np.ndarray, fold: bool) -> np.ndarray:
 def _coarsest_solve(mask: np.ndarray, fold: bool) -> Callable[[np.ndarray], np.ndarray]:
     """x = S^-1 r for the unscaled stencil S of _stencil on the guarded mask, by float32 sparse LU.
 
-    r and x are float32 vectors over np.flatnonzero(mask).  S is built on the
-    flat base, where the guard keeps rows apart, and restricted to the mask;
-    with fold, column 0's right neighbour counts twice.  An empty mask gives
-    a 0 x 0 factor, whose solve returns an empty vector.
+    r and x are float32 vectors over np.flatnonzero(mask).  S couples the
+    active nodes alone, read on the flat base, where the guard keeps rows
+    apart; with fold, column 0's right neighbour counts twice.  An empty
+    mask gives a 0 x 0 factor, whose solve returns an empty vector.
     """
-    n, w, active = mask.size, mask.shape[1], np.flatnonzero(mask)
-    right = np.where(np.arange(n - 1) % w == 0, -2.0 if fold else -1.0, -1.0)
-    s = sp.diags([-1.0, -1.0, 4.0, right, -1.0], [-w, -1, 0, 1, w], shape=(n, n), format="csc")
-    return splu(s[active][:, active].astype(np.float32)).solve
+    w, active = mask.shape[1], np.flatnonzero(mask)
+    node = np.arange(active.size)
+    # node number of each flat position; the w trailing -1s also serve the
+    # negative positions above row 0, which wrap onto them
+    number = np.full(mask.size + w, -1)
+    number[active] = node
+    right = np.where(active % w == 0, -2.0 if fold else -1.0, -1.0)
+    rows, cols, vals = [node], [node], [np.full(active.size, 4.0)]
+    for step, value in ((-w, -1.0), (-1, -1.0), (1, right), (w, -1.0)):
+        nb = number[active + step]
+        keep = nb >= 0
+        rows.append(node[keep])
+        cols.append(nb[keep])
+        vals.append(np.broadcast_to(value, active.shape)[keep])
+    s = sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(active.size, active.size), dtype=np.float32,
+    )
+    return splu(s).solve
 
 
 def _multigrid(

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
+from specgap.pipeline import thm1_suite
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.sublevel import minimize_functional, width
 from test_potential import cone_model, shift
@@ -25,16 +27,76 @@ def closed_form_well(n):
 # ---------- smallest_eigenpair ----------
 
 
+def hard_grids():
+    """Grids on [0, 1] at n = 50 and 400 where a shift from Weyl's bound starts
+    far from lambda1, or lambda1 sits close to lambda2: a narrow well under a
+    1e8 barrier, V = -1e6, V = 1e9, linear V from -1e4 to 1e4, twin wells."""
+    grids = []
+    for n in (50, 400):
+        x = np.linspace(0.0, 1.0, n + 2)
+        for values in (
+            np.where(np.abs(x - 0.5) < 0.05, 0.0, 1e8),
+            np.full(n + 2, -1e6),
+            np.full(n + 2, 1e9),
+            -1e4 + 2e4 * x,
+            np.where(np.abs(x - 0.3) < 0.1, 0.0, np.where(np.abs(x - 0.7) < 0.1, 1.0, 1e3)),
+        ):
+            grids.append(PotentialGrid(a=0.0, b=1.0, values=values))
+    return grids
+
+
+def dense_lambda1(g):
+    off = np.full(g.n - 1, -1.0 / g.dx**2)
+    dense = np.diag(2.0 / g.dx**2 + g.values[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(dense)[0]
+
+
 def test_lambda1_matches_dense_solver():
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(8, 60))
-        vals = rng.uniform(0.0, 30.0, n + 2)
-        g = PotentialGrid(a=0.0, b=1.0, values=vals)
-        off = np.full(n - 1, -1.0 / g.dx**2)
-        dense = np.diag(2.0 / g.dx**2 + vals[1:-1]) + np.diag(off, 1) + np.diag(off, -1)
+    grids = [
+        PotentialGrid(a=0.0, b=1.0, values=rng.uniform(0.0, 30.0, n + 2))
+        for n in rng.integers(8, 60, size=10)
+    ]
+    for g in grids + hard_grids():
+        pair = smallest_eigenpair(g)
+        assert pair.lambda1 == pytest.approx(dense_lambda1(g), rel=1e-10)
+        assert np.all(pair.f > 0)
+
+
+def test_few_solves_per_eigenpair(monkeypatch):
+    # the shift rises quadratically onto lambda1, so few solves reach the residual target
+    calls = []
+    monkeypatch.setattr(
+        "specgap.eigensolve1d.solveh_banded", lambda *a, **k: calls.append(1) or solveh_banded(*a, **k)
+    )
+    for g in [g for _, g in thm1_suite()] + hard_grids():
+        calls.clear()
+        smallest_eigenpair(g)
+        assert 1 <= len(calls) <= 8
+
+
+def test_lambda1_is_relative_at_any_scale():
+    # x -> L x scales the spectrum by 1/L^2, and the residual target scales
+    # with lambda1, so lambda1 ~ 5e-9 at L = 1e5 is as accurate as at L = 1
+    n = 200
+    unit = 300.0 * np.abs(np.linspace(0.0, 1.0, n + 2) - 0.3)
+    ref = smallest_eigenpair(PotentialGrid(a=0.0, b=1.0, values=unit)).lambda1
+    for length in (1e-3, 1e5):
+        g = PotentialGrid(a=0.0, b=length, values=unit / length**2)
         lam = smallest_eigenpair(g).lambda1
-        assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], rel=1e-10)
+        assert lam * length**2 == pytest.approx(ref, rel=1e-10)
+        assert lam == pytest.approx(dense_lambda1(g), rel=1e-10)
+
+
+def test_constant_potential_vector_is_the_discrete_sine():
+    # one solve from a shift 0.2 below lambda1, against a gap of about 30,
+    # meets the residual target with the vector still 1e-3 off the sine
+    n = 4000
+    g = PotentialGrid(a=0.0, b=1.0, values=np.full(n + 2, 1e9))
+    pair = smallest_eigenpair(g)
+    sine = np.sin(np.pi * np.arange(1, n + 1) * g.dx)
+    sine /= math.sqrt(float(np.sum(sine * sine)) * g.dx)
+    assert np.max(np.abs(pair.f - sine)) / np.max(sine) <= 1e-6
 
 
 def test_ground_state_positive_in_the_tails():
