@@ -19,6 +19,7 @@ import argparse
 import copy
 import json
 import os
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -44,7 +45,7 @@ def _as_float(value) -> float:
             raise ValueError
         return number
     except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"expected a finite number, got {value!r}") from None
+        raise ParameterError(f"expected a finite number, got {reprlib.repr(value)}") from None
 
 
 def _as_int(value) -> int:
@@ -53,7 +54,7 @@ def _as_int(value) -> int:
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"expected an integer, got {value!r}") from None
+        raise ParameterError(f"expected an integer, got {reprlib.repr(value)}") from None
 
 
 # largest accepted sizes, checked before anything is allocated; each admits
@@ -82,7 +83,7 @@ def _as_float_list(value) -> List[float]:
         return [_as_float(v) for v in value]
     if isinstance(value, (int, float, np.integer, np.floating)):
         return [_as_float(value)]
-    raise ParameterError(f"expected a number or list of numbers, got {value!r}")
+    raise ParameterError(f"expected a number or list of numbers, got {reprlib.repr(value)}")
 
 
 def _as_str_list(value) -> List[str]:
@@ -90,13 +91,13 @@ def _as_str_list(value) -> List[str]:
         return [value]
     if isinstance(value, (list, tuple)):
         return [str(v) for v in value]
-    raise ParameterError(f"expected a name or list of names, got {value!r}")
+    raise ParameterError(f"expected a name or list of names, got {reprlib.repr(value)}")
 
 
 def _interval(value) -> Tuple[float, float]:
     pair = _as_float_list(value)
     if len(pair) != 2:
-        raise ParameterError(f"interval needs exactly two endpoints, got {value!r}")
+        raise ParameterError(f"interval needs exactly two endpoints, got {reprlib.repr(value)}")
     return pair[0], pair[1]
 
 
@@ -206,7 +207,7 @@ def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
 def _resolve(config: RunConfig) -> Dict[str, object]:
     """Defaults, then the --input JSON object, then the overrides."""
     if config.command not in COMMANDS:
-        raise ParameterError(f"unknown command {config.command!r}")
+        raise ParameterError(f"unknown command {reprlib.repr(config.command)}")
     resolved = copy.deepcopy(COMMANDS[config.command].defaults)
     layers = [dict(config.overrides)]
     if config.input:
@@ -226,7 +227,7 @@ def _resolve(config: RunConfig) -> Dict[str, object]:
             raise ParameterError("config file must hold a JSON object")
         for key in layer:
             if key not in resolved:
-                raise ParameterError(f"unknown config key {key!r} for {config.command}")
+                raise ParameterError(f"unknown config key {reprlib.repr(key)} for {config.command}")
         resolved.update(layer)
     return resolved
 
@@ -307,7 +308,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     overrides: Dict[str, object] = {}
     for item in args.sets:
         if "=" not in item:
-            print(f"input error: bad --set {item!r}, expected key=value", file=sys.stderr)
+            print(
+                f"input error: bad --set {reprlib.repr(item)}, expected key=value", file=sys.stderr
+            )
             return 2
         key, _, raw = item.partition("=")
         overrides[key.strip()] = _parse_value(raw.strip())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,4 +381,4 @@ def generate_family(kind: str, diameter_target: float) -> ConvexPolygon:
         t = float(wanted[0])
         ell = math.sqrt(D * D - t * t)
         return ConvexPolygon(vertices=np.array([[0.0, -t], [ell, 0.0], [0.0, t]]))
-    raise ParameterError(f"unknown family kind: {kind!r}")
+    raise ParameterError(f"unknown family kind: {reprlib.repr(kind)}")

@@ -3,9 +3,11 @@
 Domains are rasterized onto uniform grid nodes; nodes strictly inside the
 polygon are active and all outside neighbors are held at zero.  The smallest
 eigenpair of the matrix-free five-point stencil on active cells comes from
-LOBPCG (Knyazev 2001) preconditioned by one float32 geometric multigrid
-V-cycle (Knyazev & Neymeyr, ETNA 15, 2003) whose coarsest level is solved
-exactly on its mask by a float32 sparse LU.  LOBPCG starts from the ground
+a block-one LOBPCG loop of its own (Knyazev 2001; _lopcg), preconditioned
+by one float32 geometric multigrid V-cycle (Knyazev & Neymeyr, ETNA 15,
+2003) whose coarsest level is solved exactly on its mask by a float32
+sparse LU.  The loop stops at its residual target or once its residual
+has set no new low for _STALL iterations.  LOBPCG starts from the ground
 state on the cycle's coarser levels, solved loosely in the same way from
 coarse to fine and prolonged (full multigrid); the operator, LOBPCG and
 the final residual check are float64.  A mask equal to its mirror image
@@ -16,20 +18,23 @@ The solver's arrays, masks included, are the [:, :-1] views of
 C-contiguous bases with one extra zero column, the guard.  Read flat, row
 neighbours lie one row width apart and column neighbours side by side, and
 the guard stands in for the box edge at both ends of each row, so each
-stencil shift, Jacobi sweep and column pass of the grid transfers is one
-contiguous or stride-2 pass instead of one short loop per row.
+stencil shift, Jacobi sweep, column pass of the grid transfers and row
+average of the prolongation is one contiguous or stride-2 pass instead of
+one short loop per row.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import lobpcg, splu
+from scipy.linalg import LinAlgError, eigh
+from scipy.sparse.linalg import splu
 
 from .convexdomain import MAX_GRID_NODES, ConvexPolygon, inradius
 from .errors import GeometryError, NumericError, ParameterError
@@ -150,11 +155,17 @@ _COARSE_TOL = 1e-3
 # a coarse level's whole mask is too small to be worth a solve, and the
 # full-multigrid start begins from ones on the level above it.
 _FMG_MIN_NODES = 33
-# LOBPCG needs at least five times its block size (one vector) of unknowns;
-# below that scipy switches to a dense solve with another return signature.
+# fewest active nodes of a mask the solver takes, and of a half it folds
+# onto: LOBPCG's trial space x, w, p needs three, and a mask of a handful
+# of nodes resolves no domain
 _MIN_ACTIVE = 5
 # most LOBPCG iterations on each level, the fine one included
 _MAX_OUTER = 2000
+# a level's solve ends after this many iterations without a new lowest
+# residual, as one whose float64 residual cannot reach its stop has stalled;
+# on vdberg's and gjCompare's grids at tol 1e-6 to 1e-13, no solve that
+# reached its stop went more than 2 iterations without a new low
+_STALL = 5
 
 
 def _guarded(a: np.ndarray) -> np.ndarray:
@@ -167,15 +178,19 @@ def _guarded(a: np.ndarray) -> np.ndarray:
 def _prolong(coarse: np.ndarray, fine: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """fine = P coarse on the mask, by bilinear interpolation from the nodes (2i, 2j).
 
-    All three are guarded bases (_guarded), fine's view is twice coarse's
-    less one along each axis, and fine keeps its own dtype.  Its row width
-    is even, so the column pass is one stride-2 pass over the flat base; the
-    sums it writes into fine's guard are zeroed by the mask's.
+    All three are guarded bases (_guarded) of one dtype, and fine's view is
+    twice coarse's less one along each axis.  The row pass averages
+    neighbouring coarse rows in one pass over coarse's flat base, and only
+    the copies into fine's even columns run row by row; fine's row width is
+    even, so the column pass is one stride-2 pass over its flat base, and
+    the sums it writes into fine's guard are zeroed by the mask's.
     """
+    w, flat = coarse.shape[1], coarse.ravel()
+    mean = np.add(flat[:-w], flat[w:]).reshape(-1, w)  # rows
+    mean *= 0.5
     fine[::2, ::2] = coarse[:, :-1]
-    v, flat = fine[:, ::2], fine.ravel()
-    np.add(v[:-2:2], v[2::2], out=v[1::2])  # rows, on the even columns
-    v[1::2] *= 0.5
+    fine[1::2, ::2] = mean[:, :-1]
+    flat = fine.ravel()
     np.add(flat[:-2:2], flat[2::2], out=flat[1:-1:2])  # columns
     flat[1:-1:2] *= 0.5
     fine *= mask
@@ -328,6 +343,68 @@ def _multigrid(
     return [m[:, :-1] for m in masks], operator, vcycle, lift
 
 
+def _lopcg(
+    apply_a: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    stop: float,
+) -> tuple[np.ndarray, int]:
+    """Block-one LOBPCG from x (Knyazev 2001): lowest-residual iterate, precondition calls.
+
+    Each step stops once the residual r = A x - lambda x has norm <= stop;
+    else Rayleigh-Ritz on x, the preconditioned residual w (orthonormalized
+    against x) and the previous step p (normalized, and dropped when zero or
+    when it leaves the Gram matrix singular) gives the next x, lambda and
+    p, the 3 x 3 problem solved by LAPACK.  The loop also ends after
+    _MAX_OUTER steps, after _STALL steps without a new lowest residual, or
+    when [x, w] itself is singular.  The vectors are updated by linear
+    combinations, never stacked into a block.
+    """
+    x = x / np.linalg.norm(x)
+    ax = apply_a(x)
+    lam, p, ap = x @ ax, None, None
+    low, low_at, best = math.inf, 0, x
+    for calls in count():
+        r = ax - lam * x
+        res = np.linalg.norm(r)
+        if res < low:
+            low, low_at, best = res, calls, x
+        if res <= stop or calls == _MAX_OUTER or calls - low_at > _STALL:
+            return best, calls
+        w = precondition(r)
+        w -= (x @ w) * x
+        w /= np.linalg.norm(w)
+        basis, images = [x, w], [ax, apply_a(w)]
+        norm = 0.0 if p is None else np.linalg.norm(p)
+        if norm > 0.0:
+            basis.append(p / norm)
+            images.append(ap / norm)
+        while True:
+            try:
+                lams, c = eigh(_gram(basis, images), _gram(basis, basis), check_finite=False)
+                break
+            except LinAlgError:  # drop p; a singular [x, w] ends the loop
+                if len(basis) == 2:
+                    return best, calls + 1
+                basis.pop()
+                images.pop()
+        lam, c = lams[0], c[:, 0]
+        p, ap = c[1] * basis[1], c[1] * images[1]
+        if len(basis) == 3:
+            p += c[2] * basis[2]
+            ap += c[2] * images[2]
+        x, ax = c[0] * x + p, c[0] * ax + ap
+
+
+def _gram(us: list, vs: list) -> np.ndarray:
+    """The lower triangle of [u_i . v_j], which is all eigh reads."""
+    g = np.zeros((len(us), len(us)))
+    for i in range(len(us)):
+        for j in range(i + 1):
+            g[i, j] = us[j] @ vs[i]
+    return g
+
+
 def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[np.ndarray, int]:
     """LOBPCG ground state of the masked stencil: unit v and level 0's iterations.
 
@@ -347,25 +424,9 @@ def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[
     for k in range(top, -1, -1):
         box = _unfold(masks[k] if k else mask, fold).shape
         box_min = sum((2.0 - 2.0 * math.cos(math.pi / (m + 1))) / (h2 * 4**k) for m in box)
-        iterations = 0
-
-        def precondition(r: np.ndarray) -> np.ndarray:  # once in each iteration that runs
-            nonlocal iterations
-            iterations += 1
-            return vcycle(k, r)
-
-        with warnings.catch_warnings():
-            # LOBPCG's own non-convergence notice; the caller's residual check decides
-            warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
-            _, x = lobpcg(
-                operator(k),
-                v[:, None],
-                M=precondition,
-                tol=(tol if k == 0 else _COARSE_TOL) * box_min,
-                maxiter=_MAX_OUTER - 1,  # scipy numbers its iterations from 0 to maxiter
-                largest=False,
-            )
-        v = x[:, 0] / np.linalg.norm(x[:, 0])
+        stop = (tol if k == 0 else _COARSE_TOL) * box_min
+        v, iterations = _lopcg(operator(k), partial(vcycle, k), v, stop)
+        v = v / np.linalg.norm(v)
         v = lift(k - 1, v) if k else v  # the next finer level's start
     return v, iterations
 
@@ -380,7 +441,8 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     Laplacian, so by Cauchy interlacing the box's smallest eigenvalue bounds
     lambda1 from below; LOBPCG's absolute stop at tol times that bound gives
     a relative eigenresidual |A v - lambda v| / lambda <= tol, which is
-    checked again in float64 on the result.  Only this fine-level check raises.
+    checked again in float64 on the result.  Only this fine-level check
+    raises, also when the loop stalled (_STALL) short of its stop.
     A mask with an odd number of columns that equals its mirror image
     about the middle one, and whose half holds _MIN_ACTIVE nodes, is solved
     on that half, as the simple ground state is even (_multigrid's fold);

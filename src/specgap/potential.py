@@ -7,6 +7,7 @@ DEFAULT_CAP, so every grid is finite even for model potentials with a pole.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -111,7 +112,7 @@ def _evaluate(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         if np.any(np.diff(xs) <= 0):
             raise ParameterError("piecewiseLinear knot abscissae must be strictly increasing")
         return np.interp(x, xs, ys)
-    raise ParameterError(f"unknown potential kind {kind!r}")
+    raise ParameterError(f"unknown potential kind {reprlib.repr(kind)}")
 
 
 def sample(spec: PotentialSpec, n: int) -> PotentialGrid:

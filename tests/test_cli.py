@@ -707,6 +707,10 @@ def test_bad_set_syntax(tmp_path, capsys):
         ("constants", "gamma=inf"),
         ("constants", "alpha=nan"),
         ("eig1d", "params=inf"),
+        # a long value is quoted in part
+        pytest.param("bound", "n=" + "x" * 1000, id="bound-n=long"),
+        pytest.param("bound", "n=" + ",".join(["1"] * 500), id="bound-n=long-list"),
+        pytest.param("vdberg", "tol=" + "x" * 1000, id="vdberg-tol=long"),
     ],
 )
 def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):
@@ -714,7 +718,24 @@ def test_non_numeric_set_is_input_error(tmp_path, capsys, command, setting):
     assert main([command, "--out", str(prefix), "--set", setting]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: expected")
+    assert len(err) < 120
     assert not (tmp_path / "nn.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("bound", "kind=" + "x" * 1000, "unknown potential kind 'xxx"),
+        ("domainSweep", "families=" + "x" * 1000, "unknown family kind: 'xxx"),
+        ("bound", "x" * 1000 + "=1", "unknown config key 'xxx"),
+    ],
+    ids=["kind", "family", "key"],
+)
+def test_long_unknown_name_is_cut_in_the_message(tmp_path, capsys, command, setting, message):
+    assert main([command, "--out", str(tmp_path / "long"), "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}")
+    assert len(err) < 120
 
 
 @pytest.mark.parametrize("width", ["1.2e-76", "9e-77"])

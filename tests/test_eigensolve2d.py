@@ -2,12 +2,14 @@ import gc
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy import ndimage
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, lobpcg
 from scipy.spatial import ConvexHull
 
 from specgap import eigensolve2d
@@ -30,6 +32,7 @@ from specgap.eigensolve2d import (
     _coarsest_solve,
     _components,
     _guarded,
+    _lopcg,
     _multigrid,
     rasterize,
     smallest_eigenpair_2d,
@@ -451,6 +454,55 @@ def test_cone_converges_in_few_iterations(d, most):
     assert 0 < pair.iterations <= most
 
 
+def reference_lobpcg(apply_a, precondition, x, stop):
+    # scipy's lobpcg in place of _lopcg, called as the solver called it
+    # before: the same operator, V-cycle, start and stop, and the same cap,
+    # as scipy numbers its iterations from 0 to maxiter; it has no stall exit
+    calls = 0
+
+    def counted(r):
+        nonlocal calls
+        calls += 1
+        return precondition(r)
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="(Exited|Failed) ", category=UserWarning)
+        _, v = lobpcg(
+            apply_a, x[:, None], M=counted, tol=stop,
+            maxiter=eigensolve2d._MAX_OUTER - 1, largest=False,
+        )
+    return v[:, 0], calls
+
+
+def reference_cases():
+    # (grid, tol): vdberg's folded and normalized cones at its defaults,
+    # gjCompare's normalized rectangle, and seeded random hulls
+    rect = normalize_gj(rectangle(8.0, 1.0))[0]
+    cones = [generate_family("cone", d) for d in (8.0, 16.0, 32.0, 64.0)]
+    polys = cones + [normalize_gj(cone)[0] for cone in cones]
+    cases = [(rasterize(poly, 1.0 / 64.0), 1e-6) for poly in polys]
+    cases += [(rasterize(rect, 1.0 / 64.0), 1e-7)]
+    return cases + [(grid, 1e-8) for grid in random_hull_grids(43, 4)]
+
+
+@pytest.mark.parametrize(
+    "grid, tol",
+    reference_cases(),
+    ids=[f"cone-D{d}" for d in (8, 16, 32, 64)]
+    + [f"normalized-D{d}" for d in (8, 16, 32, 64)]
+    + ["rectangle"]
+    + [f"hull-{i}" for i in range(4)],
+)
+def test_lopcg_matches_scipys_lobpcg(monkeypatch, grid, tol):
+    # the loop takes the fine-level iterations scipy's lobpcg took, from the
+    # same full-multigrid start, to the same lambda1
+    pair = smallest_eigenpair_2d(grid, tol=tol)
+    monkeypatch.setattr(eigensolve2d, "_lopcg", reference_lobpcg)
+    reference = smallest_eigenpair_2d(grid, tol=tol)
+    assert pair.iterations == reference.iterations
+    assert pair.lambda1 == pytest.approx(reference.lambda1, rel=1e-12)
+
+
 class Fold:
     """The half of a mirror-symmetric grid that the solver folds onto.
 
@@ -646,7 +698,8 @@ def test_guarded_layout_matches_the_box_layout_to_the_bit(mask, h2, fold):
             assert np.array_equal(masks[k], expected[k])
             assert np.array_equal(ops[k](x), ref_a(x))
             assert np.array_equal(vcycle(k, x), ref_cycle(x))
-            # LOBPCG passes (n, 1) blocks, and gets the same numbers back in that shape
+            # scipy's lobpcg (reference_lobpcg) passes (n, 1) blocks, and gets
+            # the same numbers back in that shape
             assert np.array_equal(vcycle(k, x[:, None]), ref_cycle(x)[:, None])
             assert np.array_equal(ops[k](x[:, None]), ref_a(x)[:, None])
     for k, (_, _, ref_coarse, ref_lift) in enumerate(refs[:-1]):
@@ -693,7 +746,7 @@ def test_folded_solve_matches_sparse_shift_invert():
 
 
 def test_symmetric_mask_with_a_small_half_solves_whole():
-    # a plus of five nodes: its half holds four, too few for LOBPCG
+    # a plus of five nodes: its half holds four, fewer than _MIN_ACTIVE
     mask = np.zeros((5, 5), dtype=bool)
     mask[1:4, 2] = mask[2, 1:4] = True
     assert np.count_nonzero(mask[:, 2:]) < _MIN_ACTIVE <= np.count_nonzero(mask)
@@ -752,15 +805,66 @@ def test_unreachable_tolerance_raises(monkeypatch):
             smallest_eigenpair_2d(grid, tol=1e-15)
 
 
-def test_stalled_solve_reports_the_iterations_that_ran():
-    # LOBPCG gives up on tol=1e-15 once its residual stops falling, long
-    # before the cap, and the message counts the iterations that ran
+def test_stalled_solve_reports_the_iterations_that_ran(monkeypatch):
+    # the float64 residual cannot reach tol=1e-15: the fine level stops once
+    # its residual has set no new low in _STALL iterations, long before the
+    # cap and with no Gram matrix breaking down, and the message counts the
+    # iterations that ran
+    runs, breakdowns = [], []
+
+    def recorded(apply_a, precondition, x, stop):
+        norms = []
+
+        def counted(r):
+            norms.append(np.linalg.norm(r))  # the residual of the iteration
+            return precondition(r)
+
+        v, calls = _lopcg(apply_a, counted, x, stop)
+        runs.append((norms, stop, calls))
+        return v, calls
+
+    def eigh(*args, **kwargs):
+        try:
+            return scipy.linalg.eigh(*args, **kwargs)
+        except scipy.linalg.LinAlgError:
+            breakdowns.append(args)
+            raise
+
+    monkeypatch.setattr(eigensolve2d, "_lopcg", recorded)
+    monkeypatch.setattr(eigensolve2d, "eigh", eigh)
     grid = rasterize(square(), 1.0 / 32.0)
     with pytest.raises(NumericError) as info:
         smallest_eigenpair_2d(grid, tol=1e-15)
     ran = re.search(r"after (\d+) of at most (\d+) iterations", str(info.value))
+    norms, stop, calls = runs[-1]
     assert ran is not None and int(ran[2]) == eigensolve2d._MAX_OUTER
-    assert 0 < int(ran[1]) < 100
+    assert int(ran[1]) == calls == len(norms) and 0 < calls < 100
+    assert min(norms) > stop
+    assert int(np.argmin(norms)) == calls - eigensolve2d._STALL - 1
+    assert not breakdowns
+
+
+def test_exact_sine_start_drops_a_vanishing_step():
+    # the sampled sine is the square's discrete ground state to rounding, so
+    # a Ritz step from it can keep x exactly and leave the step p exactly
+    # zero; p is then dropped, not divided by its norm (a RuntimeWarning)
+    grid = rasterize(square(), 1.0 / 16.0)
+    _, operator, vcycle, _ = _multigrid(grid.mask, grid.spacing**2, False)
+    apply_a, precondition = operator(0), partial(vcycle, 0)
+    i, j = np.nonzero(grid.mask)
+    sine = np.sin(np.pi * i / 16.0) * np.sin(np.pi * j / 16.0)
+    unit = sine / np.linalg.norm(sine)
+    a_unit = apply_a(unit)
+    start = np.linalg.norm(a_unit - (unit @ a_unit) * unit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a start within the stop returns before any V-cycle
+        v, calls = _lopcg(apply_a, precondition, sine, start)
+        assert calls == 0 and np.array_equal(v, unit)
+        # an unreachable stop runs until the residual stalls
+        v, calls = _lopcg(apply_a, precondition, sine, 0.0)
+    assert eigensolve2d._STALL < calls < 20
+    np.testing.assert_allclose(np.abs(v) / np.linalg.norm(v), unit, atol=1e-13)
 
 
 def test_bad_tolerance_rejected():
@@ -770,7 +874,6 @@ def test_bad_tolerance_rejected():
 
 
 def test_mask_below_five_active_nodes_rejected():
-    # below five unknowns scipy's lobpcg falls back to a dense solve
     mask = np.zeros((5, 5), dtype=bool)
     mask[1:3, 1:3] = True
     with pytest.raises(ParameterError, match="has 4 active nodes"):
