@@ -6,13 +6,13 @@ eigenpair of the matrix-free five-point stencil on active cells comes from
 a block-one LOBPCG loop of its own (Knyazev 2001; _lopcg), preconditioned
 by one float32 geometric multigrid V-cycle (Knyazev & Neymeyr, ETNA 15,
 2003) whose coarsest level is solved exactly on its mask by a float32
-sparse LU.  The loop stops at its residual target or once its residual
-has set no new low for _STALL iterations.  LOBPCG starts from the ground
-state on the cycle's coarser levels, solved loosely in the same way from
-coarse to fine and prolonged (full multigrid); the operator, LOBPCG and
-the final residual check are float64.  A mask equal to its mirror image
-about its middle column is solved on its half, where the even ground state
-lives, and checked on the full mask.
+banded Cholesky factor (LAPACK pbtrf).  The loop stops at its residual
+target or once its residual has set no new low for _STALL iterations.
+LOBPCG starts from the ground state on the cycle's coarser levels, solved
+loosely in the same way from coarse to fine and prolonged (full
+multigrid); the operator, LOBPCG and the final residual check are float64.
+A mask equal to its mirror image about its middle column is solved on its
+half, where the even ground state lives, and checked on the full mask.
 
 The solver's arrays, masks included, are the [:, :-1] views of
 C-contiguous bases with one extra zero column, the guard.  Read flat, row
@@ -32,9 +32,7 @@ from itertools import count
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, eigh
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
 
 from .convexdomain import MAX_GRID_NODES, ConvexPolygon, inradius
 from .errors import GeometryError, NumericError, ParameterError
@@ -224,33 +222,35 @@ def _unfold(a: np.ndarray, fold: bool) -> np.ndarray:
     return np.hstack((a[:, :0:-1], a)) if fold else a
 
 
-def _coarsest_solve(mask: np.ndarray, fold: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """x = S^-1 r for the unscaled stencil S of _stencil on the guarded mask, by float32 sparse LU.
+def _coarsest_solve(mask: np.ndarray, roots: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x = S^-1 r for the unscaled stencil S of _stencil on the guarded mask, by banded Cholesky.
 
-    r and x are float32 vectors over np.flatnonzero(mask).  S couples the
-    active nodes alone, read on the flat base, where the guard keeps rows
-    apart; with fold, column 0's right neighbour counts twice.  An empty
-    mask gives a 0 x 0 factor, whose solve returns an empty vector.
+    r and x are float32 vectors over np.flatnonzero(mask); roots is _multigrid's
+    scale on them, sqrt(1/2) on a folded mask's column 0, whose right neighbour
+    counts twice in S, else 1.  The float32 factor is of the symmetric R S R^-1,
+    R = diag(roots), which couples node i to its right neighbour (of root 1) by
+    -1/root_i and to the node below by -1.  An empty mask gives a 0 x 0 factor.
     """
     w, active = mask.shape[1], np.flatnonzero(mask)
-    node = np.arange(active.size)
-    # node number of each flat position; the w trailing -1s also serve the
-    # negative positions above row 0, which wrap onto them
-    number = np.full(mask.size + w, -1)
-    number[active] = node
-    right = np.where(active % w == 0, -2.0 if fold else -1.0, -1.0)
-    rows, cols, vals = [node], [node], [np.full(active.size, 4.0)]
-    for step, value in ((-w, -1.0), (-1, -1.0), (1, right), (w, -1.0)):
-        nb = number[active + step]
+    # numbered by rows, or by columns if rows are longer: the band is at most the
+    # shorter side, and a node's right and lower neighbours come after it
+    order = np.argsort(active if mask.shape[0] >= w - 1 else active % w, kind="stable")
+    number = np.full(mask.size + w, -1)  # -1 off the mask, and below the last row
+    number[active[order]] = np.arange(active.size)
+    node, right, below = number[active], number[active + 1], number[active + w]
+    band = np.max(np.maximum(right, below) - node, initial=0)
+    ab = np.zeros((band + 1, active.size), dtype=np.float32)
+    ab[band] = 4.0
+    for nb, value in ((right, -1.0 / roots), (below, -1.0)):
         keep = nb >= 0
-        rows.append(node[keep])
-        cols.append(nb[keep])
-        vals.append(np.broadcast_to(value, active.shape)[keep])
-    s = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(active.size, active.size), dtype=np.float32,
-    )
-    return splu(s).solve
+        ab[band + node[keep] - nb[keep], nb[keep]] = np.broadcast_to(value, nb.shape)[keep]
+    factor, scale = cholesky_banded(ab, check_finite=False), roots.astype(np.float32)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        x = cho_solve_banded((factor, False), (r * scale)[order], check_finite=False)
+        return x[node] / scale
+
+    return solve
 
 
 def _multigrid(
@@ -268,7 +268,7 @@ def _multigrid(
     across a thin domain), and solves S x = (2^k h)^2 b for the unscaled
     stencil S: two masked Jacobi sweeps (omega 0.8) precede and follow the
     correction P (next level's cycle) P^T r, with bilinear P (_prolong), or
-    on the coarsest level the exact solve _coarsest_solve, factored once.
+    on the coarsest level _coarsest_solve's exact banded Cholesky solve.
     Every level's arrays and masks are guarded bases (_guarded): a level
     that restricts has odd padded sides, so its row width is even, P^T's
     column pass is one stride-2 pass over the flat base, and its row pass
@@ -287,9 +287,9 @@ def _multigrid(
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [_guarded(padded[:: 1 << k, :: 1 << k]) for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
-    actives, coarsest = [np.flatnonzero(m) for m in masks], _coarsest_solve(masks[-1], fold)
-    edge = math.sqrt(0.5) if fold else 1.0
+    actives, edge = [np.flatnonzero(m) for m in masks], math.sqrt(0.5) if fold else 1.0
     roots = [np.where(a % m.shape[1] == 0, edge, 1.0) for a, m in zip(actives, masks)]
+    coarsest = _coarsest_solve(masks[-1], roots[-1])
 
     def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k (g_k is 0 off it)
         return np.add(_stencil(xs[k], ts[k], masks[k], fold), gs[k], out=ts[k])

@@ -806,8 +806,11 @@ def test_module_entrypoint_smoke(tmp_path):
 
 
 def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
-    # start-up needs numpy, scipy.linalg and scipy.sparse.linalg only
-    heavy = ("scipy.optimize", "scipy.spatial", "scipy.ndimage", "scipy.fft", "scipy.special")
+    # start-up needs numpy and scipy.linalg only
+    heavy = (
+        "scipy.optimize", "scipy.spatial", "scipy.ndimage", "scipy.fft", "scipy.special",
+        "scipy.sparse",
+    )
     code = (
         "import sys, specgap.cli; "
         f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
