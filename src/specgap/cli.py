@@ -8,11 +8,11 @@ the fully resolved configuration, and <prefix>.csv with the row data.
 COMMANDS is the one table of subcommands: each entry holds the defaults,
 the runner and the CSV header. The runner is a `pipeline` function that
 takes the command's config keys, each coerced by COERCE first; every
-summary, row and verdict is made there. This module only resolves
-configuration and does I/O.
+summary, row and named check is made there. This module resolves
+configuration, does I/O, and sets allPass and the exit status from the checks.
 
-Exit status: 0 on success, 1 when a scientific check fails or the
-numerics break down, 2 on bad input.
+Exit status: 0 on success, 1 when a check fails or the numerics break
+down, 2 on bad input.
 """
 
 import argparse
@@ -139,12 +139,12 @@ class Command(NamedTuple):
     """A subcommand: its default config, its runner and its CSV header.
 
     The runner is called with the coerced config as keyword arguments, one
-    per default key, and returns (summary, rows, ok). rows=None stands for
-    the header's columns of summary["rows"]; ok=False exits 1.
+    per default key, and returns (summary, rows). rows=None stands for the
+    header's columns of summary["rows"]; a failed check in summary["checks"] exits 1.
     """
 
     defaults: Dict[str, object]
-    runner: Callable[..., Tuple[dict, Optional[Iterable], bool]]
+    runner: Callable[..., Tuple[dict, Optional[Iterable]]]
     header: str
 
 
@@ -234,7 +234,8 @@ def _resolve(config: RunConfig) -> Dict[str, object]:
 
 def run(config: RunConfig) -> int:
     """Resolve the configuration, make the output directory, execute the
-    command, write outputs. An output that cannot be written is bad input."""
+    command, set allPass from its checks, write outputs. An output that
+    cannot be written is bad input."""
     try:
         resolved = _resolve(config)
         command = COMMANDS[config.command]
@@ -243,13 +244,14 @@ def run(config: RunConfig) -> int:
             os.makedirs(os.path.dirname(config.output) or os.curdir, exist_ok=True)
         except OSError as exc:
             raise ParameterError(f"cannot write {config.output}: {exc}") from None
-        summary, rows, ok = command.runner(**arguments)
+        summary, rows = command.runner(**arguments)
     except (ParameterError, GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
+    summary["allPass"] = int(all(check["pass"] for check in summary["checks"]))
     if rows is None:
         columns = command.header.split(",")
         rows = (tuple(r[c] for c in columns) for r in summary["rows"])
@@ -265,7 +267,7 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"input error: cannot write {config.output}: {exc}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    return 1 - summary["allPass"]
 
 
 def _parse_scalar(raw: str):

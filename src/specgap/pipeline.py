@@ -1,8 +1,8 @@
-"""Shared run plumbing: benchmark suites, sweep loops, and check rows.
+"""Shared run plumbing: benchmark suites, sweep loops, and named checks.
 
 Every function here returns plain dicts and lists so the CLI can dump
 them to JSON/CSV unchanged and the acceptance tests can inspect the
-same numbers the command line reports.
+same numbers the command line reports. A runner's verdicts are its summary["checks"].
 """
 
 import math
@@ -93,9 +93,11 @@ def _sizes(command: str, d_list: Sequence[float]) -> List[float]:
     return sizes
 
 
-def _all_pass(rows: List[Dict[str, object]]):
-    ok = all(r["pass"] for r in rows)
-    return {"allPass": int(ok), "rows": rows}, None, ok
+def _check(name: str, value, lo, hi) -> dict:
+    """The named check lo <= value <= hi. An open side is None, never an
+    infinity, so the summary stays strict JSON."""
+    ok = (lo is None or lo <= value) and (hi is None or value <= hi)
+    return {"name": name, "value": value, "bound": [lo, hi], "pass": int(ok)}
 
 
 def bound(kind, params, interval, n):
@@ -109,8 +111,9 @@ def bound(kind, params, interval, n):
         "isInterval": bool(report.isInterval),
         "lower": report.lowerBound,
         "upperSharp": report.upperBoundSharp,
+        "checks": [],
     }
-    return summary, zip(levels.tolist(), widths.tolist(), functional.tolist()), True
+    return summary, zip(levels.tolist(), widths.tolist(), functional.tolist())
 
 
 def eig1d(kind, params, interval, n):
@@ -123,13 +126,14 @@ def eig1d(kind, params, interval, n):
         "dx": grid.dx,
         "residual": pair.residual,
         "normL2": pair.normL2,
+        "checks": [],
     }
-    return summary, zip(grid.nodes()[1:-1].tolist(), pair.f.tolist()), True
+    return summary, zip(grid.nodes()[1:-1].tolist(), pair.f.tolist())
 
 
 def thm1_check(names):
     """verify_thm1 over the named suite members."""
-    return _all_pass(verify_thm1(thm1_suite(names)))
+    return verify_thm1(thm1_suite(names)), None
 
 
 def constant_triple(alpha, beta, gamma, budget, seed):
@@ -151,29 +155,32 @@ def constant_triple(alpha, beta, gamma, budget, seed):
         gamma=triple.gamma,
         exactObjective=exact,
         exactGap=None if value is None else (exact - value) / exact,
+        checks=[_check("feasible", summary["feasible"], 1, None)],
     )
     row = [triple.alpha, triple.beta, triple.gamma, float("nan") if value is None else value]
-    return summary, [row], bool(summary["feasible"])
+    return summary, [row]
 
 
-def _sandwich(lambda1: float, report: SublevelReport) -> Tuple[float, bool]:
-    """pi^2 fStar, and whether lambda1 lies between lower and pi^2 fStar,
+def _sandwich(name: str, lambda1: float, report: SublevelReport) -> Tuple[float, dict]:
+    """pi^2 fStar, and the check that lambda1 lies between lower and pi^2 fStar,
     each widened by the factor 1 + SANDWICH_SLACK."""
     upper = _PI2 * report.fStar
-    ok = report.lowerBound / (1.0 + SANDWICH_SLACK) <= lambda1 <= upper * (1.0 + SANDWICH_SLACK)
-    return upper, ok
+    lo = report.lowerBound / (1.0 + SANDWICH_SLACK)
+    return upper, _check(name, lambda1, lo, upper * (1.0 + SANDWICH_SLACK))
 
 
-def _chain(grid: PotentialGrid, f: np.ndarray, report: RearrangementReport) -> Tuple[float, bool]:
-    """The allowance for ground state f, and whether each comparison holds within it."""
+def _chain(name: str, grid: PotentialGrid, f: np.ndarray, report: RearrangementReport) -> dict:
+    """The check that each comparison holds within the allowance for ground
+    state f: its value is the worst margin, its upper bound the allowance."""
     vrange = float(grid.values.max() - grid.values.min())
     fmax = float(np.max(np.abs(f)))
     slack = CHAIN_SLACK_FACTOR * grid.dx * vrange * fmax * fmax
-    return slack, (
-        report.hlRight <= report.hlLeft + slack
-        and report.psLeft <= report.psRight + slack
-        and report.lambdaRearranged <= report.lambdaOriginal + slack
+    margin = max(
+        report.hlRight - report.hlLeft,
+        report.psLeft - report.psRight,
+        report.lambdaRearranged - report.lambdaOriginal,
     )
+    return _check(name, margin, None, slack)
 
 
 def _gj_profile_error(
@@ -211,22 +218,24 @@ def _gj_profile_error(
     return float(np.max(np.abs(u1 - phi * np.sin(alpha))))
 
 
-def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, object]]:
+def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> Dict[str, object]:
     """Sandwich lambda1 between the sublevel bounds, potential by potential.
 
-    Also records the sup-norm comparison, which holds for nonnegative
+    Also checks the sup-norm comparison, which holds for nonnegative
     potentials only; its 2 dx term covers grid maxima against the true sup.
+    Its checks are `<potential>.sandwich` and `<potential>.linf`.
     """
-    rows: List[Dict[str, object]] = []
+    rows, checks = [], []
     for name, grid in suite:
         if grid.values.min() < 0:
             raise ParameterError(f"{name}: sup-norm bound assumes a nonnegative potential")
         report = minimize_functional(grid)
         pair = smallest_eigenpair(grid)
-        upper, sandwich_ok = _sandwich(pair.lambda1, report)
+        upper, sandwich = _sandwich(f"{name}.sandwich", pair.lambda1, report)
         ratio = float(np.max(np.abs(pair.f))) / math.sqrt(pair.normL2)
         bound = (2.0 * pair.lambda1) ** 0.25
-        linf_ok = ratio <= bound * (1.0 + (LINF_SLACK + 2.0 * grid.dx))
+        linf = _check(f"{name}.linf", ratio, None, bound * (1.0 + (LINF_SLACK + 2.0 * grid.dx)))
+        checks += [sandwich, linf]
         rows.append(
             {
                 "potential": name,
@@ -234,23 +243,21 @@ def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> List[Dict[str, ob
                 "lambda1": pair.lambda1,
                 "lower": report.lowerBound,
                 "upper": upper,
-                "sandwichPass": int(sandwich_ok),
                 "linfRatio": ratio,
                 "linfBound": bound,
-                "linfPass": int(linf_ok),
-                "pass": int(sandwich_ok and linf_ok),
+                "pass": sandwich["pass"] and linf["pass"],
             }
         )
-    return rows
+    return {"rows": rows, "checks": checks}
 
 
 def rearrange_random_suite(count, knots, vmax, interval, n, seed):
     """Rearrangement chain over seeded random piecewise-linear potentials.
 
     Each draw places `knots` values uniformly in [0, vmax] at evenly
-    spaced abscissae; the pass flag demands Hardy-Littlewood,
+    spaced abscissae; its check `draw<i>.chain` demands Hardy-Littlewood,
     Polya-Szego, and the eigenvalue drop, all within the grid allowance
-    `slack`. The suite passes when no draw fails.
+    `slack`. `failures` counts the draws that fail it.
     """
     if count < 1:
         raise ParameterError(f"count must be at least 1, got {count}")
@@ -261,31 +268,33 @@ def rearrange_random_suite(count, knots, vmax, interval, n, seed):
     rng = np.random.default_rng(seed)
     a, b = float(interval[0]), float(interval[1])
     xs = np.linspace(a, b, knots)
-    rows: List[Dict[str, object]] = []
-    for index in range(count):
+    rows, checks = [], []
+    for i in range(count):
         ys = rng.uniform(0.0, vmax, size=knots)
         params = np.column_stack([xs, ys]).ravel().tolist()
         grid = sample(PotentialSpec("piecewiseLinear", params, (a, b)), n)
         pair = smallest_eigenpair(grid)
         report = verify_chain(grid, pair)
-        slack, ok = _chain(grid, pair.f, report)
-        rows.append({"seedIndex": index, **asdict(report), "slack": slack, "pass": int(ok)})
-    failures = sum(1 for r in rows if not r["pass"])
-    return {"count": len(rows), "failures": failures, "rows": rows}, None, failures == 0
+        c = _chain(f"draw{i}.chain", grid, pair.f, report)
+        checks.append(c)
+        rows.append({"seedIndex": i, **asdict(report), "slack": c["bound"][1], "pass": c["pass"]})
+    failures = sum(1 - c["pass"] for c in checks)
+    return {"count": len(rows), "failures": failures, "rows": rows, "checks": checks}, None
 
 
 def domain_sweep(families, D, resolution):
     """Geometry and thin-channel 1D quantities for each generated domain.
 
-    Rows are sorted by family then size. The pass flag requires the
-    two-sided eigenvalue sandwich plus a bounded product between the
-    energy above the channel threshold and the localization scale.
+    Rows are sorted by family then size. The checks are the two-sided
+    eigenvalue sandwich `<family><D>.sandwich` plus a bounded product
+    `<family><D>.shiftedProduct` between the energy above the channel
+    threshold and the localization scale.
     """
     kinds = sorted(set(families))
     if not kinds:
         raise ParameterError("domainSweep needs at least one family")
     sizes = _sizes("domainSweep", D)
-    rows: List[Dict[str, object]] = []
+    rows, checks = [], []
     for family in kinds:
         for d in sizes:
             poly = generate_family(family, d)
@@ -297,10 +306,11 @@ def domain_sweep(families, D, resolution):
             grid = gj_potential(hf)
             report = minimize_functional(grid)
             pair = smallest_eigenpair(grid)
-            upper, sandwich_ok = _sandwich(pair.lambda1, report)
+            upper, sandwich = _sandwich(f"{family}{d:.17g}.sandwich", pair.lambda1, report)
             shifted = (pair.lambda1 - _PI2) * scale_l * scale_l
             width_ratio = width(grid, grid.values.min() + 1.0 / (scale_l * scale_l)) / scale_l
-            ok = sandwich_ok and PRODUCT_BAND[0] <= shifted <= PRODUCT_BAND[1]
+            product = _check(f"{family}{d:.17g}.shiftedProduct", shifted, *PRODUCT_BAND)
+            checks += [sandwich, product]
             rows.append(
                 {
                     "family": family,
@@ -314,10 +324,10 @@ def domain_sweep(families, D, resolution):
                     "upper": upper,
                     "widthRatio": width_ratio,
                     "shiftedProduct": shifted,
-                    "pass": int(ok),
+                    "pass": sandwich["pass"] and product["pass"],
                 }
             )
-    return _all_pass(rows)
+    return {"rows": rows, "checks": checks}, None
 
 
 def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
@@ -360,28 +370,27 @@ def vdberg_sweep(d_list: Sequence[float], spacing: float, tol: float) -> List[Di
 
 
 def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Verdict on a vdberg sweep.
+    """The slope and checks of a vdberg sweep.
 
-    Every cone must have inradius 1 and its shifted product and 1D energy
-    ratio in band. The statistic, sup|u| over the bound rho^-1 (rho/D)^(1/6)
-    at unit L2 norm, may vary across sizes by a factor STAT_SPREAD_MAX at
-    most. With two or more sizes the sup ratio must decay at least like
-    D^SLOPE_MAX; with one size there is no slope, and it is reported as None.
+    Every cone must have inradius 1, and its shifted product and 1D energy
+    ratio in band (`D<D>.rho`, `.shiftedProduct`, `.oneDimRatio`). The
+    statistic, sup|u| over the bound rho^-1 (rho/D)^(1/6) at unit L2 norm,
+    may vary across sizes by a factor STAT_SPREAD_MAX at most (`statSpread`).
+    With two or more sizes the sup ratio must decay at least like D^SLOPE_MAX
+    (`slope`); with one size there is no slope, and it is reported as None.
     """
+    bands = {
+        "rho": (1 - RHO_TOL, 1 + RHO_TOL), "shiftedProduct": PRODUCT_BAND, "oneDimRatio": RATIO_BAND
+    }
+    checks = [_check(f"D{r['D']:.17g}.{k}", r[k], *band) for r in rows for k, band in bands.items()]
+    stats = [r["statistic"] for r in rows]
+    checks.append(_check("statSpread", max(stats) / min(stats), None, STAT_SPREAD_MAX))
     slope = None
     if len(rows) >= 2:
         log_d = np.log([r["D"] for r in rows])
         slope = float(np.polyfit(log_d, np.log([r["supRatio"] for r in rows]), 1)[0])
-    stats = [r["statistic"] for r in rows]
-    spread = max(stats) / min(stats)
-    ok = (
-        all(abs(r["rho"] - 1.0) <= RHO_TOL for r in rows)
-        and all(PRODUCT_BAND[0] <= r["shiftedProduct"] <= PRODUCT_BAND[1] for r in rows)
-        and all(RATIO_BAND[0] <= r["oneDimRatio"] <= RATIO_BAND[1] for r in rows)
-        and spread <= STAT_SPREAD_MAX
-        and (slope is None or slope <= SLOPE_MAX)
-    )
-    return {"allPass": int(ok), "slope": slope, "statSpread": spread}
+        checks.append(_check("slope", slope, None, SLOPE_MAX))
+    return {"slope": slope, "checks": checks}
 
 
 def _check_tol(tol: float) -> None:
@@ -395,19 +404,17 @@ def vdberg(D, spacing, tol):
     """vdberg_sweep over the sizes D, judged by vdberg_verdict."""
     _check_tol(tol)
     rows = vdberg_sweep(D, spacing, tol)
-    verdict = vdberg_verdict(rows)
-    return dict(verdict, rows=rows), None, verdict["allPass"]
+    return dict(vdberg_verdict(rows), rows=rows), None
 
 
 def gj_compare_run(D, spacing, tol):
-    """Two checks on the thin-channel reduction.
+    """Two kinds of check on the thin-channel reduction.
 
     First, on an 8x1 rectangle the 2D ground state must match the
-    separable sine profile to within RECT_ERROR_BUDGET, which the summary
-    reports as rectBudget next to rectError.  Second, for
-    cone domains the excess energy above the channel threshold must
-    track the cone model potential's ground energy within GJ_RATIO_BAND.
-    allPass requires both. The CSV has one row per check.
+    separable sine profile to within RECT_ERROR_BUDGET (`rectError`).
+    Second, for each cone domain the excess energy above the channel
+    threshold must track the cone model potential's ground energy within
+    GJ_RATIO_BAND (`D<D>.ratio`). The CSV has one row per check.
     """
     _check_tol(tol)
     sizes = _sizes("gjCompare", D)
@@ -417,7 +424,7 @@ def gj_compare_run(D, spacing, tol):
     rect_pair = smallest_eigenpair_2d(rasterize(rect_n, spacing), tol=tol)
     rect_error = _gj_profile_error(rect_pair, rect_hf, rect_profile, localization_scale(rect_hf))
 
-    rows = []
+    rows, checks = [], [_check("rectError", rect_error, None, RECT_ERROR_BUDGET)]
     for d in sizes:
         poly = generate_family("cone", d)
         t, _ = minimal_width(poly)
@@ -425,24 +432,8 @@ def gj_compare_run(D, spacing, tol):
         lam_gj = smallest_eigenpair(gj_potential(hf)).lambda1
         lam_model = smallest_eigenpair(sample(*_cone_model(d))).lambda1
         ratio = ((lam_gj - _PI2) / (t * t)) / lam_model
-        rows.append(
-            {
-                "D": d,
-                "lambdaGJ": lam_gj,
-                "lambdaModel": lam_model,
-                "ratio": ratio,
-                "pass": int(GJ_RATIO_BAND[0] <= ratio <= GJ_RATIO_BAND[1]),
-            }
-        )
-    rect_ok = rect_error <= RECT_ERROR_BUDGET
-    ok = rect_ok and all(r["pass"] for r in rows)
-    summary = {
-        "rectError": rect_error,
-        "rectBudget": RECT_ERROR_BUDGET,
-        "rectPass": int(rect_ok),
-        "rows": rows,
-        "allPass": int(ok),
-    }
-    csv = [["rectProfile", 8.0, rect_error, int(rect_ok)]]
-    csv += [["coneRatio", r["D"], r["ratio"], r["pass"]] for r in rows]
-    return summary, csv, ok
+        checks.append(_check(f"D{d:.17g}.ratio", ratio, *GJ_RATIO_BAND))
+        rows.append({"D": d, "lambdaGJ": lam_gj, "lambdaModel": lam_model, "ratio": ratio})
+    csv = [["rectProfile", 8.0, rect_error, checks[0]["pass"]]]
+    csv += [["coneRatio", r["D"], r["ratio"], c["pass"]] for r, c in zip(rows, checks[1:])]
+    return {"rectError": rect_error, "rows": rows, "checks": checks}, csv

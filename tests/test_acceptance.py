@@ -71,8 +71,8 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def thm1_result():
     t0 = time.perf_counter()
-    rows = pipeline.verify_thm1(pipeline.thm1_suite())
-    return rows, time.perf_counter() - t0
+    summary = pipeline.verify_thm1(pipeline.thm1_suite())
+    return summary, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -118,11 +118,14 @@ def test_criterion_02_harmonic_ground_energy():
 
 
 def test_criterion_03_two_sided_sandwich_suite(thm1_result):
-    rows, elapsed = thm1_result
+    summary, elapsed = thm1_result
+    rows = summary["rows"]
     worst_low = min(r["lambda1"] / r["lower"] for r in rows)
     worst_high = max(r["lambda1"] / r["upper"] for r in rows)
+    sandwiches = [c for c in summary["checks"] if c["name"].endswith(".sandwich")]
     ok = (
-        all(r["sandwichPass"] for r in rows)
+        len(sandwiches) == len(rows)
+        and all(c["pass"] for c in sandwiches)
         and worst_low >= 1.0 / 1.01
         and worst_high <= 1.01
         and elapsed < 30.0
@@ -162,7 +165,7 @@ def test_criterion_05_cone_model_energy_decay_rate(cone_scaling_result):
 
 
 def test_criterion_06_supnorm_fourth_root_bound(thm1_result):
-    rows, _ = thm1_result
+    rows = thm1_result[0]["rows"]
     worst = max(r["linfRatio"] / r["linfBound"] for r in rows)
     ok = worst <= 1.01
     report(
@@ -174,7 +177,7 @@ def test_criterion_06_supnorm_fourth_root_bound(thm1_result):
 
 def test_criterion_07_rearrangement_chain_random_suite():
     t0 = time.perf_counter()
-    summary, _, suite_ok = pipeline.rearrange_random_suite(
+    summary, _ = pipeline.rearrange_random_suite(
         count=200, knots=8, vmax=50.0, interval=(0.0, 1.0), n=800, seed=0
     )
     elapsed = time.perf_counter() - t0
@@ -189,6 +192,7 @@ def test_criterion_07_rearrangement_chain_random_suite():
         - r["slack"]
         for r in rows
     )
+    suite_ok = all(c["pass"] for c in summary["checks"])
     ok = suite_ok and failures == summary["failures"] == 0 and elapsed < 120.0
     report(
         7,
@@ -271,7 +275,7 @@ def test_criterion_10_channel_energy_consistency(vdberg_result):
 def test_criterion_11_rectangle_profile_agreement():
     t0 = time.perf_counter()
     # one cone size, as an empty suite is bad input; its rows are 1D solves only
-    result, _, _ = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 64.0, tol=1e-7)
+    result, _ = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 64.0, tol=1e-7)
     elapsed = time.perf_counter() - t0
     err = result["rectError"]
     ok = err <= 1e-2 and elapsed < 60.0

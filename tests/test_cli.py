@@ -68,14 +68,14 @@ def record_rows(monkeypatch, name):
     recorded = []
 
     def runner(**arguments):
-        summary, rows, ok = command.runner(**arguments)
+        summary, rows = command.runner(**arguments)
         if rows is None:
             columns = command.header.split(",")
             recorded.append([[r[c] for c in columns] for r in summary["rows"]])
         else:
             rows = list(rows)
             recorded.append(rows)
-        return summary, rows, ok
+        return summary, rows
 
     monkeypatch.setitem(COMMANDS, name, command._replace(runner=runner))
     return recorded
@@ -316,36 +316,6 @@ def test_gjcompare_repeated_size_runs_once(tmp_path):
     assert data["config"]["D"] == [16, 16]  # the JSON keeps the resolved value
 
 
-def test_gjcompare_budget_failure_exits_one(tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "RECT_ERROR_BUDGET", 1e-9)
-    prefix = tmp_path / "gf"
-    args = ["gjCompare", "--out", str(prefix), "--set", "D=16", "--set", "spacing=0.03125"]
-    assert main(args) == 1
-    data, lines = load(prefix)
-    assert data["summary"]["rectPass"] == 0
-    assert data["summary"]["rectBudget"] == 1e-9
-    assert len(lines) == 3
-
-
-# a band out of reach fails the verdict: exit 1, and both files are still written
-@pytest.mark.parametrize(
-    "band, value, argv",
-    [
-        ("SANDWICH_SLACK", -0.9, ["verifyThm1", "--set", "names=squareWell"]),
-        ("PRODUCT_BAND", (1e6, 1e7), ["domainSweep", "--set", "families=cone", "--set", "D=16"]),
-        ("PRODUCT_BAND", (1e6, 1e7), ["vdberg", "--set", "D=8", "--set", "spacing=0.0625"]),
-    ],
-    ids=["verifyThm1", "domainSweep", "vdberg"],
-)
-def test_failed_band_exits_one(tmp_path, monkeypatch, band, value, argv):
-    monkeypatch.setattr(pipeline, band, value)
-    prefix = tmp_path / "fb"
-    assert main(argv + ["--out", str(prefix)]) == 1
-    data, lines = load(prefix)
-    assert data["summary"]["allPass"] == 0
-    assert len(lines) == 2  # header and the one row
-
-
 def test_domainsweep_quick(tmp_path):
     prefix = tmp_path / "d"
     args = [
@@ -500,6 +470,10 @@ def _as_sets(overrides):
     return args
 
 
+def _small(command):
+    return [command, *_as_sets(_GUARD_SETS.get(command, {}))]
+
+
 def test_every_public_function_is_reached(tmp_path):
     # a public function that no command calls belongs in the tests as a
     # reference; a name scan would miss one that shares a local's name
@@ -509,7 +483,7 @@ def test_every_public_function_is_reached(tmp_path):
         for name, obj in vars(module).items():
             if inspect.isfunction(obj) and obj.__module__ == module.__name__ and name[0] != "_":
                 public[obj.__code__] = f"{module.__name__}.{name}"
-    runs = [[c, *_as_sets(_GUARD_SETS.get(c, {}))] for c in sorted(COMMANDS)]
+    runs = [_small(c) for c in sorted(COMMANDS)]
     runs.append(["constants", "--set", "budget=50"])
     called = set()
 
@@ -584,7 +558,7 @@ _INFEASIBLE = {"alpha": 0.5, "beta": 0.25, "gamma": 2}  # objective nan, exits 1
 
 @pytest.mark.parametrize(
     "argv, status",
-    [([c, *_as_sets(_GUARD_SETS.get(c, {}))], 0) for c in sorted(COMMANDS)]
+    [(_small(c), 0) for c in sorted(COMMANDS)]
     + [(["constants", *_as_sets(_INFEASIBLE)], 1)],
     ids=sorted(COMMANDS) + ["constants-infeasible"],
 )
@@ -599,6 +573,65 @@ def test_csv_matches_reference_format(tmp_path, monkeypatch, argv, status):
     has_text = any(isinstance(v, str) for v in rows[0])
     assert has_text == (argv[0] in {"verifyThm1", "domainSweep", "gjCompare"})
     assert read_bytes(prefix, ".csv") == reference_csv(COMMANDS[argv[0]].header, rows)
+
+
+# a band out of reach, or an infeasible triple, fails the named check: exit 1,
+# and both files are still written, with the CSV's header and every row
+@pytest.mark.parametrize(
+    "bands, argv, check, rows",
+    [
+        (
+            {"SANDWICH_SLACK": -0.9},
+            ["verifyThm1", "--set", "names=squareWell"],
+            "squareWell.sandwich",
+            1,
+        ),
+        ({"PRODUCT_BAND": (1e6, 1e7)}, _small("domainSweep"), "cone16.shiftedProduct", 1),
+        ({"PRODUCT_BAND": (1e6, 1e7)}, _small("vdberg"), "D8.shiftedProduct", 1),
+        ({"CHAIN_SLACK_FACTOR": -1e3}, _small("rearrangeCheck"), "draw1.chain", 2),
+        ({"RECT_ERROR_BUDGET": 1e-9}, _small("gjCompare"), "rectError", 2),
+        ({"GJ_RATIO_BAND": (1e6, 1e7)}, _small("gjCompare"), "D16.ratio", 2),
+        ({"STAT_SPREAD_MAX": 0.5}, _small("vdberg"), "statSpread", 1),
+        ({}, ["constants", *_as_sets(_INFEASIBLE)], "feasible", 1),
+    ],
+    ids=[
+        "verifyThm1", "domainSweep", "vdberg", "rearrangeCheck", "gjCompare-rectError",
+        "gjCompare-ratio", "vdberg-statSpread", "constants-infeasible",
+    ],
+)
+def test_failed_band_exits_one(tmp_path, monkeypatch, bands, argv, check, rows):
+    for band, value in bands.items():
+        monkeypatch.setattr(pipeline, band, value)
+    prefix = tmp_path / "fb"
+    assert main(argv + ["--out", str(prefix)]) == 1
+    data, lines = load(prefix)
+    summary = data["summary"]
+    assert summary["allPass"] == 0
+    assert [c["pass"] for c in summary["checks"] if c["name"] == check] == [0]
+    assert lines[0] == COMMANDS[argv[0]].header
+    assert len(lines) == 1 + rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_small(c) for c in sorted(COMMANDS)] + [["constants", *_as_sets(_INFEASIBLE)]],
+    ids=sorted(COMMANDS) + ["constants-infeasible"],
+)
+def test_every_command_reports_named_checks(tmp_path, argv):
+    # one check format, and one rule from the checks to allPass and the exit status
+    prefix = tmp_path / "nc"
+    status = main(argv + ["--out", str(prefix)])
+    data, _ = load(prefix)  # strict: an open bound is null, never Infinity
+    checks = data["summary"]["checks"]
+    for check in checks:
+        assert sorted(check) == ["bound", "name", "pass", "value"]
+        lo, hi = check["bound"]
+        value = check["value"]
+        assert check["pass"] == ((lo is None or lo <= value) and (hi is None or value <= hi))
+    names = [check["name"] for check in checks]
+    assert len(set(names)) == len(names)
+    assert data["summary"]["allPass"] == all(check["pass"] for check in checks)
+    assert status == 1 - data["summary"]["allPass"]
 
 
 @pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"rearrangeCheck", "constants"}))

@@ -65,8 +65,13 @@ def test_cone_model_tends_to_the_airy_limit():
     assert gaps[-1] < 0.015
 
 
+def checks_by_name(summary):
+    return {check["name"]: check for check in summary["checks"]}
+
+
 def test_verify_thm1_squarewell_row():
-    rows = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))
+    summary = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))
+    rows = summary["rows"]
     assert len(rows) == 1
     row = rows[0]
     assert row["potential"] == "squareWell"
@@ -74,22 +79,28 @@ def test_verify_thm1_squarewell_row():
     assert row["lower"] == pytest.approx(0.004, rel=1e-9)
     assert row["upper"] == pytest.approx(PI2, rel=1e-9)
     assert row["lambda1"] == pytest.approx(PI2, rel=1e-4)
-    assert row["sandwichPass"] and row["linfPass"] and row["pass"]
+    checks = checks_by_name(summary)
+    assert checks["squareWell.sandwich"]["pass"] and checks["squareWell.linf"]["pass"]
+    assert row["pass"] == 1
+    assert checks["squareWell.sandwich"]["value"] == row["lambda1"]
+    assert checks["squareWell.linf"]["value"] == row["linfRatio"]
     assert row["linfRatio"] <= row["linfBound"] * 1.02
 
 
 def test_verify_thm1_linfty_square_well():
-    row = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))[0]
+    summary = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))
+    row = summary["rows"][0]
     assert row["linfRatio"] == pytest.approx(math.sqrt(2.0), abs=1e-3)
     assert row["linfBound"] == pytest.approx((2 * PI2) ** 0.25, rel=1e-6)
-    assert row["linfPass"] == 1
+    assert checks_by_name(summary)["squareWell.linf"]["pass"] == 1
 
 
 def test_verify_thm1_linfty_harmonic_gaussian_ratio():
-    row = pipeline.verify_thm1(pipeline.thm1_suite(["harmonic"]))[0]
+    summary = pipeline.verify_thm1(pipeline.thm1_suite(["harmonic"]))
+    row = summary["rows"][0]
     assert row["linfRatio"] == pytest.approx(math.pi ** (-0.25), abs=1e-3)
     assert row["linfBound"] == pytest.approx(2.0**0.25, rel=1e-4)
-    assert row["linfPass"] == 1
+    assert checks_by_name(summary)["harmonic.linf"]["pass"] == 1
 
 
 def test_verify_thm1_linfty_rejects_negative_potential():
@@ -101,8 +112,13 @@ def test_verify_thm1_linfty_rejects_negative_potential():
 def test_verify_thm1_linfty_verdict_reads_its_band(monkeypatch):
     # a sup-norm band out of reach fails that check alone
     monkeypatch.setattr(pipeline, "LINF_SLACK", -0.5)
-    row = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))[0]
-    assert (row["sandwichPass"], row["linfPass"], row["pass"]) == (1, 0, 0)
+    summary = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))
+    passes = [check["pass"] for check in summary["checks"]]
+    assert (passes, summary["rows"][0]["pass"]) == ([1, 0], 0)
+    assert [check["name"] for check in summary["checks"]] == [
+        "squareWell.sandwich",
+        "squareWell.linf",
+    ]
 
 
 def rearrange_suite(count, seed, n=800):
@@ -114,23 +130,26 @@ def rearrange_suite(count, seed, n=800):
 
 def test_rearrange_verdict_reads_its_band(monkeypatch):
     monkeypatch.setattr(pipeline, "CHAIN_SLACK_FACTOR", -1e3)
-    summary, csv_rows, ok = rearrange_suite(count=2, seed=11, n=200)
+    summary, csv_rows = rearrange_suite(count=2, seed=11, n=200)
     rows = summary["rows"]
     assert [r["pass"] for r in rows] == [0, 0]
     assert all(r["slack"] < 0 for r in rows)
-    assert (summary["failures"], csv_rows, ok) == (2, None, False)
+    assert [c["name"] for c in summary["checks"] if not c["pass"]] == ["draw0.chain", "draw1.chain"]
+    assert [c["bound"] for c in summary["checks"]] == [[None, r["slack"]] for r in rows]
+    assert (summary["failures"], csv_rows) == (2, None)
 
 
 def test_rearrange_suite_deterministic_and_passing():
-    first, _, ok = rearrange_suite(count=3, seed=11)
-    second, _, _ = rearrange_suite(count=3, seed=11)
+    first, _ = rearrange_suite(count=3, seed=11)
+    second, _ = rearrange_suite(count=3, seed=11)
     assert first == second
-    assert ok and first["count"] == 3 and first["failures"] == 0
+    assert first["count"] == 3 and first["failures"] == 0
+    assert all(check["pass"] for check in first["checks"])
     assert len(first["rows"]) == 3
     for row in first["rows"]:
         assert row["pass"] == 1
         assert row["lambdaRearranged"] <= row["lambdaOriginal"] + row["slack"]
-    other, _, _ = rearrange_suite(count=3, seed=12)
+    other, _ = rearrange_suite(count=3, seed=12)
     assert other["rows"] != first["rows"]
 
 
@@ -218,11 +237,17 @@ def _verdict_rows():
 
 def test_vdberg_verdict_passes_in_band():
     verdict = pipeline.vdberg_verdict(_verdict_rows())
-    assert verdict["allPass"] == 1
-    assert verdict["slope"] == pytest.approx(-1.0, rel=1e-12)
-    assert verdict["statSpread"] == 1.0
+    checks = checks_by_name(verdict)
+    assert all(check["pass"] for check in verdict["checks"])
+    assert verdict["slope"] == checks["slope"]["value"] == pytest.approx(-1.0, rel=1e-12)
+    assert checks["statSpread"]["value"] == 1.0
+    assert sorted(checks) == sorted(
+        [f"D{d}.{key}" for d in (8, 16) for key in ("rho", "shiftedProduct", "oneDimRatio")]
+        + ["statSpread", "slope"]
+    )
     single = pipeline.vdberg_verdict(_verdict_rows()[:1])
-    assert single["allPass"] == 1 and single["slope"] is None
+    assert all(check["pass"] for check in single["checks"]) and single["slope"] is None
+    assert "slope" not in checks_by_name(single)
 
 
 @pytest.mark.parametrize(
@@ -238,19 +263,21 @@ def test_vdberg_verdict_passes_in_band():
 def test_vdberg_verdict_fails_on_one_bad_row(key, value):
     rows = _verdict_rows()
     rows[1][key] = value
-    assert pipeline.vdberg_verdict(rows)["allPass"] == 0
+    failed = [c["name"] for c in pipeline.vdberg_verdict(rows)["checks"] if not c["pass"]]
+    named = {"statistic": "statSpread", "supRatio": "slope"}
+    assert failed == [named.get(key, f"D16.{key}")]
 
 
 def test_gj_compare_run_bands():
-    result, csv_rows, ok = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 32.0, tol=1e-7)
-    assert result["rectBudget"] == pipeline.RECT_ERROR_BUDGET == 1e-2
+    result, csv_rows = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 32.0, tol=1e-7)
     assert 0 <= result["rectError"] <= 1e-2
-    assert result["rectPass"] == 1
     (row,) = result["rows"]
     assert row["D"] == 16.0
     assert 0.25 <= row["ratio"] <= 4.0
-    assert row["pass"] == 1
-    assert ok and result["allPass"] == 1
+    assert result["checks"] == [
+        {"name": "rectError", "value": result["rectError"], "bound": [None, 1e-2], "pass": 1},
+        {"name": "D16.ratio", "value": row["ratio"], "bound": [0.25, 4.0], "pass": 1},
+    ]
     assert csv_rows == [
         ["rectProfile", 8.0, result["rectError"], 1],
         ["coneRatio", 16.0, row["ratio"], 1],

@@ -140,20 +140,22 @@ def test_chain_inequalities_on_random_suite():
     for _ in range(30):
         g = _random_piecewise_grid(rng)
         pair, r = chain(g)
-        eps, holds = pipeline._chain(g, pair.f, r)
+        check = pipeline._chain("chain", g, pair.f, r)
+        eps = check["bound"][1]
         # the value pairing in the rearranged sum is extremal, so this one
         # holds to rounding, no discretization slack needed
         assert r.hlLeft >= r.hlRight - 1e-9 * max(1.0, abs(r.hlLeft))
         assert r.psLeft <= r.psRight + eps
         assert r.lambdaRearranged <= r.lambdaOriginal + eps
-        assert eps > 0 and holds
+        assert eps > 0 and check["pass"]
 
 
 def test_chain_slack_scales_with_dx():
     g1 = sample(PotentialSpec(kind="harmonic", params=[], interval=(-2.0, 2.0)), 100)
     g2 = sample(PotentialSpec(kind="harmonic", params=[], interval=(-2.0, 2.0)), 200)
     (p1, r1), (p2, r2) = chain(g1), chain(g2)
-    s1, s2 = pipeline._chain(g1, p1.f, r1)[0], pipeline._chain(g2, p2.f, r2)[0]
+    s1 = pipeline._chain("chain", g1, p1.f, r1)["bound"][1]
+    s2 = pipeline._chain("chain", g2, p2.f, r2)["bound"][1]
     assert s2 < s1
     vrange = g1.values.max() - g1.values.min()
     assert s1 == pytest.approx(10.0 * g1.dx * vrange * np.max(np.abs(p1.f)) ** 2, rel=1e-12)
@@ -162,15 +164,17 @@ def test_chain_slack_scales_with_dx():
 def test_report_slack_is_chain_slack_of_the_ground_state():
     # the suite draws its wells as _random_piecewise_grid does, and judges
     # each with the allowance of the drawn well's ground state
-    summary, _, _ = pipeline.rearrange_random_suite(
+    summary, _ = pipeline.rearrange_random_suite(
         count=1, knots=8, vmax=50.0, interval=(0.0, 1.0), n=200, seed=7
     )
     (row,) = summary["rows"]
     g = _random_piecewise_grid(np.random.default_rng(7), n=200)
     pair, r = chain(g)
     assert {k: row[k] for k in dataclasses.asdict(r)} == dataclasses.asdict(r)
-    assert row["slack"] == pipeline._chain(g, pair.f, r)[0]
-    assert row["pass"] == 1
+    check = pipeline._chain("draw0.chain", g, pair.f, r)
+    assert summary["checks"] == [check]
+    assert row["slack"] == check["bound"][1]
+    assert row["pass"] == check["pass"] == 1
 
 
 @pytest.mark.parametrize(
@@ -180,7 +184,8 @@ def test_report_slack_is_chain_slack_of_the_ground_state():
 def test_report_fails_when_one_comparison_passes_slack(field, other):
     g = _random_piecewise_grid(np.random.default_rng(7), n=200)
     pair, r = chain(g)
-    slack, holds = pipeline._chain(g, pair.f, r)
-    assert holds
+    check = pipeline._chain("chain", g, pair.f, r)
+    assert check["pass"]
+    slack = check["bound"][1]
     broken = dataclasses.replace(r, **{field: getattr(r, other) + 2.0 * slack})
-    assert not pipeline._chain(g, pair.f, broken)[1]
+    assert pipeline._chain("chain", g, pair.f, broken)["pass"] == 0
