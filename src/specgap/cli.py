@@ -7,9 +7,10 @@ the fully resolved configuration, and <prefix>.csv with the row data.
 
 COMMANDS is the one table of subcommands: each entry holds the defaults,
 the runner and the CSV header. The runner is a `pipeline` function that
-takes the command's config keys, each coerced by COERCE first; every
-summary, row and named check is made there. This module resolves
-configuration, does I/O, and sets allPass and the exit status from the checks.
+takes the command's config keys, each coerced and range-checked by COERCE
+first, so it only computes: every summary, row and named check is made
+there. This module resolves configuration, does I/O, and sets allPass and
+the exit status from the checks.
 
 Exit status: 0 on success, 1 when a check fails or the numerics break
 down, 2 on bad input.
@@ -57,23 +58,35 @@ def _as_int(value) -> int:
         raise ParameterError(f"expected an integer, got {reprlib.repr(value)}") from None
 
 
-# largest accepted sizes, checked before anything is allocated; each admits
-# every command line in the README, the tests and the benchmark workloads;
-# a constants search holds an array row per restart, and its 10 million
-# evaluations take about 8 s and 120 MB
-MAX_SIZE = {
-    "n": 1_000_000, "knots": 10_000, "count": 100_000, "resolution": 4096, "budget": 10_000_000
+# each integer key's (minimum, maximum), None where open, checked before
+# anything is allocated; a minimum the library checks on its own argument
+# (sample's n >= 3, normalize_gj's resolution >= 1) stays open here; the
+# maxima admit every command line in the README, the tests and the benchmark
+# workloads, and a 10 million budget search takes about 8 s and 120 MB
+INT_RANGE: Dict[str, Tuple[Optional[int], Optional[int]]] = {
+    "n": (None, 1_000_000), "knots": (2, 10_000), "count": (1, 100_000),
+    "resolution": (None, 4096), "budget": (0, 10_000_000), "seed": (0, None),
 }
 
+# smallest 2D solver tol a command accepts: the float64 residual stalls a
+# little below 1e-12, and under 1e-13 LOBPCG can spend its whole cap first
+MIN_TOL = 1e-13
 
-def _size(key: str) -> Callable[[object], int]:
+
+def _bounded_int(key: str) -> Callable[[object], int]:
+    lo, hi = INT_RANGE[key]
+
     def coerce(value) -> int:
-        size = _as_int(value)
-        if size > MAX_SIZE[key]:
-            digits = len(str(size))  # a float() of a long integer overflows
-            got = size if digits <= 20 else f"an integer of {digits} digits"
-            raise ParameterError(f"{key} must be at most {MAX_SIZE[key]}, got {got}")
-        return size
+        number = _as_int(value)
+        if lo is not None and number < lo:
+            rule = f"at least {lo}"
+        elif hi is not None and number > hi:
+            rule = f"at most {hi}"
+        else:
+            return number
+        digits = len(str(abs(number)))  # a float() of a long integer overflows
+        got = number if digits <= 20 else f"an integer of {digits} digits"
+        raise ParameterError(f"{key} must be {rule}, got {got}")
 
     return coerce
 
@@ -94,6 +107,22 @@ def _as_str_list(value) -> List[str]:
     raise ParameterError(f"expected a name or list of names, got {reprlib.repr(value)}")
 
 
+def _nonempty(key: str, values: list) -> list:
+    if not values:
+        raise ParameterError(f"{key} needs at least one value")
+    return values
+
+
+def _names(value) -> List[str]:
+    """verifyThm1's suite members, each once at its first place."""
+    names = _nonempty("names", list(dict.fromkeys(_as_str_list(value))))
+    unknown = [name for name in names if name not in pipeline.THM1_NAMES]
+    if unknown:
+        have = sorted(pipeline.THM1_NAMES)
+        raise ParameterError(f"unknown suite members {reprlib.repr(unknown)}; have {have}")
+    return names
+
+
 def _interval(value) -> Tuple[float, float]:
     pair = _as_float_list(value)
     if len(pair) != 2:
@@ -101,36 +130,37 @@ def _interval(value) -> Tuple[float, float]:
     return pair[0], pair[1]
 
 
-def _budget(value) -> int:
-    budget = _size("budget")(value)
-    if budget < 0:
-        raise ParameterError(f"expected a budget of at least 0, got {budget}")
-    return budget
+def _tol(value) -> float:
+    tol = _as_float(value)
+    if tol < MIN_TOL:
+        raise ParameterError(f"tol must be at least {MIN_TOL:g}, got {tol:g}")
+    if tol >= 1.0:  # a relative residual of 1 or more holds for a vector that is no eigenvector
+        raise ParameterError(f"tol must be below 1, got {tol:g}")
+    return tol
 
 
-def _seed(value) -> int:
-    seed = _as_int(value)
-    if seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+def _vmax(value) -> float:
+    vmax = _as_float(value)
+    if vmax <= 0.0:
+        raise ParameterError(f"vmax must be positive, got {vmax:g}")
+    return vmax
 
 
-# every config key's coercion, applied before the runner is called
+# every config key's coercion, applied before the runner is called: the one
+# place that decides which values a key accepts
 COERCE: Dict[str, Callable[[object], object]] = {
-    **{key: _size(key) for key in MAX_SIZE},  # budget's entry below adds its >= 0 rule
+    **{key: _bounded_int(key) for key in INT_RANGE},
     "kind": str,
     "params": lambda value: tuple(_as_float_list(value)),
     "interval": _interval,
-    "tol": _as_float,
-    "names": _as_str_list,
-    "vmax": _as_float,
+    "tol": _tol,
+    "names": _names,
+    "vmax": _vmax,
     "alpha": _as_float,
     "beta": _as_float,
     "gamma": _as_float,
-    "budget": _budget,
-    "seed": _seed,
-    "families": _as_str_list,
-    "D": _as_float_list,
+    "families": lambda value: _nonempty("families", sorted(set(_as_str_list(value)))),
+    "D": lambda value: _nonempty("D", sorted(set(_as_float_list(value)))),
     "spacing": _as_float,
 }
 

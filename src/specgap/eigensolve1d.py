@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from specgap.errors import NumericError, ParameterError
 from specgap.potential import PotentialGrid
@@ -54,16 +54,13 @@ def smallest_eigenpair(grid: PotentialGrid) -> Eigenpair1D:
     kinetic = 4.0 * math.sin(math.pi / (2 * n + 2)) ** 2 / dx**2  # lambda1 at V = 0
     shift = float(grid.values[1:-1].min()) + kinetic - margin  # Weyl's bound
     # the solve runs on (A - shift)/||A||, finite by the check above, so x
-    # stays below 1/(64 eps) at any dx
-    ab = np.zeros((2, n))
-    ab[0, 1:] = off / norm_a
+    # stays below 1/(64 eps) at any dx; LAPACK ptsv factors it as L D L^T
+    e = np.full(n - 1, off / norm_a)
     v = np.ones(n) / math.sqrt(float(n))
     for _ in range(40):
-        ab[1, :] = (diag - shift) / norm_a
-        try:
-            x = solveh_banded(ab, v, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"A - {shift} is not positive definite: {exc}") from exc
+        _, _, x, info = dptsv((diag - shift) / norm_a, e, v)
+        if info:
+            raise NumericError(f"A - {shift} is not positive definite: leading minor {info}")
         if x.min() > 0.0:
             shift += max(float(np.min(v / x)) * norm_a - margin, 0.0)
         v = x / np.linalg.norm(x)

@@ -32,7 +32,7 @@ from itertools import count
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg.lapack import dsygvd, spbtrf, spbtrs
 
 from .convexdomain import MAX_GRID_NODES, ConvexPolygon, inradius
 from .errors import GeometryError, NumericError, ParameterError
@@ -244,10 +244,13 @@ def _coarsest_solve(mask: np.ndarray, roots: np.ndarray) -> Callable[[np.ndarray
     for nb, value in ((right, -1.0 / roots), (below, -1.0)):
         keep = nb >= 0
         ab[band + node[keep] - nb[keep], nb[keep]] = np.broadcast_to(value, nb.shape)[keep]
-    factor, scale = cholesky_banded(ab, check_finite=False), roots.astype(np.float32)
+    factor, info = spbtrf(ab)
+    if info:  # the float32 matrix lost definiteness at a leading minor
+        raise NumericError(f"coarsest-level Cholesky failed at leading minor {info} of {node.size}")
+    scale = roots.astype(np.float32)
 
     def solve(r: np.ndarray) -> np.ndarray:
-        x = cho_solve_banded((factor, False), (r * scale)[order], check_finite=False)
+        x, _ = spbtrs(factor, (r * scale)[order])
         return x[node] / scale
 
     return solve
@@ -355,7 +358,7 @@ def _lopcg(
     else Rayleigh-Ritz on x, the preconditioned residual w (orthonormalized
     against x) and the previous step p (normalized, and dropped when zero or
     when it leaves the Gram matrix singular) gives the next x, lambda and
-    p, the 3 x 3 problem solved by LAPACK.  The loop also ends after
+    p, the 3 x 3 problem solved by LAPACK dsygvd.  The loop also ends after
     _MAX_OUTER steps, after _STALL steps without a new lowest residual, or
     when [x, w] itself is singular.  The vectors are updated by linear
     combinations, never stacked into a block.
@@ -380,14 +383,13 @@ def _lopcg(
             basis.append(p / norm)
             images.append(ap / norm)
         while True:
-            try:
-                lams, c = eigh(_gram(basis, images), _gram(basis, basis), check_finite=False)
+            lams, c, info = dsygvd(_gram(basis, images), _gram(basis, basis))
+            if not info:
                 break
-            except LinAlgError:  # drop p; a singular [x, w] ends the loop
-                if len(basis) == 2:
-                    return best, calls + 1
-                basis.pop()
-                images.pop()
+            if len(basis) == 2:  # drop p; a singular [x, w] ends the loop
+                return best, calls + 1
+            basis.pop()
+            images.pop()
         lam, c = lams[0], c[:, 0]
         p, ap = c[1] * basis[1], c[1] * images[1]
         if len(basis) == 3:
@@ -397,7 +399,7 @@ def _lopcg(
 
 
 def _gram(us: list, vs: list) -> np.ndarray:
-    """The lower triangle of [u_i . v_j], which is all eigh reads."""
+    """The lower triangle of [u_i . v_j], which is all dsygvd reads."""
     g = np.zeros((len(us), len(us)))
     for i in range(len(us)):
         for j in range(i + 1):

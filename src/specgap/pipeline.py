@@ -3,6 +3,8 @@
 Every function here returns plain dicts and lists so the CLI can dump
 them to JSON/CSV unchanged and the acceptance tests can inspect the
 same numbers the command line reports. A runner's verdicts are its summary["checks"].
+A runner takes its config keys as `cli.COERCE` leaves them, coerced and
+range-checked, so it only computes.
 """
 
 import math
@@ -44,9 +46,6 @@ RATIO_BAND = (0.5, 2.0)  # 2D normalized energy over the 1D channel energy
 GJ_RATIO_BAND = (0.25, 4.0)  # channel excess energy over the cone model's
 RECT_ERROR_BUDGET = 1e-2  # 8x1 rectangle: 2D ground state against its 1D profile
 RHO_TOL = 1e-3  # |inradius - 1| of the generated cones
-# smallest 2D solver tol a command accepts: the float64 residual stalls a
-# little below 1e-12, and under 1e-13 LOBPCG can spend its whole cap first
-MIN_TOL = 1e-13
 STAT_SPREAD_MAX = 2.0  # max/min of the sup-norm statistic across D
 SLOPE_MAX = -1.0 / 6.0 + 0.05  # log-log slope of the sup ratio against D
 
@@ -73,24 +72,10 @@ THM1_NAMES = tuple(name for name, _, _ in _bench_specs())
 
 
 def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, PotentialGrid]]:
-    """Named nonnegative benchmark potentials for the two-sided check, each
-    name once, in the order first given."""
+    """Named nonnegative benchmark potentials for the two-sided check, in
+    the order given (all of THM1_NAMES by default)."""
     table = {name: (spec, n) for name, spec, n in _bench_specs()}
-    picked = THM1_NAMES if names is None else list(dict.fromkeys(names))
-    if not picked:
-        raise ParameterError("verifyThm1 needs at least one suite member name")
-    unknown = [name for name in picked if name not in table]
-    if unknown:
-        raise ParameterError(f"unknown suite members {unknown}; have {sorted(table)}")
-    return [(name, sample(*table[name])) for name in picked]
-
-
-def _sizes(command: str, d_list: Sequence[float]) -> List[float]:
-    """The domain sizes D of a sweep, sorted and each once."""
-    sizes = sorted(set(float(d) for d in d_list))
-    if not sizes:
-        raise ParameterError(f"{command} needs at least one domain size D")
-    return sizes
+    return [(name, sample(*table[name])) for name in (THM1_NAMES if names is None else names)]
 
 
 def _check(name: str, value, lo, hi) -> dict:
@@ -259,14 +244,8 @@ def rearrange_random_suite(count, knots, vmax, interval, n, seed):
     Polya-Szego, and the eigenvalue drop, all within the grid allowance
     `slack`. `failures` counts the draws that fail it.
     """
-    if count < 1:
-        raise ParameterError(f"count must be at least 1, got {count}")
-    if knots < 2:
-        raise ParameterError(f"need at least 2 knots, got {knots}")
-    if not 0 < vmax < math.inf:
-        raise ParameterError(f"vmax must be positive and finite, got {vmax}")
     rng = np.random.default_rng(seed)
-    a, b = float(interval[0]), float(interval[1])
+    a, b = interval
     xs = np.linspace(a, b, knots)
     rows, checks = [], []
     for i in range(count):
@@ -285,18 +264,14 @@ def rearrange_random_suite(count, knots, vmax, interval, n, seed):
 def domain_sweep(families, D, resolution):
     """Geometry and thin-channel 1D quantities for each generated domain.
 
-    Rows are sorted by family then size. The checks are the two-sided
-    eigenvalue sandwich `<family><D>.sandwich` plus a bounded product
-    `<family><D>.shiftedProduct` between the energy above the channel
-    threshold and the localization scale.
+    Rows follow families, then sizes, in the order given. The checks are
+    the two-sided eigenvalue sandwich `<family><D>.sandwich` plus a bounded
+    product `<family><D>.shiftedProduct` between the energy above the
+    channel threshold and the localization scale.
     """
-    kinds = sorted(set(families))
-    if not kinds:
-        raise ParameterError("domainSweep needs at least one family")
-    sizes = _sizes("domainSweep", D)
     rows, checks = [], []
-    for family in kinds:
-        for d in sizes:
+    for family in families:
+        for d in D:
             poly = generate_family(family, d)
             rho = inradius(poly)
             dm = diameter(poly)
@@ -365,8 +340,8 @@ def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
 
 def vdberg_sweep(d_list: Sequence[float], spacing: float, tol: float) -> List[Dict[str, object]]:
     """Cone-family 2D sweep: ground state, sup-norm statistic, and the
-    matching thin-channel one-dimensional quantities, sorted by D."""
-    return [_vdberg_member(d, spacing, tol) for d in _sizes("vdberg", d_list)]
+    matching thin-channel one-dimensional quantities, one row per D in order."""
+    return [_vdberg_member(d, spacing, tol) for d in d_list]
 
 
 def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
@@ -393,16 +368,8 @@ def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
     return {"slope": slope, "checks": checks}
 
 
-def _check_tol(tol: float) -> None:
-    if tol < MIN_TOL:
-        raise ParameterError(f"tol must be at least {MIN_TOL:g}, got {tol:g}")
-    if tol >= 1.0:  # a relative residual of 1 or more holds for a vector that is no eigenvector
-        raise ParameterError(f"tol must be below 1, got {tol:g}")
-
-
 def vdberg(D, spacing, tol):
     """vdberg_sweep over the sizes D, judged by vdberg_verdict."""
-    _check_tol(tol)
     rows = vdberg_sweep(D, spacing, tol)
     return dict(vdberg_verdict(rows), rows=rows), None
 
@@ -416,8 +383,6 @@ def gj_compare_run(D, spacing, tol):
     threshold must track the cone model potential's ground energy within
     GJ_RATIO_BAND (`D<D>.ratio`). The CSV has one row per check.
     """
-    _check_tol(tol)
-    sizes = _sizes("gjCompare", D)
     rect = ConvexPolygon(vertices=np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 1.0], [0.0, 1.0]]))
     rect_n, rect_hf = normalize_gj(rect)
     rect_profile = smallest_eigenpair(gj_potential(rect_hf))
@@ -425,7 +390,7 @@ def gj_compare_run(D, spacing, tol):
     rect_error = _gj_profile_error(rect_pair, rect_hf, rect_profile, localization_scale(rect_hf))
 
     rows, checks = [], [_check("rectError", rect_error, None, RECT_ERROR_BUDGET)]
-    for d in sizes:
+    for d in D:
         poly = generate_family("cone", d)
         t, _ = minimal_width(poly)
         _, hf = normalize_gj(poly)

@@ -17,7 +17,7 @@ import pytest
 
 import specgap
 from specgap import pipeline
-from specgap.cli import COMMANDS, MAX_SIZE, RunConfig, _write_outputs, main, run
+from specgap.cli import COMMANDS, INT_RANGE, RunConfig, _write_outputs, main, run
 from specgap.constants import exact_optimum
 from specgap.convexdomain import MAX_GRID_NODES
 
@@ -139,6 +139,22 @@ def test_bound_csv_round_trips_at_fine_size(tmp_path, monkeypatch):
     assert at[1] == s["widthAtYStar"] and at[2] == s["fStar"]
 
 
+# a flat-bottomed well under 1e6 walls, on [0, 1]
+_FLAT_BOTTOM = [
+    "--set", "kind=piecewiseLinear", "--set", "n=1000",
+    "--set", "params=0,1e6,0.2499,1e6,0.25,0,0.75,0,0.7501,1e6,1,1e6",
+]
+
+
+@pytest.mark.xfail(strict=True, reason="the sublevel minimum skips the levels just above min V")
+def test_flat_bottom_lower_bound_is_below_lambda1(tmp_path):
+    # bound prints lower 4000.004, eig1d lambda1 39.206 on the same grid
+    assert main(["bound", *_FLAT_BOTTOM, "--out", str(tmp_path / "b")]) == 0
+    assert main(["eig1d", *_FLAT_BOTTOM, "--out", str(tmp_path / "e")]) == 0
+    lower = load(tmp_path / "b")[0]["summary"]["lower"]
+    assert lower <= load(tmp_path / "e")[0]["summary"]["lambda1"]
+
+
 def test_csv_bytes(tmp_path):
     prefix = tmp_path / "cb"
     args = ["constants", "--out", str(prefix)]
@@ -225,6 +241,17 @@ def test_verify_thm1_subset(tmp_path):
     assert lines[1].endswith(",1")
 
 
+def test_thm1_suite_subset_filter(tmp_path, capsys):
+    prefix = tmp_path / "v"
+    for names in ("harmonic,squareWell", "harmonic,squareWell,harmonic,squareWell"):
+        assert main(["verifyThm1", "--out", str(prefix), "--set", f"names={names}"]) == 0
+        # a repeated name runs once, at its first place
+        data, _ = load(prefix)
+        assert [r["potential"] for r in data["summary"]["rows"]] == ["harmonic", "squareWell"]
+    assert main(["verifyThm1", "--out", str(tmp_path / "u"), "--set", "names=noSuchWell"]) == 2
+    assert capsys.readouterr().err.startswith("input error: unknown suite members ['noSuchWell']")
+
+
 def test_verify_thm1_repeated_name_runs_once(tmp_path):
     prefix = tmp_path / "v"
     assert main(["verifyThm1", "--out", str(prefix), "--set", "names=squareWell,squareWell"]) == 0
@@ -280,6 +307,13 @@ def test_empty_suite_is_input_error(tmp_path, capsys, command, config):
     assert main([command, "--input", str(cfg), "--out", str(tmp_path / "ve")]) == 2
     assert "input error:" in capsys.readouterr().err
     assert not (tmp_path / "ve.json").exists()
+
+
+def test_vdberg_sweep_sorts_by_size(tmp_path):
+    prefix = tmp_path / "ws"
+    assert main(["vdberg", "--set", "D=12,8,12", "--set", "spacing=0.0625", "--out", str(prefix)]) == 0
+    data, _ = load(prefix)
+    assert [r["D"] for r in data["summary"]["rows"]] == [8.0, 12.0]
 
 
 def test_vdberg_bands_hold_for_single_member(tmp_path):
@@ -731,7 +765,6 @@ def test_bad_set_syntax(tmp_path, capsys):
         ("rearrangeCheck", "knots=8.5"),
         ("domainSweep", "resolution=256.5"),
         ("constants", "budget=1.5"),
-        ("constants", "budget=-5"),
         ("constants", "seed=1.5"),
         # true/false are names, not numbers
         ("rearrangeCheck", "vmax=true"),
@@ -782,6 +815,32 @@ def test_operator_norm_whose_square_overflows_is_input_error(tmp_path, capsys, w
     assert main(args + ["--set", "interval=0,1e-75"]) == 0
 
 
+# a command that takes each integer key
+_INT_KEY_COMMAND = {
+    "n": "bound", "knots": "rearrangeCheck", "count": "rearrangeCheck",
+    "resolution": "domainSweep", "budget": "constants", "seed": "rearrangeCheck",
+}
+
+
+def _int_bound_cases():
+    # one past each end of INT_RANGE, never a bound itself, and budget=-5
+    for key, (lo, hi) in INT_RANGE.items():
+        if lo is not None:
+            yield pytest.param(key, lo - 1, f"at least {lo}", id=f"{key}={lo - 1}")
+        if hi is not None:
+            yield pytest.param(key, hi + 1, f"at most {hi}", id=f"{key}={hi + 1}")
+    yield pytest.param("budget", -5, "at least 0", id="budget=-5")
+
+
+@pytest.mark.parametrize("key, value, rule", _int_bound_cases())
+def test_integer_key_outside_its_range_is_input_error(tmp_path, capsys, key, value, rule):
+    # rejected before the run, with the key and the bound it broke
+    prefix = tmp_path / "range"
+    assert main([_INT_KEY_COMMAND[key], "--set", f"{key}={value}", "--out", str(prefix)]) == 2
+    assert capsys.readouterr().err == f"input error: {key} must be {rule}, got {value}\n"
+    assert not (tmp_path / "range.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, key",
     [("bound", "n"), ("eig1d", "n"), ("rearrangeCheck", "n"), ("rearrangeCheck", "knots"),
@@ -790,7 +849,7 @@ def test_operator_norm_whose_square_overflows_is_input_error(tmp_path, capsys, w
 @pytest.mark.parametrize("over", [1, "9" * 401])
 def test_size_over_its_cap_is_input_error(tmp_path, capsys, command, key, over):
     # checked before anything is allocated; never run at the cap itself
-    value = MAX_SIZE[key] + 1 if over == 1 else over
+    value = INT_RANGE[key][1] + 1 if over == 1 else over
     prefix = tmp_path / "big"
     assert main([command, "--out", str(prefix), "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err

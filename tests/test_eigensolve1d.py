@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dptsv
 
+from specgap import eigensolve1d
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
 from specgap.pipeline import thm1_suite
@@ -66,13 +68,31 @@ def test_lambda1_matches_dense_solver():
 def test_few_solves_per_eigenpair(monkeypatch):
     # the shift rises quadratically onto lambda1, so few solves reach the residual target
     calls = []
-    monkeypatch.setattr(
-        "specgap.eigensolve1d.solveh_banded", lambda *a, **k: calls.append(1) or solveh_banded(*a, **k)
-    )
+    monkeypatch.setattr(eigensolve1d, "dptsv", lambda *a, **k: calls.append(1) or dptsv(*a, **k))
     for g in [g for _, g in thm1_suite()] + hard_grids():
         calls.clear()
         smallest_eigenpair(g)
         assert 1 <= len(calls) <= 8
+
+
+def test_lapack_call_matches_the_scipy_wrapper(monkeypatch):
+    # ptsv called directly gives the bits that scipy's solveh_banded, which
+    # dispatches a two-row band to ptsv, gave before it
+    def wrapped(d, e, b):
+        ab = np.zeros((2, d.size))
+        ab[0, 1:], ab[1] = e, d
+        try:
+            return d, e, solveh_banded(ab, b, check_finite=False), 0
+        except LinAlgError:
+            return d, e, None, 1
+
+    grids = [g for _, g in thm1_suite()] + hard_grids()
+    direct = [smallest_eigenpair(g) for g in grids]
+    monkeypatch.setattr(eigensolve1d, "dptsv", wrapped)
+    for pair, g in zip(direct, grids):
+        reference = smallest_eigenpair(g)
+        assert pair.lambda1 == reference.lambda1 and pair.residual == reference.residual
+        assert np.array_equal(pair.f, reference.f)
 
 
 def test_lambda1_is_relative_at_any_scale():

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy import ndimage
 from scipy.sparse.linalg import eigsh, lobpcg
@@ -277,11 +278,11 @@ def coarsest_solve_cases():
 def test_coarsest_solve_inverts_the_masked_stencil(monkeypatch, mask, fold):
     bands = []
 
-    def recorded(ab, **kwargs):  # the factor's band: ab holds it and the diagonal
+    def recorded(ab, *args, **kwargs):  # the factor's band: ab holds it and the diagonal
         bands.append(ab.shape[0] - 1)
-        return scipy.linalg.cholesky_banded(ab, **kwargs)
+        return scipy.linalg.lapack.spbtrf(ab, *args, **kwargs)
 
-    monkeypatch.setattr(eigensolve2d, "cholesky_banded", recorded)
+    monkeypatch.setattr(eigensolve2d, "spbtrf", recorded)
     roots = np.where((np.nonzero(mask)[1] == 0) & fold, math.sqrt(0.5), 1.0)
     solve = _coarsest_solve(_guarded(mask), roots)
     # the nodes are numbered along the shorter side; in flat order the wide
@@ -299,6 +300,14 @@ def test_coarsest_solve_inverts_the_masked_stencil(monkeypatch, mask, fold):
     # Cholesky is backward stable: the residual is a few float32 roundings of
     # |S| |x|, and S's rows sum to at most 8 in absolute value
     assert np.max(np.abs(sx - r)) <= 8.0 * 8.0 * np.finfo(np.float32).eps * np.max(np.abs(x))
+
+
+def test_indefinite_coarsest_matrix_is_numeric_error():
+    # roots of 0.05 couple each node to its right neighbour by -20 against
+    # the diagonal 4: the factorization fails, and says so as a NumericError
+    mask = coarsest_solve_cases()[0][0]
+    with pytest.raises(NumericError, match="coarsest-level Cholesky failed at leading minor"):
+        _coarsest_solve(_guarded(mask), np.full(np.count_nonzero(mask), 0.05))
 
 
 def test_masked_grid_validation():
@@ -858,15 +867,14 @@ def test_stalled_solve_reports_the_iterations_that_ran(monkeypatch):
         runs.append((norms, stop, calls))
         return v, calls
 
-    def eigh(*args, **kwargs):
-        try:
-            return scipy.linalg.eigh(*args, **kwargs)
-        except scipy.linalg.LinAlgError:
+    def dsygvd(*args, **kwargs):
+        w, v, info = scipy.linalg.lapack.dsygvd(*args, **kwargs)
+        if info:
             breakdowns.append(args)
-            raise
+        return w, v, info
 
     monkeypatch.setattr(eigensolve2d, "_lopcg", recorded)
-    monkeypatch.setattr(eigensolve2d, "eigh", eigh)
+    monkeypatch.setattr(eigensolve2d, "dsygvd", dsygvd)
     grid = rasterize(square(), 1.0 / 32.0)
     with pytest.raises(NumericError) as info:
         smallest_eigenpair_2d(grid, tol=1e-15)
@@ -877,6 +885,35 @@ def test_stalled_solve_reports_the_iterations_that_ran(monkeypatch):
     assert min(norms) > stop
     assert int(np.argmin(norms)) == calls - eigensolve2d._STALL - 1
     assert not breakdowns
+
+
+def test_lapack_calls_match_the_scipy_wrappers(monkeypatch):
+    # pbtrf, pbtrs and sygvd called directly give the bits that scipy's
+    # cholesky_banded, cho_solve_banded and eigh, which call them, gave before
+    def gv(a, b):
+        try:
+            return (*scipy.linalg.eigh(a, b, check_finite=False), 0)
+        except scipy.linalg.LinAlgError:
+            return None, None, 1
+
+    wrappers = {
+        "spbtrf": lambda ab: (scipy.linalg.cholesky_banded(ab, check_finite=False), 0),
+        "spbtrs": lambda c, b: (
+            scipy.linalg.cho_solve_banded((c, False), b, check_finite=False), 0
+        ),
+        "dsygvd": gv,
+    }
+    polys = [generate_family("cone", 8.0), normalize_gj(rectangle(8.0, 1.0))[0], square()]
+    grids = [rasterize(poly, 1.0 / 32.0) for poly in polys]
+    direct = [smallest_eigenpair_2d(grid, tol=1e-8) for grid in grids]
+    for name, wrapper in wrappers.items():
+        monkeypatch.setattr(eigensolve2d, name, wrapper)
+    for pair, grid in zip(direct, grids):
+        reference = smallest_eigenpair_2d(grid, tol=1e-8)
+        assert (pair.lambda1, pair.residual, pair.iterations) == (
+            reference.lambda1, reference.residual, reference.iterations
+        )
+        assert np.array_equal(pair.u, reference.u)
 
 
 def test_exact_sine_start_drops_a_vanishing_step():

@@ -37,16 +37,6 @@ def test_thm1_suite_names_and_sizes():
     assert bench["coneModel64"].b == 64.0
 
 
-def test_thm1_suite_subset_filter():
-    suite = pipeline.thm1_suite(["harmonic", "squareWell"])
-    assert [name for name, _ in suite] == ["harmonic", "squareWell"]
-    # a repeated name runs once, at its first place
-    suite = pipeline.thm1_suite(["harmonic", "squareWell", "harmonic", "squareWell"])
-    assert [name for name, _ in suite] == ["harmonic", "squareWell"]
-    with pytest.raises(Exception):
-        pipeline.thm1_suite(["noSuchWell"])
-
-
 # |a_1|, the first zero of Ai (DLMF 9.9)
 AIRY_A1 = 2.338107410459767
 
@@ -219,11 +209,6 @@ def test_bound_scans_the_samples_once(monkeypatch):
     monkeypatch.setattr(sublevel, "_scan", counting)
     pipeline.bound("harmonic", (0.0,), (-12.0, 12.0), 4000)
     assert calls == [4000]
-
-
-def test_vdberg_sweep_sorts_by_size():
-    rows = pipeline.vdberg_sweep([12.0, 8.0, 12.0], spacing=1.0 / 16.0, tol=1e-6)
-    assert [r["D"] for r in rows] == [8.0, 12.0]
 
 
 def _verdict_rows():

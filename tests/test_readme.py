@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from specgap.cli import MAX_SIZE, main
+from specgap.cli import COERCE, COMMANDS, INT_RANGE, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,11 +29,21 @@ def test_readme_examples_exit_zero(tmp_path):
         assert main(argv) == 0, line
 
 
-def test_readme_caps_table_lists_max_size():
-    # the table of size caps names every key of MAX_SIZE with its maximum, and nothing else
+def test_readme_input_table_matches_the_cli():
+    # one row per config key, naming the commands that take it; an integer
+    # row's bounds are INT_RANGE's, written lo <= key <= hi with open sides left out
     table = re.search(
-        r"\| key \| commands \| maximum \|\n\|---\|---\|---\|\n((?:\|.*\|\n)+)", README.read_text()
+        r"\| key \| accepted values \| commands \|\n\|---\|---\|---\|\n((?:\|.*\|\n)+)",
+        README.read_text(),
     ).group(1)
-    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| ([\d,]+) \|$", table, flags=re.MULTILINE)
-    assert len(rows) == table.count("\n")
-    assert {key: int(most.replace(",", "")) for key, most in rows} == MAX_SIZE
+    takers, bounds = {}, {}
+    for line in table.splitlines():
+        keys, accepted, commands = (cell.strip() for cell in line.strip("|").split("|"))
+        for key in re.findall(r"`(\w+)`", keys):
+            assert key not in takers
+            takers[key] = set(re.findall(r"`(\w+)`", commands))
+            if accepted.startswith("integer"):
+                found = re.match(rf"integer, `(?:([\d,]+) <= )?{key}(?: <= ([\d,]+))?`", accepted)
+                bounds[key] = tuple(b and int(b.replace(",", "")) for b in found.groups())
+    assert takers == {key: {c for c in COMMANDS if key in COMMANDS[c].defaults} for key in COERCE}
+    assert bounds == INT_RANGE
