@@ -22,21 +22,12 @@ import json
 import os
 import reprlib
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import pipeline
 from .errors import GeometryError, NumericError, ParameterError
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: Optional[str]
-    output: str
-    overrides: Dict[str, object] = field(default_factory=dict)
 
 
 def _as_float(value) -> float:
@@ -116,9 +107,9 @@ def _nonempty(key: str, values: list) -> list:
 def _names(value) -> List[str]:
     """verifyThm1's suite members, each once at its first place."""
     names = _nonempty("names", list(dict.fromkeys(_as_str_list(value))))
-    unknown = [name for name in names if name not in pipeline.THM1_NAMES]
+    unknown = [name for name in names if name not in pipeline.THM1]
     if unknown:
-        have = sorted(pipeline.THM1_NAMES)
+        have = sorted(pipeline.THM1)
         raise ParameterError(f"unknown suite members {reprlib.repr(unknown)}; have {have}")
     return names
 
@@ -184,8 +175,8 @@ COMMANDS: Dict[str, Command] = {
     "bound": Command(_GRID, pipeline.bound, "y,width,functional"),
     "eig1d": Command(_GRID, pipeline.eig1d, "x,f"),
     "verifyThm1": Command(
-        {"names": list(pipeline.THM1_NAMES)},
-        pipeline.thm1_check,
+        {"names": list(pipeline.THM1)},
+        pipeline.verify_thm1,
         "potential,fStar,lambda1,lower,upper,pass",
     ),
     "rearrangeCheck": Command(
@@ -234,47 +225,51 @@ def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
             fh.write(line % tuple(row))
 
 
-def _resolve(config: RunConfig) -> Dict[str, object]:
+def _resolve(
+    command: str, input_path: Optional[str], overrides: Dict[str, object]
+) -> Dict[str, object]:
     """Defaults, then the --input JSON object, then the overrides."""
-    if config.command not in COMMANDS:
-        raise ParameterError(f"unknown command {reprlib.repr(config.command)}")
-    resolved = copy.deepcopy(COMMANDS[config.command].defaults)
-    layers = [dict(config.overrides)]
-    if config.input:
+    if command not in COMMANDS:
+        raise ParameterError(f"unknown command {reprlib.repr(command)}")
+    resolved = copy.deepcopy(COMMANDS[command].defaults)
+    layers = [dict(overrides)]
+    if input_path:
         try:
-            with open(config.input) as fh:
+            with open(input_path) as fh:
                 layers.insert(0, json.load(fh))
         except json.JSONDecodeError as exc:
             raise ParameterError(
-                f"{config.input}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+                f"{input_path}: {exc.msg} (line {exc.lineno}, column {exc.colno})"
             ) from None
         except ValueError as exc:  # an integer past Python's digit limit, or bad UTF-8
-            raise ParameterError(f"{config.input}: {exc}") from None
+            raise ParameterError(f"{input_path}: {exc}") from None
         except OSError as exc:
-            raise ParameterError(f"cannot read {config.input}: {exc}") from None
+            raise ParameterError(f"cannot read {input_path}: {exc}") from None
     for layer in layers:
         if not isinstance(layer, dict):
             raise ParameterError("config file must hold a JSON object")
         for key in layer:
             if key not in resolved:
-                raise ParameterError(f"unknown config key {reprlib.repr(key)} for {config.command}")
+                raise ParameterError(f"unknown config key {reprlib.repr(key)} for {command}")
         resolved.update(layer)
     return resolved
 
 
-def run(config: RunConfig) -> int:
+def run(
+    command: str, input_path: Optional[str], output: str, overrides: Dict[str, object]
+) -> int:
     """Resolve the configuration, make the output directory, execute the
-    command, set allPass from its checks, write outputs. An output that
-    cannot be written is bad input."""
+    command, set allPass from its checks, write <output>.json and .csv.
+    An output that cannot be written is bad input."""
     try:
-        resolved = _resolve(config)
-        command = COMMANDS[config.command]
+        resolved = _resolve(command, input_path, overrides)
+        entry = COMMANDS[command]
         arguments = {key: COERCE[key](value) for key, value in resolved.items()}
         try:
-            os.makedirs(os.path.dirname(config.output) or os.curdir, exist_ok=True)
+            os.makedirs(os.path.dirname(output) or os.curdir, exist_ok=True)
         except OSError as exc:
-            raise ParameterError(f"cannot write {config.output}: {exc}") from None
-        summary, rows = command.runner(**arguments)
+            raise ParameterError(f"cannot write {output}: {exc}") from None
+        summary, rows = entry.runner(**arguments)
     except (ParameterError, GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -283,19 +278,19 @@ def run(config: RunConfig) -> int:
         return 1
     summary["allPass"] = int(all(check["pass"] for check in summary["checks"]))
     if rows is None:
-        columns = command.header.split(",")
+        columns = entry.header.split(",")
         rows = (tuple(r[c] for c in columns) for r in summary["rows"])
     payload = {
-        "command": config.command,
-        "input": config.input,
-        "output": config.output,
+        "command": command,
+        "input": input_path,
+        "output": output,
         "config": resolved,
         "summary": summary,
     }
     try:
-        _write_outputs(config.output, payload, command.header, rows)
+        _write_outputs(output, payload, entry.header, rows)
     except OSError as exc:
-        print(f"input error: cannot write {config.output}: {exc}", file=sys.stderr)
+        print(f"input error: cannot write {output}: {exc}", file=sys.stderr)
         return 2
     return 1 - summary["allPass"]
 
@@ -348,6 +343,4 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides[key.strip()] = _parse_value(raw.strip())
     if args.seed is not None:
         overrides["seed"] = args.seed
-    out = args.out if args.out else args.command
-    cfg = RunConfig(command=args.command, input=args.input, output=out, overrides=overrides)
-    return run(cfg)
+    return run(args.command, args.input, args.out or args.command, overrides)

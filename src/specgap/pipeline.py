@@ -9,7 +9,7 @@ range-checked, so it only computes.
 
 import math
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,26 +56,14 @@ def _cone_model(d: float) -> Tuple[PotentialSpec, int]:
     return spec, int(round(CONE_BENCH_N_FACTOR * d))
 
 
-def _bench_specs() -> List[Tuple[str, PotentialSpec, int]]:
-    rows: List[Tuple[str, PotentialSpec, int]] = [
-        ("squareWell", PotentialSpec("squareWell", (), (0.0, 1.0)), 1000),
-        ("linearWell", PotentialSpec("linearWell", (1.0, 0.0), (-12.0, 12.0)), 4000),
-        ("harmonic", PotentialSpec("harmonic", (0.0,), (-12.0, 12.0)), 4000),
-        ("quartic", PotentialSpec("quartic", (0.0,), (-12.0, 12.0)), 4000),
-    ]
-    for d in (16, 64, 256):
-        rows.append((f"coneModel{d}", *_cone_model(d)))
-    return rows
-
-
-THM1_NAMES = tuple(name for name, _, _ in _bench_specs())
-
-
-def thm1_suite(names: Optional[Sequence[str]] = None) -> List[Tuple[str, PotentialGrid]]:
-    """Named nonnegative benchmark potentials for the two-sided check, in
-    the order given (all of THM1_NAMES by default)."""
-    table = {name: (spec, n) for name, spec, n in _bench_specs()}
-    return [(name, sample(*table[name])) for name in (THM1_NAMES if names is None else names)]
+# the Theorem 1 suite: each member's spec and node count; all are nonnegative
+THM1: Dict[str, Tuple[PotentialSpec, int]] = {
+    "squareWell": (PotentialSpec("squareWell", (), (0.0, 1.0)), 1000),
+    "linearWell": (PotentialSpec("linearWell", (1.0, 0.0), (-12.0, 12.0)), 4000),
+    "harmonic": (PotentialSpec("harmonic", (0.0,), (-12.0, 12.0)), 4000),
+    "quartic": (PotentialSpec("quartic", (0.0,), (-12.0, 12.0)), 4000),
+    **{f"coneModel{d}": _cone_model(d) for d in (16, 64, 256)},
+}
 
 
 def _check(name: str, value, lo, hi) -> dict:
@@ -114,11 +102,6 @@ def eig1d(kind, params, interval, n):
         "checks": [],
     }
     return summary, zip(grid.nodes()[1:-1].tolist(), pair.f.tolist())
-
-
-def thm1_check(names):
-    """verify_thm1 over the named suite members."""
-    return verify_thm1(thm1_suite(names)), None
 
 
 def constant_triple(alpha, beta, gamma, budget, seed):
@@ -168,6 +151,16 @@ def _chain(name: str, grid: PotentialGrid, f: np.ndarray, report: RearrangementR
     return _check(name, margin, None, slack)
 
 
+def _channel(poly: ConvexPolygon, resolution: int = 256):
+    """The thin-channel reduction of poly, profiled at normalize_gj's resolution
+    (and its default): the normalized polygon, its height function, the
+    localization scale L, the transverse-mode potential and its 1D ground pair."""
+    poly_n, hf = normalize_gj(poly, resolution=resolution)
+    scale_l = localization_scale(hf)
+    grid = gj_potential(hf)
+    return poly_n, hf, scale_l, grid, smallest_eigenpair(grid)
+
+
 def _gj_profile_error(
     pair: Eigenpair2D, hf: HeightFunction, profile: Eigenpair1D, scale_l: float
 ) -> float:
@@ -203,17 +196,16 @@ def _gj_profile_error(
     return float(np.max(np.abs(u1 - phi * np.sin(alpha))))
 
 
-def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> Dict[str, object]:
-    """Sandwich lambda1 between the sublevel bounds, potential by potential.
+def verify_thm1(names):
+    """Sandwich lambda1 between the sublevel bounds, for each named THM1 member.
 
     Also checks the sup-norm comparison, which holds for nonnegative
     potentials only; its 2 dx term covers grid maxima against the true sup.
     Its checks are `<potential>.sandwich` and `<potential>.linf`.
     """
     rows, checks = [], []
-    for name, grid in suite:
-        if grid.values.min() < 0:
-            raise ParameterError(f"{name}: sup-norm bound assumes a nonnegative potential")
+    for name in names:
+        grid = sample(*THM1[name])
         report = minimize_functional(grid)
         pair = smallest_eigenpair(grid)
         upper, sandwich = _sandwich(f"{name}.sandwich", pair.lambda1, report)
@@ -233,7 +225,7 @@ def verify_thm1(suite: Sequence[Tuple[str, PotentialGrid]]) -> Dict[str, object]
                 "pass": sandwich["pass"] and linf["pass"],
             }
         )
-    return {"rows": rows, "checks": checks}
+    return {"rows": rows, "checks": checks}, None
 
 
 def rearrange_random_suite(count, knots, vmax, interval, n, seed):
@@ -276,11 +268,8 @@ def domain_sweep(families, D, resolution):
             rho = inradius(poly)
             dm = diameter(poly)
             w, _ = minimal_width(poly)
-            _, hf = normalize_gj(poly, resolution=resolution)
-            scale_l = localization_scale(hf)
-            grid = gj_potential(hf)
+            _, _, scale_l, grid, pair = _channel(poly, resolution)
             report = minimize_functional(grid)
-            pair = smallest_eigenpair(grid)
             upper, sandwich = _sandwich(f"{family}{d:.17g}.sandwich", pair.lambda1, report)
             shifted = (pair.lambda1 - _PI2) * scale_l * scale_l
             width_ratio = width(grid, grid.values.min() + 1.0 / (scale_l * scale_l)) / scale_l
@@ -314,9 +303,7 @@ def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
     pair = smallest_eigenpair_2d(rasterize(poly, spacing), tol=tol)
     sup_ratio = float(np.max(np.abs(pair.u)))
 
-    poly_n, hf = normalize_gj(poly)
-    scale_l = localization_scale(hf)
-    profile = smallest_eigenpair(gj_potential(hf))
+    poly_n, hf, scale_l, _, profile = _channel(poly)
     pair_n = smallest_eigenpair_2d(rasterize(poly_n, spacing), tol=tol)
     gj_error = _gj_profile_error(pair_n, hf, profile, scale_l)
 
@@ -384,10 +371,9 @@ def gj_compare_run(D, spacing, tol):
     GJ_RATIO_BAND (`D<D>.ratio`). The CSV has one row per check.
     """
     rect = ConvexPolygon(vertices=np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 1.0], [0.0, 1.0]]))
-    rect_n, rect_hf = normalize_gj(rect)
-    rect_profile = smallest_eigenpair(gj_potential(rect_hf))
+    rect_n, rect_hf, rect_l, _, rect_profile = _channel(rect)
     rect_pair = smallest_eigenpair_2d(rasterize(rect_n, spacing), tol=tol)
-    rect_error = _gj_profile_error(rect_pair, rect_hf, rect_profile, localization_scale(rect_hf))
+    rect_error = _gj_profile_error(rect_pair, rect_hf, rect_profile, rect_l)
 
     rows, checks = [], [_check("rectError", rect_error, None, RECT_ERROR_BUDGET)]
     for d in D:

@@ -17,7 +17,7 @@ import pytest
 
 import specgap
 from specgap import pipeline
-from specgap.cli import COMMANDS, INT_RANGE, RunConfig, _write_outputs, main, run
+from specgap.cli import COMMANDS, INT_RANGE, _write_outputs, main, run
 from specgap.constants import exact_optimum
 from specgap.convexdomain import MAX_GRID_NODES
 
@@ -846,10 +846,10 @@ def test_integer_key_outside_its_range_is_input_error(tmp_path, capsys, key, val
     [("bound", "n"), ("eig1d", "n"), ("rearrangeCheck", "n"), ("rearrangeCheck", "knots"),
      ("rearrangeCheck", "count"), ("domainSweep", "resolution"), ("constants", "budget")],
 )
-@pytest.mark.parametrize("over", [1, "9" * 401])
-def test_size_over_its_cap_is_input_error(tmp_path, capsys, command, key, over):
-    # checked before anything is allocated; never run at the cap itself
-    value = INT_RANGE[key][1] + 1 if over == 1 else over
+@pytest.mark.parametrize("value", ["9" * 401])
+def test_size_over_its_cap_is_input_error(tmp_path, capsys, command, key, value):
+    # checked before anything is allocated, and named by its digit count; max + 1
+    # is test_integer_key_outside_its_range_is_input_error's
     prefix = tmp_path / "big"
     assert main([command, "--out", str(prefix), "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err
@@ -864,11 +864,17 @@ def test_unknown_command_exits_two():
     assert exc.value.code == 2
 
 
-def test_runconfig_api(tmp_path):
-    cfg = RunConfig(command="constants", input=None, output=str(tmp_path / "api"), overrides={})
-    assert run(cfg) == 0
-    data, _ = load(tmp_path / "api")
+def test_run_takes_plain_arguments(tmp_path, capsys):
+    # the Python entry point: command, input path, output prefix, overrides
+    prefix = str(tmp_path / "api")
+    assert run("constants", None, prefix, {"alpha": 0.99}) == 0
+    data, _ = load(prefix)
+    assert (data["command"], data["input"], data["output"]) == ("constants", None, prefix)
     assert data["summary"]["objective"] == pytest.approx(0.004078255, abs=1e-6)
+    # a command argparse's choices would reject is an input error here
+    assert run("frobnicate", None, str(tmp_path / "x"), {}) == 2
+    assert capsys.readouterr().err == "input error: unknown command 'frobnicate'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["api.csv", "api.json"]
 
 
 def child_env():

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dptsv
 from specgap import eigensolve1d
 from specgap.eigensolve1d import smallest_eigenpair
 from specgap.errors import ParameterError
-from specgap.pipeline import thm1_suite
+from specgap.pipeline import THM1
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.sublevel import minimize_functional, width
 from test_potential import cone_model, shift
@@ -69,7 +69,7 @@ def test_few_solves_per_eigenpair(monkeypatch):
     # the shift rises quadratically onto lambda1, so few solves reach the residual target
     calls = []
     monkeypatch.setattr(eigensolve1d, "dptsv", lambda *a, **k: calls.append(1) or dptsv(*a, **k))
-    for g in [g for _, g in thm1_suite()] + hard_grids():
+    for g in [sample(*spec_n) for spec_n in THM1.values()] + hard_grids():
         calls.clear()
         smallest_eigenpair(g)
         assert 1 <= len(calls) <= 8
@@ -86,7 +86,7 @@ def test_lapack_call_matches_the_scipy_wrapper(monkeypatch):
         except LinAlgError:
             return d, e, None, 1
 
-    grids = [g for _, g in thm1_suite()] + hard_grids()
+    grids = [sample(*spec_n) for spec_n in THM1.values()] + hard_grids()
     direct = [smallest_eigenpair(g) for g in grids]
     monkeypatch.setattr(eigensolve1d, "dptsv", wrapped)
     for pair, g in zip(direct, grids):

@@ -7,18 +7,14 @@ import pytest
 
 from specgap import pipeline, rearrange, sublevel
 from specgap.eigensolve1d import smallest_eigenpair
-from specgap.errors import ParameterError
-from specgap.potential import PotentialGrid, PotentialSpec, sample
-from test_potential import shift
+from specgap.potential import sample
 
 
 PI2 = math.pi**2
 
 
 def test_thm1_suite_names_and_sizes():
-    suite = pipeline.thm1_suite()
-    names = [name for name, _ in suite]
-    assert names == [
+    assert list(pipeline.THM1) == [
         "squareWell",
         "linearWell",
         "harmonic",
@@ -27,10 +23,9 @@ def test_thm1_suite_names_and_sizes():
         "coneModel64",
         "coneModel256",
     ]
-    for name, grid in suite:
-        assert isinstance(grid, PotentialGrid)
+    bench = {name: sample(*spec_n) for name, spec_n in pipeline.THM1.items()}
+    for grid in bench.values():
         assert float(grid.values.min()) >= 0.0
-    bench = dict(suite)
     assert bench["squareWell"].n == 1000
     assert bench["harmonic"].n == 4000
     assert bench["coneModel64"].n == 8 * 64
@@ -60,7 +55,7 @@ def checks_by_name(summary):
 
 
 def test_verify_thm1_squarewell_row():
-    summary = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))
+    summary = pipeline.verify_thm1(["squareWell"])[0]
     rows = summary["rows"]
     assert len(rows) == 1
     row = rows[0]
@@ -78,7 +73,7 @@ def test_verify_thm1_squarewell_row():
 
 
 def test_verify_thm1_linfty_square_well():
-    summary = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))
+    summary = pipeline.verify_thm1(["squareWell"])[0]
     row = summary["rows"][0]
     assert row["linfRatio"] == pytest.approx(math.sqrt(2.0), abs=1e-3)
     assert row["linfBound"] == pytest.approx((2 * PI2) ** 0.25, rel=1e-6)
@@ -86,23 +81,17 @@ def test_verify_thm1_linfty_square_well():
 
 
 def test_verify_thm1_linfty_harmonic_gaussian_ratio():
-    summary = pipeline.verify_thm1(pipeline.thm1_suite(["harmonic"]))
+    summary = pipeline.verify_thm1(["harmonic"])[0]
     row = summary["rows"][0]
     assert row["linfRatio"] == pytest.approx(math.pi ** (-0.25), abs=1e-3)
     assert row["linfBound"] == pytest.approx(2.0**0.25, rel=1e-4)
     assert checks_by_name(summary)["harmonic.linf"]["pass"] == 1
 
 
-def test_verify_thm1_linfty_rejects_negative_potential():
-    g = sample(PotentialSpec("harmonic", (), (-2.0, 2.0)), 99)
-    with pytest.raises(ParameterError, match="nonnegative"):
-        pipeline.verify_thm1([("shifted", shift(g, -1.0))])
-
-
 def test_verify_thm1_linfty_verdict_reads_its_band(monkeypatch):
     # a sup-norm band out of reach fails that check alone
     monkeypatch.setattr(pipeline, "LINF_SLACK", -0.5)
-    summary = pipeline.verify_thm1(pipeline.thm1_suite(["squareWell"]))
+    summary = pipeline.verify_thm1(["squareWell"])[0]
     passes = [check["pass"] for check in summary["checks"]]
     assert (passes, summary["rows"][0]["pass"]) == ([1, 0], 0)
     assert [check["name"] for check in summary["checks"]] == [
