@@ -60,7 +60,7 @@ INT_RANGE: Dict[str, Tuple[Optional[int], Optional[int]]] = {
 }
 
 # smallest 2D solver tol a command accepts: the float64 residual stalls a
-# little below 1e-12, and under 1e-13 LOBPCG can spend its whole cap first
+# little below 1e-12, so a smaller tol can never be met and is an input error
 MIN_TOL = 1e-13
 
 

@@ -24,7 +24,7 @@ _PI2 = math.pi**2
 
 # Most nodes a height profile (normalize_gj) or a rasterized bounding box
 # (eigensolve2d.rasterize) may have.  A 2D run peaks at about 105 bytes per
-# box node (mask, multigrid levels, LOBPCG blocks; measured on vdberg cones
+# box node (mask, multigrid levels, LOBPCG vectors; measured on vdberg cones
 # from D=64 to D=256 at spacing 1/64) and a profile at about 50, so 2^25
 # nodes holds a run under about 3.6 GB.  That is 8 times the box one D
 # doubling past the largest default one (4,097 x 129 nodes) needs.

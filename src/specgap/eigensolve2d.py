@@ -5,14 +5,11 @@ polygon are active and all outside neighbors are held at zero.  The smallest
 eigenpair of the matrix-free five-point stencil on active cells comes from
 a block-one LOBPCG loop of its own (Knyazev 2001; _lopcg), preconditioned
 by one float32 geometric multigrid V-cycle (Knyazev & Neymeyr, ETNA 15,
-2003) whose coarsest level is solved exactly on its mask by a float32
-banded Cholesky factor (LAPACK pbtrf).  The loop stops at its residual
-target or once its residual has set no new low for _STALL iterations.
-LOBPCG starts from the ground state on the cycle's coarser levels, solved
-loosely in the same way from coarse to fine and prolonged (full
-multigrid); the operator, LOBPCG and the final residual check are float64.
-A mask equal to its mirror image about its middle column is solved on its
-half, where the even ground state lives, and checked on the full mask.
+2003; _multigrid) whose coarsest level is solved exactly on its mask by a
+float32 banded Cholesky factor (LAPACK pbtrf).  smallest_eigenpair_2d
+starts the loop by full multigrid on the cycle's coarser levels and solves
+a mirror-symmetric mask on its half; the operator, LOBPCG and the final
+residual check are float64.
 
 The solver's arrays, masks included, are the [:, :-1] views of
 C-contiguous bases with one extra zero column, the guard.  Read flat, row
@@ -263,12 +260,12 @@ def _multigrid(
     masked five-point Laplacian at (2^k h)^2, one float32 V-cycle for it
     from level k down, and lift, the prolongation P from level k + 1 to k.
 
-    operator(k) returns a function of float64 vectors over np.nonzero(masks[k]),
-    of shape (n,) or (n, 1), that keeps the shape, and so does vcycle(k, r);
-    lift(k, c) maps such a vector from level k + 1 to k.  Level k holds the
-    nodes (2^k i, 2^k j) of the zero-padded box, down to 16 to 32 intervals
-    across the shorter side of mask (a coarser level holds too few nodes
-    across a thin domain), and solves S x = (2^k h)^2 b for the unscaled
+    operator(k) maps a 1-D float64 vector over np.nonzero(masks[k]) to
+    another, and so does vcycle(k, r); lift(k, c) maps such a vector from
+    level k + 1 to k.  Level k holds the nodes (2^k i, 2^k j) of the
+    zero-padded box, down to 16 to 32 intervals across the shorter side of
+    mask (a coarser level holds too few nodes across a thin domain), and
+    solves S x = (2^k h)^2 b for the unscaled
     stencil S: two masked Jacobi sweeps (omega 0.8) precede and follow the
     correction P (next level's cycle) P^T r, with bilinear P (_prolong), or
     on the coarsest level _coarsest_solve's exact banded Cholesky solve.
@@ -304,14 +301,14 @@ def _multigrid(
         x64, t64 = np.zeros(masks[top].shape), np.zeros(masks[top].shape)
 
         def apply_a(v: np.ndarray) -> np.ndarray:
-            x64.ravel()[actives[top]] = v.ravel() / roots[top]
+            x64.ravel()[actives[top]] = v / roots[top]
             av = _stencil(x64, t64, masks[top], fold).ravel()[actives[top]]
-            return (av / -(h2 * 4**top) * roots[top]).reshape(v.shape)
+            return av / -(h2 * 4**top) * roots[top]
 
         return apply_a
 
     def vcycle(top: int, r: np.ndarray) -> np.ndarray:
-        gs[top].ravel()[actives[top]] = h2 * 4**top * r.ravel() / roots[top]
+        gs[top].ravel()[actives[top]] = h2 * 4**top * r / roots[top]
         for k in range(top, levels):  # pre-smooth, restrict the residual
             np.multiply(gs[k], 0.2, out=xs[k])  # the first sweep, from zero
             smooth(k)
@@ -334,12 +331,11 @@ def _multigrid(
                 xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
-        return (xs[top].ravel()[actives[top]].astype(np.float64) * roots[top]).reshape(r.shape)
+        return xs[top].ravel()[actives[top]].astype(np.float64) * roots[top]
 
     def lift(k: int, c: np.ndarray) -> np.ndarray:
         full = np.zeros(masks[k + 1].shape)
-        full[masks[k + 1]] = c
-        full[:, 0] /= edge
+        full.ravel()[actives[k + 1]] = c / roots[k + 1]
         fine = np.zeros(masks[k].shape)  # _prolong never writes its last guard entry
         return _prolong(full, fine, masks[k]).ravel()[actives[k]] * roots[k]
 
@@ -407,50 +403,27 @@ def _gram(us: list, vs: list) -> np.ndarray:
     return g
 
 
-def _ground_state(mask: np.ndarray, h2: float, tol: float, fold: bool) -> tuple[np.ndarray, int]:
-    """LOBPCG ground state of the masked stencil: unit v and level 0's iterations.
-
-    Full multigrid (Brandt, Math. Comp. 31, 1977) on _multigrid's levels:
-    from ones on the deepest level whose whole (unfolded) mask has
-    _FMG_MIN_NODES across and active, each level is solved to _COARSE_TOL
-    times box_min and lifted to start the next, and level 0 to tol times
-    box_min, the smallest eigenvalue of the level's whole (at level 0
-    unpadded) box's Dirichlet Laplacian: one three-point symbol per axis.
-    With fold, mask is a half and v is scaled as _multigrid's vectors are.
-    """
-    masks, operator, vcycle, lift = _multigrid(mask, h2, fold)
-    wholes = (_unfold(m, fold) for m in masks[1:])  # the gate reads whole masks
-    small = [min(w.shape) < _FMG_MIN_NODES or np.count_nonzero(w) < _FMG_MIN_NODES for w in wholes]
-    top = (small + [True]).index(True)  # the level above the first small one
-    v = np.ones(np.count_nonzero(masks[top]))
-    for k in range(top, -1, -1):
-        box = _unfold(masks[k] if k else mask, fold).shape
-        box_min = sum((2.0 - 2.0 * math.cos(math.pi / (m + 1))) / (h2 * 4**k) for m in box)
-        stop = (tol if k == 0 else _COARSE_TOL) * box_min
-        v, iterations = _lopcg(operator(k), partial(vcycle, k), v, stop)
-        v = v / np.linalg.norm(v)
-        v = lift(k - 1, v) if k else v  # the next finer level's start
-    return v, iterations
-
-
 def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     """Ground state of the masked five-point Laplacian.
 
-    LOBPCG over active-cell vectors in np.nonzero(mask) order, preconditioned
-    by one float32 multigrid V-cycle (_multigrid) and started by full
-    multigrid on the cycle's coarser levels (_ground_state).  The masked
-    operator is a principal submatrix of the bounding box's Dirichlet
-    Laplacian, so by Cauchy interlacing the box's smallest eigenvalue bounds
-    lambda1 from below; LOBPCG's absolute stop at tol times that bound gives
-    a relative eigenresidual |A v - lambda v| / lambda <= tol, which is
-    checked again in float64 on the result.  Only this fine-level check
-    raises, also when the loop stalled (_STALL) short of its stop.
+    LOBPCG (_lopcg) over active-cell vectors in np.nonzero(mask) order,
+    preconditioned by _multigrid's V-cycle from the level it solves down.
     A mask with an odd number of columns that equals its mirror image
     about the middle one, and whose half holds _MIN_ACTIVE nodes, is solved
-    on that half, as the simple ground state is even (_multigrid's fold);
-    the check then runs on the even extension over the full mask.
-    _MAX_OUTER caps the LOBPCG iterations of each level; iterations reports
-    how many ran on the fine level.
+    on that half, as the simple ground state is even (_multigrid's fold).
+    Full multigrid (Brandt, Math. Comp. 31, 1977) starts the loop: from
+    ones on the deepest level whose whole (unfolded) mask has _FMG_MIN_NODES
+    across and active, each level is solved to _COARSE_TOL times box_min and
+    lifted to start the next, and level 0 to tol times box_min.  box_min is
+    the smallest eigenvalue of the Dirichlet Laplacian on the level's whole
+    box (mask.shape on level 0, padded below it), one three-point symbol per
+    axis.  The masked operator is a principal submatrix of that Laplacian,
+    so by Cauchy interlacing box_min bounds lambda1 from below, and the stop
+    gives a relative eigenresidual |A v - lambda v| / lambda <= tol, which
+    is checked again in float64 on the full mask.  Only this check raises,
+    also when the loop stalled (_STALL) short of its stop.  _MAX_OUTER caps
+    the LOBPCG iterations of each level; iterations reports how many ran on
+    level 0.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise ParameterError("tolerance must be positive and finite")
@@ -462,7 +435,18 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     half = mask[:, (mask.shape[1] - 1) // 2 :]
     fold = mask.shape[1] % 2 == 1 and np.count_nonzero(half) >= _MIN_ACTIVE
     fold = fold and np.array_equal(mask, mask[:, ::-1])
-    v, iterations = _ground_state(half if fold else mask, h2, tol, fold)
+    masks, operator, vcycle, lift = _multigrid(half if fold else mask, h2, fold)
+    wholes = (_unfold(m, fold) for m in masks[1:])  # the gate reads whole masks
+    small = [min(w.shape) < _FMG_MIN_NODES or np.count_nonzero(w) < _FMG_MIN_NODES for w in wholes]
+    top = (small + [True]).index(True)  # the level above the first small one
+    v = np.ones(np.count_nonzero(masks[top]))
+    for k in range(top, -1, -1):
+        box = _unfold(masks[k], fold).shape if k else mask.shape
+        box_min = sum((2.0 - 2.0 * math.cos(math.pi / (m + 1))) / (h2 * 4**k) for m in box)
+        stop = (tol if k == 0 else _COARSE_TOL) * box_min
+        v, iterations = _lopcg(operator(k), partial(vcycle, k), v, stop)
+        v = v / np.linalg.norm(v)
+        v = lift(k - 1, v) if k else v  # the next finer level's start
     if fold:  # the even extension, with the mirror column's scale undone
         x = np.zeros(half.shape)
         x[half] = v

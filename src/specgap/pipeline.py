@@ -294,41 +294,38 @@ def domain_sweep(families, D, resolution):
     return {"rows": rows, "checks": checks}, None
 
 
-def _vdberg_member(d: float, spacing: float, tol: float) -> Dict[str, object]:
-    poly = generate_family("cone", d)
-    rho = inradius(poly)
-    dm = diameter(poly)
-    w, _ = minimal_width(poly)
-
-    pair = smallest_eigenpair_2d(rasterize(poly, spacing), tol=tol)
-    sup_ratio = float(np.max(np.abs(pair.u)))
-
-    poly_n, hf, scale_l, _, profile = _channel(poly)
-    pair_n = smallest_eigenpair_2d(rasterize(poly_n, spacing), tol=tol)
-    gj_error = _gj_profile_error(pair_n, hf, profile, scale_l)
-
-    lam_norm = pair.lambda1 * w * w
-    return {
-        "D": d,
-        "rho": rho,
-        "lambda1": pair.lambda1,
-        "supRatio": sup_ratio,
-        "statistic": sup_ratio * rho * (dm / rho) ** (1.0 / 6.0),
-        "L": scale_l,
-        "gjError": gj_error,
-        "diameter": dm,
-        "minWidth": w,
-        "lambdaNormalized": lam_norm,
-        "lambdaGJ": profile.lambda1,
-        "shiftedProduct": (lam_norm - _PI2) * scale_l * scale_l,
-        "oneDimRatio": lam_norm / profile.lambda1,
-    }
-
-
 def vdberg_sweep(d_list: Sequence[float], spacing: float, tol: float) -> List[Dict[str, object]]:
     """Cone-family 2D sweep: ground state, sup-norm statistic, and the
     matching thin-channel one-dimensional quantities, one row per D in order."""
-    return [_vdberg_member(d, spacing, tol) for d in d_list]
+    rows = []
+    for d in d_list:
+        poly = generate_family("cone", d)
+        rho = inradius(poly)
+        dm = diameter(poly)
+        w, _ = minimal_width(poly)
+        pair = smallest_eigenpair_2d(rasterize(poly, spacing), tol=tol)
+        sup_ratio = float(np.max(np.abs(pair.u)))
+        poly_n, hf, scale_l, _, profile = _channel(poly)
+        pair_n = smallest_eigenpair_2d(rasterize(poly_n, spacing), tol=tol)
+        lam_norm = pair.lambda1 * w * w
+        rows.append(
+            {
+                "D": d,
+                "rho": rho,
+                "lambda1": pair.lambda1,
+                "supRatio": sup_ratio,
+                "statistic": sup_ratio * rho * (dm / rho) ** (1.0 / 6.0),
+                "L": scale_l,
+                "gjError": _gj_profile_error(pair_n, hf, profile, scale_l),
+                "diameter": dm,
+                "minWidth": w,
+                "lambdaNormalized": lam_norm,
+                "lambdaGJ": profile.lambda1,
+                "shiftedProduct": (lam_norm - _PI2) * scale_l * scale_l,
+                "oneDimRatio": lam_norm / profile.lambda1,
+            }
+        )
+    return rows
 
 
 def vdberg_verdict(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:

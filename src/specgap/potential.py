@@ -97,8 +97,7 @@ def _evaluate(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
             raise ParameterError(f"coneModel needs D > 1, got {D}")
         if a < 0 or b > D:
             raise ParameterError("coneModel grid must lie inside [0, D]")
-        with np.errstate(divide="ignore"):
-            return D * D / (D - x) ** 2 - 1.0
+        return D * D / (D - x) ** 2 - 1.0
     if kind == "samples":
         if len(p) < 2:
             raise ParameterError("samples kind needs at least two values")
@@ -118,12 +117,15 @@ def _evaluate(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
 def sample(spec: PotentialSpec, n: int) -> PotentialGrid:
     """Evaluate a spec on the uniform grid with n interior nodes.
 
-    Values above DEFAULT_CAP (including the cone model's pole) are clamped to it.
+    Values above DEFAULT_CAP are clamped to it, the infinities of a pole (the
+    cone model's) or of an overflow included, so neither raises a warning.
     """
     a, b = spec.interval
     if n < 3:
         raise ParameterError(f"need at least 3 interior nodes, got {n}")
     _check_interval(a, b, n)
     x = np.linspace(a, b, n + 2)
-    return PotentialGrid(a=a, b=b, values=np.minimum(_evaluate(spec, x), DEFAULT_CAP))
+    with np.errstate(divide="ignore", over="ignore"):
+        values = _evaluate(spec, x)
+    return PotentialGrid(a=a, b=b, values=np.minimum(values, DEFAULT_CAP))
 

@@ -93,6 +93,18 @@ def test_default_cap_clamps_values():
     np.testing.assert_array_equal(g.values[46:55], 1e13 * np.abs(x[46:55]))
 
 
+def test_overflow_is_clamped_without_a_warning():
+    # a power and a product that overflow to inf are clamped to the cap like
+    # any other large value, and raise no RuntimeWarning (which the suite
+    # turns into an error)
+    for spec in (
+        PotentialSpec(kind="quartic", params=[], interval=(-1e100, 1e100)),
+        PotentialSpec(kind="linearWell", params=[1e300], interval=(-1e10, 1e10)),
+    ):
+        g = sample(spec, n=5)
+        assert g.values[0] == g.values[-1] == DEFAULT_CAP
+
+
 def test_samples_kind_interpolates_linearly():
     spec = PotentialSpec(kind="samples", params=[0.0, 2.0, 0.0], interval=(0.0, 1.0))
     g = sample(spec, n=3)
