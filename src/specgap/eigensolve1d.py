@@ -23,7 +23,6 @@ from specgap.potential import PotentialGrid
 class Eigenpair1D:
     lambda1: float
     f: np.ndarray
-    normL2: float
     residual: float
 
 
@@ -72,8 +71,7 @@ def smallest_eigenpair(grid: PotentialGrid) -> Eigenpair1D:
         res_target = max(1e-8 * abs(lam), margin)
         if residual <= res_target:
             f = v / math.sqrt(float(np.sum(v * v)) * dx)
-            norm = float(np.sum(f * f) * dx)
-            return Eigenpair1D(lambda1=lam, f=f, normL2=norm, residual=residual)
+            return Eigenpair1D(lambda1=lam, f=f, residual=residual)
     raise NumericError(
         "inverse iteration failed to converge: "
         f"n={n}, Rayleigh quotient={lam}, shift={shift}, last residual={residual:.3e}, "

@@ -121,8 +121,6 @@ def rasterize(poly: ConvexPolygon, spacing: float) -> MaskedGrid:
             np.maximum(lo, np.searchsorted(a, b, side="right"), out=lo)
         else:
             np.minimum(hi, np.searchsorted(-a, -b, side="left"), out=hi)
-    if not np.any(lo < hi):
-        raise GeometryError("rasterization produced no interior nodes")
     parts = _components(lo, hi)
     if parts != 1:
         raise GeometryError(f"interior nodes split into {parts} components")

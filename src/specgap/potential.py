@@ -83,12 +83,9 @@ def _evaluate(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
         if slope <= 0:
             raise ParameterError("linearWell slope must be positive")
         return slope * np.abs(x - center)
-    if kind == "harmonic":
+    if kind in ("harmonic", "quartic"):
         center = p[0] if len(p) >= 1 else 0.5 * (a + b)
-        return (x - center) ** 2
-    if kind == "quartic":
-        center = p[0] if len(p) >= 1 else 0.5 * (a + b)
-        return (x - center) ** 4
+        return (x - center) ** (2 if kind == "harmonic" else 4)
     if kind == "coneModel":
         if len(p) != 1:
             raise ParameterError("coneModel takes exactly one parameter")

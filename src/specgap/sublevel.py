@@ -93,7 +93,7 @@ def _minimize(
         )
 
     # the levels above min V = levels[0] whose sublevel holds a node
-    keep = np.flatnonzero(grid.dx * counts[1:] > 0) + 1
+    keep = np.flatnonzero(counts[1:] > 0) + 1
     candidates, widths, contiguous = levels[keep], grid.dx * counts[keep], contiguous[keep]
     f_vals = 1.0 / (widths * widths) + candidates
     k = int(np.argmin(f_vals))  # ties resolve to the smallest level
@@ -105,7 +105,7 @@ def _minimize(
     # where it is evaluated, so minimize over interval levels only, and report
     # nothing when the functional's own minimizer sits on a split sublevel
     upper_sharp = None
-    if star_is_interval and np.any(contiguous):
+    if star_is_interval:
         g_vals = _PI2 / (widths[contiguous] ** 2) + candidates[contiguous]
         upper_sharp = float(g_vals.min())
 

@@ -211,11 +211,20 @@ def test_constants_summary_holds_the_gap_to_the_exact_optimum(tmp_path):
 @pytest.mark.parametrize("command", ["vdberg", "gjCompare"])
 def test_tol_below_the_residual_floor_is_input_error(tmp_path, capsys, command):
     # the float64 residual cannot reach 1e-15: rejected before any solve,
-    # where it would spend the whole iteration cap and exit 1
+    # which would stall short of its stop and exit 1
     prefix = tmp_path / "t"
     assert main([command, "--set", "tol=1e-15", "--out", str(prefix)]) == 2
     assert capsys.readouterr().err.startswith("input error: tol must be at least 1e-13, got 1e-15")
     assert not (tmp_path / "t.json").exists()
+
+
+def test_solve_that_misses_its_tol_is_numeric_failure(tmp_path, capsys):
+    # 1e-13 is accepted, but the rectangle's float64 residual stalls near
+    # 4.5e-13: the solve raises NumericError, which exits 1 with no output
+    prefix = tmp_path / "t"
+    assert main(["gjCompare", "--set", "tol=1e-13", "--out", str(prefix)]) == 1
+    assert capsys.readouterr().err.startswith("numeric failure: LOBPCG missed tol=1e-13")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["vdberg", "gjCompare"])
@@ -384,18 +393,24 @@ def test_malformed_json_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content, message",
+    "command, content, message",
     [
         # json.load refuses integers of more than 4300 digits with a ValueError
-        (b'{"n": ' + b"9" * 5000 + b"}", "digits"),
-        (b'\xff\xfe{"n": 5}', "utf-8"),
+        ("bound", b'{"n": ' + b"9" * 5000 + b"}", "digits"),
+        ("bound", b'\xff\xfe{"n": 5}', "utf-8"),
+        ("bound", b"[1, 2]", "config file must hold a JSON object"),
+        ("vdberg", b'{"D": {"a": 1}}', "expected a number or list of numbers"),
+        ("verifyThm1", b'{"names": 3}', "expected a name or list of names"),
+        ("bound", b'{"interval": [0, 1, 2]}', "interval needs exactly two endpoints"),
+        ("bound", None, "cannot read "),
     ],
-    ids=["huge-integer", "not-utf-8"],
+    ids=["huge-integer", "not-utf-8", "list", "D-object", "names-number", "interval-3", "missing"],
 )
-def test_unparsable_input_is_input_error(tmp_path, capsys, content, message):
+def test_unparsable_input_is_input_error(tmp_path, capsys, command, content, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_bytes(content)
-    assert main(["bound", "--input", str(cfg), "--out", str(tmp_path / "h")]) == 2
+    if content is not None:
+        cfg.write_bytes(content)
+    assert main([command, "--input", str(cfg), "--out", str(tmp_path / "h")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
     assert not (tmp_path / "h.json").exists()
@@ -702,16 +717,29 @@ def test_zero_slope_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sets, message",
+    "command, sets, message",
     [
-        (["kind=harmonic", "params=0.5,99,7"], "harmonic takes at most 1 parameters, got 3"),
-        (["params=5"], "squareWell takes at most 0 parameters, got 1"),
+        ("bound", ["kind=harmonic", "params=0.5,99,7"], "harmonic takes at most 1 parameters, got 3"),
+        ("bound", ["params=5"], "squareWell takes at most 0 parameters, got 1"),
+        (
+            "bound",
+            ["kind=coneModel", "params=64,1", "interval=0,1"],
+            "coneModel takes exactly one parameter",
+        ),
+        ("bound", ["kind=coneModel", "params=64", "interval=-1,64"], "must lie inside [0, D]"),
+        ("bound", ["kind=piecewiseLinear", "params=0,0,1"], "flat knot list"),
+        ("bound", ["kind=piecewiseLinear", "params=0,0,0,1"], "strictly increasing"),
+        ("vdberg", ["spacing=0"], "spacing must be positive and finite"),
+        ("vdberg", ["spacing=-0.01"], "spacing must be positive and finite"),
     ],
-    ids=["harmonic", "squareWell"],
+    ids=[
+        "harmonic", "squareWell", "coneModel-params", "coneModel-interval",
+        "piecewiseLinear-odd", "piecewiseLinear-order", "spacing-zero", "spacing-negative",
+    ],
 )
-def test_extra_params_are_input_error(tmp_path, capsys, sets, message):
+def test_extra_params_are_input_error(tmp_path, capsys, command, sets, message):
     # a mistyped params list used to run with the parameters the kind reads
-    args = ["bound", *(a for s in sets for a in ("--set", s)), "--out", str(tmp_path / "p")]
+    args = [command, *(a for s in sets for a in ("--set", s)), "--out", str(tmp_path / "p")]
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
@@ -744,6 +772,16 @@ def test_unwritable_out_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
     assert blocker.read_text() == "kept"
+
+
+def test_output_unwritable_after_the_run_is_input_error(tmp_path, capsys):
+    # the output directory exists and the run succeeds, but x.json is a directory
+    (tmp_path / "d" / "x.json").mkdir(parents=True)
+    prefix = tmp_path / "d" / "x"
+    assert main(["constants", "--out", str(prefix)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {prefix}: [Errno 21] ")
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["x.json"]
+    assert list((tmp_path / "d" / "x.json").iterdir()) == []
 
 
 def test_bad_set_syntax(tmp_path, capsys):

@@ -146,7 +146,7 @@ def test_square_well_eigenvector_is_sine():
     # discrete normalization differs from the continuum by O(dx^2)
     assert np.max(np.abs(pair.f - ref)) < 1e-3
     assert np.all(pair.f > 0)
-    assert pair.normL2 == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(pair.f**2) * g.dx == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eigenvector_quadrature_norm_and_residual():

@@ -884,6 +884,32 @@ def test_stalled_solve_reports_the_iterations_that_ran(monkeypatch):
     assert not breakdowns
 
 
+def test_singular_gram_matrix_drops_the_step(monkeypatch):
+    # a 3 x 3 Rayleigh-Ritz problem that dsygvd cannot factor is retried on
+    # [x, w] alone: three such failures leave the solve and its iteration count
+    grid = rasterize(generate_family("cone", 8.0), 1.0 / 32.0)
+    reference = smallest_eigenpair_2d(grid, tol=1e-7)
+    sizes = []
+
+    def dsygvd(a, b):
+        sizes.append(len(a))
+        if len(a) == 3 and sizes.count(3) <= 3:
+            return None, None, 4  # the order of b's leading minor that is not positive
+        return scipy.linalg.lapack.dsygvd(a, b)
+
+    monkeypatch.setattr(eigensolve2d, "dsygvd", dsygvd)
+    pair = smallest_eigenpair_2d(grid, tol=1e-7)
+    assert pair.iterations == reference.iterations
+    assert pair.lambda1 == pytest.approx(reference.lambda1, rel=1e-14)
+    first = [i for i, size in enumerate(sizes) if size == 3][:3]
+    assert [sizes[i + 1] for i in first] == [2, 2, 2]
+
+    # a singular [x, w] ends each level's loop after its first iteration
+    monkeypatch.setattr(eigensolve2d, "dsygvd", lambda a, b: (None, None, 1))
+    with pytest.raises(NumericError, match="after 1 of at most 2000 iterations"):
+        smallest_eigenpair_2d(grid, tol=1e-7)
+
+
 def test_lapack_calls_match_the_scipy_wrappers(monkeypatch):
     # pbtrf, pbtrs and sygvd called directly give the bits that scipy's
     # cholesky_banded, cho_solve_banded and eigh, which call them, gave before
