@@ -286,8 +286,8 @@ def _multigrid(
     masks = [_guarded(padded[:: 1 << k, :: 1 << k]) for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
     actives, edge = [np.flatnonzero(m) for m in masks], math.sqrt(0.5) if fold else 1.0
-    roots = [np.where(a % m.shape[1] == 0, edge, 1.0) for a, m in zip(actives, masks)]
-    coarsest = _coarsest_solve(masks[-1], roots[-1])
+    # where each level's vectors hold column 0, the only entries the scale edge touches
+    edges = [np.flatnonzero(a % m.shape[1] == 0) for a, m in zip(actives, masks)]
 
     def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k (g_k is 0 off it)
         return np.add(_stencil(xs[k], ts[k], masks[k], fold), gs[k], out=ts[k])
@@ -295,18 +295,30 @@ def _multigrid(
     def smooth(k: int) -> None:  # one Jacobi sweep: S has diagonal 4
         xs[k] += np.multiply(residual(k), 0.2, out=ts[k])
 
+    def scaled(v: np.ndarray, k: int) -> np.ndarray:  # v, column 0 scaled by edge in place
+        v[edges[k]] *= edge
+        return v
+
+    def unscaled(v: np.ndarray, k: int) -> np.ndarray:  # v, column 0 divided by edge in place
+        v[edges[k]] /= edge
+        return v
+
+    coarsest = _coarsest_solve(masks[-1], scaled(np.ones(actives[-1].size), -1))
+
     def operator(top: int) -> Callable[[np.ndarray], np.ndarray]:
         x64, t64 = np.zeros(masks[top].shape), np.zeros(masks[top].shape)
 
         def apply_a(v: np.ndarray) -> np.ndarray:
-            x64.ravel()[actives[top]] = v / roots[top]
+            x64.ravel()[actives[top]] = v
+            x64[:, 0] /= edge  # off the mask it holds zeros
             av = _stencil(x64, t64, masks[top], fold).ravel()[actives[top]]
-            return av / -(h2 * 4**top) * roots[top]
+            av /= -(h2 * 4**top)
+            return scaled(av, top)
 
         return apply_a
 
     def vcycle(top: int, r: np.ndarray) -> np.ndarray:
-        gs[top].ravel()[actives[top]] = h2 * 4**top * r / roots[top]
+        gs[top].ravel()[actives[top]] = unscaled(h2 * 4**top * r, top)
         for k in range(top, levels):  # pre-smooth, restrict the residual
             np.multiply(gs[k], 0.2, out=xs[k])  # the first sweep, from zero
             smooth(k)
@@ -329,13 +341,14 @@ def _multigrid(
                 xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
-        return xs[top].ravel()[actives[top]].astype(np.float64) * roots[top]
+        return scaled(xs[top].ravel()[actives[top]].astype(np.float64), top)
 
     def lift(k: int, c: np.ndarray) -> np.ndarray:
         full = np.zeros(masks[k + 1].shape)
-        full.ravel()[actives[k + 1]] = c / roots[k + 1]
+        full.ravel()[actives[k + 1]] = c
+        full[:, 0] /= edge
         fine = np.zeros(masks[k].shape)  # _prolong never writes its last guard entry
-        return _prolong(full, fine, masks[k]).ravel()[actives[k]] * roots[k]
+        return scaled(_prolong(full, fine, masks[k]).ravel()[actives[k]], k)
 
     return [m[:, :-1] for m in masks], operator, vcycle, lift
 
@@ -354,8 +367,9 @@ def _lopcg(
     when it leaves the Gram matrix singular) gives the next x, lambda and
     p, the 3 x 3 problem solved by LAPACK dsygvd.  The loop also ends after
     _MAX_OUTER steps, after _STALL steps without a new lowest residual, or
-    when [x, w] itself is singular.  The vectors are updated by linear
-    combinations, never stacked into a block.
+    when [x, w] itself is singular.  The vectors are updated in place by
+    linear combinations, never stacked into a block; only x (and A x) is a
+    new array each step, as the lowest-residual iterate may be the old one.
     """
     x = x / np.linalg.norm(x)
     ax = apply_a(x)
@@ -371,11 +385,12 @@ def _lopcg(
         w = precondition(r)
         w -= (x @ w) * x
         w /= np.linalg.norm(w)
-        basis, images = [x, w], [ax, apply_a(w)]
+        aw = apply_a(w)
+        basis, images = [x, w], [ax, aw]
         norm = 0.0 if p is None else np.linalg.norm(p)
         if norm > 0.0:
-            basis.append(p / norm)
-            images.append(ap / norm)
+            basis.append(np.divide(p, norm, out=p))
+            images.append(np.divide(ap, norm, out=ap))
         while True:
             lams, c, info = dsygvd(_gram(basis, images), _gram(basis, basis))
             if not info:
@@ -384,12 +399,20 @@ def _lopcg(
                 return best, calls + 1
             basis.pop()
             images.pop()
-        lam, c = lams[0], c[:, 0]
-        p, ap = c[1] * basis[1], c[1] * images[1]
-        if len(basis) == 3:
-            p += c[2] * basis[2]
-            ap += c[2] * images[2]
-        x, ax = c[0] * x + p, c[0] * ax + ap
+        lam, c, with_p = lams[0], c[:, 0], len(basis) == 3
+        del basis, images  # so the old p and ap go once the next ones are built
+        w *= c[1]  # the next p and ap, in the buffers of w and aw
+        aw *= c[1]
+        if with_p:
+            p *= c[2]
+            ap *= c[2]
+            w += p
+            aw += ap
+        p, ap = w, aw
+        x = c[0] * x
+        x += p
+        ax = c[0] * ax
+        ax += ap
 
 
 def _gram(us: list, vs: list) -> np.ndarray:
@@ -445,6 +468,7 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
         v, iterations = _lopcg(operator(k), partial(vcycle, k), v, stop)
         v = v / np.linalg.norm(v)
         v = lift(k - 1, v) if k else v  # the next finer level's start
+    del masks, operator, vcycle, lift  # the hierarchy's arrays go before the check's
     if fold:  # the even extension, with the mirror column's scale undone
         x = np.zeros(half.shape)
         x[half] = v

@@ -68,6 +68,40 @@ def test_polygon_rejects_too_few_or_repeated():
         )
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([[0.0, 0.0], [1.0, 0.0], [0.5, math.nan]], "vertices must be finite"),
+        ([[0.0, 0.0], [math.inf, 0.0], [0.5, 1.0]], "vertices must be finite"),
+        ([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]], "zero extent"),
+        # collinear: every turn is zero, so only the signed area rejects it
+        ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], "vertex order is clockwise or degenerate"),
+    ],
+    ids=["nan", "inf", "one-point", "collinear"],
+)
+def test_polygon_rejects_degenerate_vertices(vertices, message):
+    with pytest.raises(GeometryError, match=message):
+        ConvexPolygon(vertices=np.array(vertices))
+
+
+@pytest.mark.parametrize(
+    "a, b, h, f1, f2, message",
+    [
+        (0.0, 0.0, np.ones(5), np.zeros(5), np.ones(5), "finite interval with b > a"),
+        (0.0, math.inf, np.ones(5), np.zeros(5), np.ones(5), "finite interval with b > a"),
+        (0.0, 1.0, np.ones(4), np.zeros(4), np.ones(4), "equal-length arrays of 5\\+ samples"),
+        (0.0, 1.0, np.ones(5), np.zeros(6), np.ones(5), "equal-length arrays"),
+        (0.0, 1.0, np.ones((5, 5)), np.zeros((5, 5)), np.ones((5, 5)), "equal-length arrays"),
+        (0.0, 1.0, np.ones(5), np.zeros(5), [1.0, 1.0, math.nan, 1.0, 1.0], "must be finite"),
+        (0.0, 1.0, np.ones(5), np.zeros(5), [1.0, 1.0, -1e-6, 1.0, 1.0], "dips below"),
+    ],
+    ids=["empty-interval", "infinite-interval", "four-samples", "unequal", "2d", "nan", "crossing"],
+)
+def test_height_function_rejects_bad_samples(a, b, h, f1, f2, message):
+    with pytest.raises(ParameterError, match=message):
+        HeightFunction(a=a, b=b, h=h, f1=f1, f2=f2)
+
+
 # ---------- diameter / inradius ----------
 
 
@@ -97,6 +131,14 @@ def test_inradius_degenerate_polygon():
                 vertices=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-14], [1.0, 1e-14]])
             )
         )
+
+
+def test_equal_neighbouring_normals_never_collapse():
+    # two equal normals make the 3 x 3 system singular: parallel lines that
+    # move together never meet the third
+    normals = np.array([[0.0, -1.0], [0.0, -1.0], [1.0, 0.0]])
+    assert convexdomain._collapse_time(normals, np.zeros(3), 0, 1, 2) == math.inf
+    assert convexdomain._collapse_time(normals, np.zeros(3), 2, 0, 1) == math.inf
 
 
 def test_rigid_motion_invariance():

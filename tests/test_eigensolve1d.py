@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dptsv
 
 from specgap import eigensolve1d
 from specgap.eigensolve1d import smallest_eigenpair
-from specgap.errors import ParameterError
+from specgap.errors import NumericError, ParameterError
 from specgap.pipeline import THM1
 from specgap.potential import PotentialGrid, PotentialSpec, sample
 from specgap.sublevel import minimize_functional, width
@@ -93,6 +93,21 @@ def test_lapack_call_matches_the_scipy_wrapper(monkeypatch):
         reference = smallest_eigenpair(g)
         assert pair.lambda1 == reference.lambda1 and pair.residual == reference.residual
         assert np.array_equal(pair.f, reference.f)
+
+
+@pytest.mark.parametrize(
+    "solve, message",
+    [
+        (lambda d, e, b: (d, e, b, 3), "not positive definite: leading minor 3"),
+        # the constant start is no eigenvector, and it is all the solve returns
+        (lambda d, e, b: (d, e, b.copy(), 0), "inverse iteration failed to converge"),
+    ],
+    ids=["indefinite", "no-convergence"],
+)
+def test_failed_solve_is_numeric_error(monkeypatch, solve, message):
+    monkeypatch.setattr(eigensolve1d, "dptsv", solve)
+    with pytest.raises(NumericError, match=message):
+        smallest_eigenpair(grid_of("harmonic", (-5.0, 5.0), 200, (0.0,)))
 
 
 def test_lambda1_is_relative_at_any_scale():

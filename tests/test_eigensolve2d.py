@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -313,6 +314,23 @@ def test_indefinite_coarsest_matrix_is_numeric_error():
 def test_masked_grid_validation():
     with pytest.raises(ParameterError):
         MaskedGrid(spacing=0.1, origin=np.zeros(2), mask=np.zeros((4, 4), dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "spacing, origin, mask, message",
+    [
+        (0.0, np.zeros(2), np.ones((4, 4), dtype=bool), "spacing must be positive and finite"),
+        (math.inf, np.zeros(2), np.ones((4, 4), dtype=bool), "spacing must be positive and finite"),
+        (0.1, np.zeros(3), np.ones((4, 4), dtype=bool), "origin must be a finite 2D point"),
+        (0.1, np.array([0.0, math.nan]), np.ones((4, 4), dtype=bool), "origin must be a finite"),
+        (0.1, np.zeros(2), np.ones(16, dtype=bool), "mask must be a 2D boolean array"),
+        (0.1, np.zeros(2), np.ones((4, 4)), "mask must be a 2D boolean array"),
+    ],
+    ids=["zero-spacing", "infinite-spacing", "3d-origin", "nan-origin", "1d-mask", "float-mask"],
+)
+def test_masked_grid_rejects_bad_fields(spacing, origin, mask, message):
+    with pytest.raises(ParameterError, match=message):
+        MaskedGrid(spacing=spacing, origin=origin, mask=mask)
 
 
 # ---------- smallest_eigenpair_2d ----------
@@ -835,6 +853,23 @@ def test_solve_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_solve_holds_each_vector_once():
+    # the traced peak of a folded cone's solve, per bounding-box node: the
+    # LOBPCG step updates its vectors in place, the fold's scale touches only
+    # column 0, and the multigrid hierarchy is freed before the float64 check.
+    # It measured 40.2 bytes per node, against 55.4 when each step and scale
+    # made new arrays and the hierarchy lived through the check.
+    grid = rasterize(generate_family("cone", 16.0), 1.0 / 64.0)
+    assert grid.mask.size == 132_225
+    tracemalloc.start()
+    try:
+        smallest_eigenpair_2d(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.mask.size <= 42.0
 
 
 def test_unreachable_tolerance_raises(monkeypatch):
