@@ -23,9 +23,9 @@ from .potential import PotentialGrid
 _PI2 = math.pi**2
 
 # Most nodes a height profile (normalize_gj) or a rasterized bounding box
-# (eigensolve2d.rasterize) may have.  A 2D run peaks at about 59 bytes per
+# (eigensolve2d.rasterize) may have.  A 2D run peaks at about 54 bytes per
 # box node (a fresh process's ru_maxrss, read with os.wait4 by its parent:
-# 237.7 MiB for vdberg D=512, a 32,769 x 129 box at spacing 1/64) and a
+# 218.9 MiB for vdberg D=512, a 32,769 x 129 box at spacing 1/64) and a
 # profile at about 50, so 2^25 nodes hold a run under about 2 GB.  That is
 # 8 times the box one D doubling past the largest default one (4,097 x 129
 # nodes) needs.

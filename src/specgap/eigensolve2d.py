@@ -260,13 +260,15 @@ def _multigrid(
 
     operator(k) maps a 1-D float64 vector over np.nonzero(masks[k]) to
     another, and so does vcycle(k, r); lift(k, c) maps such a vector from
-    level k + 1 to k.  Level k holds the nodes (2^k i, 2^k j) of the
-    zero-padded box, down to 16 to 32 intervals across the shorter side of
-    mask (a coarser level holds too few nodes across a thin domain), and
-    solves S x = (2^k h)^2 b for the unscaled
-    stencil S: two masked Jacobi sweeps (omega 0.8) precede and follow the
-    correction P (next level's cycle) P^T r, with bilinear P (_prolong), or
-    on the coarsest level _coarsest_solve's exact banded Cholesky solve.
+    level k + 1 to k.  Each is gathered from and scattered into the level's
+    arrays by its boolean mask, which visits nodes in that row-major order.
+    Level k holds the nodes (2^k i, 2^k j) of the zero-padded box, down to
+    16 to 32 intervals across the shorter side of mask (a coarser level
+    holds too few nodes across a thin domain), and solves S x = (2^k h)^2 b
+    for the unscaled stencil S: two masked Jacobi sweeps (omega 0.8) precede
+    and follow the correction P (next level's cycle) P^T r, with bilinear P
+    (_prolong), or on the coarsest level _coarsest_solve's exact banded
+    Cholesky solve.
     Every level's arrays and masks are guarded bases (_guarded): a level
     that restricts has odd padded sides, so its row width is even, P^T's
     column pass is one stride-2 pass over the flat base, and its row pass
@@ -285,9 +287,9 @@ def _multigrid(
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [_guarded(padded[:: 1 << k, :: 1 << k]) for k in range(levels)]
     xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
-    actives, edge = [np.flatnonzero(m) for m in masks], math.sqrt(0.5) if fold else 1.0
+    edge = math.sqrt(0.5) if fold else 1.0
     # where each level's vectors hold column 0, the only entries the scale edge touches
-    edges = [np.flatnonzero(a % m.shape[1] == 0) for a, m in zip(actives, masks)]
+    edges = [np.flatnonzero(np.nonzero(m)[1] == 0) for m in masks]
 
     def residual(k: int) -> np.ndarray:  # g_k - S x_k on the mask, into t_k (g_k is 0 off it)
         return np.add(_stencil(xs[k], ts[k], masks[k], fold), gs[k], out=ts[k])
@@ -303,22 +305,22 @@ def _multigrid(
         v[edges[k]] /= edge
         return v
 
-    coarsest = _coarsest_solve(masks[-1], scaled(np.ones(actives[-1].size), -1))
+    coarsest = _coarsest_solve(masks[-1], scaled(np.ones(np.count_nonzero(masks[-1])), -1))
 
     def operator(top: int) -> Callable[[np.ndarray], np.ndarray]:
         x64, t64 = np.zeros(masks[top].shape), np.zeros(masks[top].shape)
 
         def apply_a(v: np.ndarray) -> np.ndarray:
-            x64.ravel()[actives[top]] = v
+            x64[masks[top]] = v
             x64[:, 0] /= edge  # off the mask it holds zeros
-            av = _stencil(x64, t64, masks[top], fold).ravel()[actives[top]]
+            av = _stencil(x64, t64, masks[top], fold)[masks[top]]
             av /= -(h2 * 4**top)
             return scaled(av, top)
 
         return apply_a
 
     def vcycle(top: int, r: np.ndarray) -> np.ndarray:
-        gs[top].ravel()[actives[top]] = unscaled(h2 * 4**top * r, top)
+        gs[top][masks[top]] = unscaled(h2 * 4**top * r, top)
         for k in range(top, levels):  # pre-smooth, restrict the residual
             np.multiply(gs[k], 0.2, out=xs[k])  # the first sweep, from zero
             smooth(k)
@@ -335,20 +337,20 @@ def _multigrid(
                 even[:-n] += odd[n:]  # of which only the even rows are gathered
                 even[n:] += odd[:-n]
                 np.multiply(t[::2, ::2], masks[k + 1][:, :-1], out=gs[k + 1][:, :-1])
-        xs[-1].ravel()[actives[-1]] += coarsest(ts[-1].ravel()[actives[-1]])
+        xs[-1][masks[-1]] += coarsest(ts[-1][masks[-1]])
         for k in reversed(range(top, levels)):  # prolong the correction, post-smooth
             if k + 1 < levels:
                 xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
-        return scaled(xs[top].ravel()[actives[top]].astype(np.float64), top)
+        return scaled(xs[top][masks[top]].astype(np.float64), top)
 
     def lift(k: int, c: np.ndarray) -> np.ndarray:
         full = np.zeros(masks[k + 1].shape)
-        full.ravel()[actives[k + 1]] = c
+        full[masks[k + 1]] = c
         full[:, 0] /= edge
         fine = np.zeros(masks[k].shape)  # _prolong never writes its last guard entry
-        return scaled(_prolong(full, fine, masks[k]).ravel()[actives[k]], k)
+        return scaled(_prolong(full, fine, masks[k])[masks[k]], k)
 
     return [m[:, :-1] for m in masks], operator, vcycle, lift
 
@@ -368,21 +370,23 @@ def _lopcg(
     p, the 3 x 3 problem solved by LAPACK dsygvd.  The loop also ends after
     _MAX_OUTER steps, after _STALL steps without a new lowest residual, or
     when [x, w] itself is singular.  The vectors are updated in place by
-    linear combinations, never stacked into a block; only x (and A x) is a
-    new array each step, as the lowest-residual iterate may be the old one.
+    linear combinations, never stacked into a block; only x is a new array
+    each step, as the lowest-residual iterate may be the old one.
     """
     x = x / np.linalg.norm(x)
     ax = apply_a(x)
     lam, p, ap = x @ ax, None, None
     low, low_at, best = math.inf, 0, x
     for calls in count():
-        r = ax - lam * x
+        r = np.multiply(x, lam)
+        np.subtract(ax, r, out=r)
         res = np.linalg.norm(r)
         if res < low:
             low, low_at, best = res, calls, x
         if res <= stop or calls == _MAX_OUTER or calls - low_at > _STALL:
             return best, calls
         w = precondition(r)
+        del r  # the V-cycle has read it
         w -= (x @ w) * x
         w /= np.linalg.norm(w)
         aw = apply_a(w)
@@ -411,7 +415,7 @@ def _lopcg(
         p, ap = w, aw
         x = c[0] * x
         x += p
-        ax = c[0] * ax
+        ax *= c[0]
         ax += ap
 
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import weakref
 
 import pytest
 
@@ -185,6 +186,23 @@ def test_each_height_function_finds_its_localization_scale_once(monkeypatch):
     assert len(calls) == 2
     pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 16.0, tol=1e-6)
     assert len(calls) == 3
+
+
+def test_vdberg_sweep_frees_each_cone_before_the_next(monkeypatch):
+    # each cone's two ground states are gone before the next cone's first
+    # solve: live counts each pair returned so far that is still referenced
+    solve = pipeline.smallest_eigenpair_2d
+    pairs, live = [], []
+
+    def tracked(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in pairs))
+        pair = solve(*args, **kwargs)
+        pairs.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(pipeline, "smallest_eigenpair_2d", tracked)
+    pipeline.vdberg_sweep([8.0, 16.0], spacing=1.0 / 16.0, tol=1e-6)
+    assert live == [0, 1, 0, 1]
 
 
 def test_bound_scans_the_samples_once(monkeypatch):
