@@ -63,29 +63,26 @@ class ConvexPolygon:
 
 @dataclass(frozen=True)
 class HeightFunction:
-    """Boundary graphs f1 <= f2 and their gap h on a uniform grid over [a, b]."""
+    """Lower boundary graph f1 and the gap h above it on a uniform grid over [a, b]."""
 
     a: float
     b: float
     h: np.ndarray
     f1: np.ndarray
-    f2: np.ndarray
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
         f1 = np.asarray(self.f1, dtype=float)
-        f2 = np.asarray(self.f2, dtype=float)
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
             raise ParameterError("height function needs a finite interval with b > a")
-        if h.ndim != 1 or h.size < 5 or f1.shape != h.shape or f2.shape != h.shape:
-            raise ParameterError("h, f1, f2 must be equal-length arrays of 5+ samples")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
+        if h.ndim != 1 or h.size < 5 or f1.shape != h.shape:
+            raise ParameterError("h and f1 must be equal-length arrays of 5+ samples")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(f1))):
             raise ParameterError("height samples must be finite")
-        if np.any(f2 < f1 - 1e-9 * max(1.0, self.b - self.a)):
-            raise ParameterError("upper boundary graph dips below the lower one")
+        if np.any(h < 0.0):
+            raise ParameterError("height samples must be nonnegative")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
 
     @property
     def dx(self) -> float:
@@ -266,9 +263,8 @@ def normalize_gj(
         u = u[::-1].copy()
         u[:, 0] = length - u[:, 0]
         f1 = f1[::-1].copy()
-        f2 = f2[::-1].copy()
         h = h[::-1].copy()
-    return ConvexPolygon(vertices=u), HeightFunction(a=0.0, b=length, h=h, f1=f1, f2=f2)
+    return ConvexPolygon(vertices=u), HeightFunction(a=0.0, b=length, h=h, f1=f1)
 
 
 def gj_potential(hf: HeightFunction) -> PotentialGrid:

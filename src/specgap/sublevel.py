@@ -78,26 +78,17 @@ def _minimize(
     """minimize_functional on the scan (_scan) of grid."""
     if len(levels) == 1:
         # constant potential: every level above the constant sees the whole
-        # interval, so take the full width and a level one epsilon up
-        vmin = float(levels[0])
-        span = grid.b - grid.a
-        y_star = vmin + np.finfo(float).eps * max(1.0, abs(vmin))
-        f_star = 1.0 / (span * span) + vmin
-        return SublevelReport(
-            yStar=y_star,
-            widthAtYStar=span,
-            fStar=f_star,
-            isInterval=True,
-            lowerBound=f_star / 250.0,
-            upperBoundSharp=_PI2 / (span * span) + vmin,
-        )
-
-    # the levels above min V = levels[0] whose sublevel holds a node
-    keep = np.flatnonzero(counts[1:] > 0) + 1
-    candidates, widths, contiguous = levels[keep], grid.dx * counts[keep], contiguous[keep]
+        # interval, so the constant stands in at the full width
+        candidates, widths = levels, np.array([grid.b - grid.a])
+    else:
+        # the levels above min V = levels[0] whose sublevel holds a node
+        keep = np.flatnonzero(counts[1:] > 0) + 1
+        candidates, widths, contiguous = levels[keep], grid.dx * counts[keep], contiguous[keep]
     f_vals = 1.0 / (widths * widths) + candidates
     k = int(np.argmin(f_vals))  # ties resolve to the smallest level
     y_star = float(candidates[k])
+    if len(levels) == 1:  # report a level one epsilon above the constant
+        y_star += np.finfo(float).eps * max(1.0, abs(y_star))
     f_star = float(f_vals[k])
     star_is_interval = bool(contiguous[k])
 

@@ -155,6 +155,19 @@ def test_flat_bottom_lower_bound_is_below_lambda1(tmp_path):
     assert lower <= load(tmp_path / "e")[0]["summary"]["lambda1"]
 
 
+# the constant potential -1000 on [0, 1]
+_NEGATIVE_CONSTANT = ["--set", "kind=piecewiseLinear", "--set", "params=0,-1000,1,-1000", "--set", "n=1000"]
+
+
+@pytest.mark.xfail(strict=True, reason="the lower bound is not stated on V - min V (ROADMAP item 2)")
+def test_negative_constant_lower_bound_is_below_lambda1(tmp_path):
+    # bound prints lower -3.996, eig1d lambda1 -990.130 on the same grid
+    assert main(["bound", *_NEGATIVE_CONSTANT, "--out", str(tmp_path / "b")]) == 0
+    assert main(["eig1d", *_NEGATIVE_CONSTANT, "--out", str(tmp_path / "e")]) == 0
+    lower = load(tmp_path / "b")[0]["summary"]["lower"]
+    assert lower <= load(tmp_path / "e")[0]["summary"]["lambda1"]
+
+
 def test_csv_bytes(tmp_path):
     prefix = tmp_path / "cb"
     args = ["constants", "--out", str(prefix)]

@@ -85,21 +85,22 @@ def test_polygon_rejects_degenerate_vertices(vertices, message):
 
 
 @pytest.mark.parametrize(
-    "a, b, h, f1, f2, message",
+    "a, b, h, f1, message",
     [
-        (0.0, 0.0, np.ones(5), np.zeros(5), np.ones(5), "finite interval with b > a"),
-        (0.0, math.inf, np.ones(5), np.zeros(5), np.ones(5), "finite interval with b > a"),
-        (0.0, 1.0, np.ones(4), np.zeros(4), np.ones(4), "equal-length arrays of 5\\+ samples"),
-        (0.0, 1.0, np.ones(5), np.zeros(6), np.ones(5), "equal-length arrays"),
-        (0.0, 1.0, np.ones((5, 5)), np.zeros((5, 5)), np.ones((5, 5)), "equal-length arrays"),
-        (0.0, 1.0, np.ones(5), np.zeros(5), [1.0, 1.0, math.nan, 1.0, 1.0], "must be finite"),
-        (0.0, 1.0, np.ones(5), np.zeros(5), [1.0, 1.0, -1e-6, 1.0, 1.0], "dips below"),
+        (0.0, 0.0, np.ones(5), np.zeros(5), "finite interval with b > a"),
+        (0.0, math.inf, np.ones(5), np.zeros(5), "finite interval with b > a"),
+        (0.0, 1.0, np.ones(4), np.zeros(4), "equal-length arrays of 5\\+ samples"),
+        (0.0, 1.0, np.ones(5), np.zeros(6), "equal-length arrays"),
+        (0.0, 1.0, np.ones((5, 5)), np.zeros((5, 5)), "equal-length arrays"),
+        (0.0, 1.0, [1.0, 1.0, math.nan, 1.0, 1.0], np.zeros(5), "must be finite"),
+        (0.0, 1.0, np.ones(5), [0.0, 0.0, math.inf, 0.0, 0.0], "must be finite"),
+        (0.0, 1.0, [1.0, 1.0, -1e-6, 1.0, 1.0], np.zeros(5), "must be nonnegative"),
     ],
-    ids=["empty-interval", "infinite-interval", "four-samples", "unequal", "2d", "nan", "crossing"],
+    ids=["empty-interval", "infinite-interval", "four-samples", "unequal", "2d", "nan", "inf-f1", "crossing"],
 )
-def test_height_function_rejects_bad_samples(a, b, h, f1, f2, message):
+def test_height_function_rejects_bad_samples(a, b, h, f1, message):
     with pytest.raises(ParameterError, match=message):
-        HeightFunction(a=a, b=b, h=h, f1=f1, f2=f2)
+        HeightFunction(a=a, b=b, h=h, f1=f1)
 
 
 # ---------- diameter / inradius ----------
@@ -268,7 +269,7 @@ def test_normalize_axis_aligned_rectangle():
     assert hf.b == pytest.approx(4.0, abs=1e-9)
     assert np.max(np.abs(hf.h - 1.0)) < 1e-9
     assert np.max(np.abs(hf.f1)) < 1e-9
-    assert np.max(np.abs(hf.f2 - 1.0)) < 1e-9
+    assert np.max(np.abs(hf.f1 + hf.h - 1.0)) < 1e-9
     ys = poly2.vertices[:, 1]
     assert ys.min() == pytest.approx(0.0, abs=1e-12)
     assert ys.max() == pytest.approx(1.0, abs=1e-12)
@@ -291,9 +292,10 @@ def test_normalize_cone_height_profile():
     assert hf.h[-1] < 0.05
     assert np.max(hf.h) == pytest.approx(1.0, abs=1e-3)
     assert np.min(hf.f1) == pytest.approx(0.0, abs=1e-3)
-    assert np.max(hf.f2) == pytest.approx(1.0, abs=1e-3)
-    assert np.all(hf.f1 <= hf.f2 + 1e-12)
-    assert np.all(hf.f1 >= -1e-3) and np.all(hf.f2 <= 1.0 + 1e-3)
+    assert np.max(hf.f1 + hf.h) == pytest.approx(1.0, abs=1e-3)
+    f1, f2 = convexdomain._boundary_graphs(poly2.vertices, hf.nodes())
+    assert np.all(f1 <= f2 + 1e-12)
+    assert np.all(hf.f1 >= -1e-3) and np.all(hf.f1 + hf.h <= 1.0 + 1e-3)
     # h concave up to sampling noise
     dd = np.diff(hf.h, 2)
     assert dd.max() < 1e-3
@@ -333,7 +335,7 @@ def test_normalize_flip_convention_deterministic():
 
 def manual_hf(h, a=0.0, b=1.0):
     h = np.asarray(h, dtype=float)
-    return HeightFunction(a=a, b=b, h=h, f1=np.zeros_like(h), f2=h)
+    return HeightFunction(a=a, b=b, h=h, f1=np.zeros_like(h))
 
 
 def test_gj_potential_constant_height():
@@ -506,8 +508,8 @@ def test_family_members_normalize_cleanly():
         _, hf = normalize_gj(p)
         assert np.max(hf.h) == pytest.approx(1.0, abs=1e-3)
         assert np.min(hf.f1) == pytest.approx(0.0, abs=1e-3)
-        assert np.max(hf.f2) == pytest.approx(1.0, abs=1e-3)
-        assert np.all(hf.f1 >= -1e-3) and np.all(hf.f2 <= 1 + 1e-3)
+        assert np.max(hf.f1 + hf.h) == pytest.approx(1.0, abs=1e-3)
+        assert np.all(hf.f1 >= -1e-3) and np.all(hf.f1 + hf.h <= 1 + 1e-3)
 
 
 def test_normalize_gj_node_cap():

@@ -1053,7 +1053,6 @@ def test_profile_error_empty_window(rect_pair):
         b=24.0,
         h=np.ones(300),
         f1=np.zeros(300),
-        f2=np.ones(300),
     )
     profile = smallest_eigenpair(gj_potential(far))
     with pytest.raises(ParameterError):
@@ -1062,14 +1061,14 @@ def test_profile_error_empty_window(rect_pair):
 
 def test_profile_grid_mismatch_rejected(rect_pair):
     hf, pair, profile = rect_pair
-    other = HeightFunction(a=0.0, b=8.0, h=np.ones(30), f1=np.zeros(30), f2=np.ones(30))
+    other = HeightFunction(a=0.0, b=8.0, h=np.ones(30), f1=np.zeros(30))
     with pytest.raises(ParameterError):
         _gj_profile_error(pair, other, profile, localization_scale(other))
 
 
 def test_profile_error_level_never_reached(rect_pair):
     _, pair, _ = rect_pair
-    low = HeightFunction(a=0.0, b=8.0, h=np.full(300, 0.5), f1=np.zeros(300), f2=np.full(300, 0.5))
+    low = HeightFunction(a=0.0, b=8.0, h=np.full(300, 0.5), f1=np.zeros(300))
     profile = smallest_eigenpair(gj_potential(low))
     with pytest.raises(ParameterError, match="never reaches"):
         _gj_profile_error(pair, low, profile, 2.0)

@@ -314,7 +314,7 @@ def edge_grids():
     grids = [
         PotentialGrid(a=0.0, b=1.0, values=np.full(n + 2, c))
         for n in (3, 50)
-        for c in (0.0, -1e300, 1e-300, 7.5)
+        for c in (0.0, -0.0, -1e300, 1e-300, 7.5)
     ]
     grids.append(PotentialGrid(a=0.0, b=1.0, values=[3.0, 1.0, 2.0, 1.0, 0.0]))
     grids.append(PotentialGrid(a=0.0, b=1.0, values=[1.0, 1.0, 1.0, 1.0, 2.0]))
