@@ -265,15 +265,14 @@ def _multigrid(
     Level k holds the nodes (2^k i, 2^k j) of the zero-padded box, down to
     16 to 32 intervals across the shorter side of mask (a coarser level
     holds too few nodes across a thin domain), and solves S x = (2^k h)^2 b
-    for the unscaled stencil S: two masked Jacobi sweeps (omega 0.8) precede
-    and follow the correction P (next level's cycle) P^T r, with bilinear P
-    (_prolong), or on the coarsest level _coarsest_solve's exact banded
-    Cholesky solve.
-    Every level's arrays and masks are guarded bases (_guarded): a level
-    that restricts has odd padded sides, so its row width is even, P^T's
-    column pass is one stride-2 pass over the flat base, and its row pass
-    runs on the even columns alone, the odd ones (no longer read) holding
-    the halved values.
+    for the unscaled stencil S.  The coarsest level is solved exactly by
+    _coarsest_solve and not smoothed; each level above it runs two masked
+    Jacobi sweeps (omega 0.8) before and after the correction P (next
+    level's cycle) P^T r, with bilinear P (_prolong).  Every level's arrays
+    and masks are guarded bases (_guarded): a level that restricts has odd
+    padded sides, so its row width is even, P^T's column pass is one
+    stride-2 pass over the flat base, and its row pass runs on the even
+    columns alone, the odd ones (no longer read) holding the halved values.
     The mirrored sweeps contract in the energy norm, so the cycle is SPD to
     float32 rounding (mixed-precision multigrid: Goeddeke, Strzodka & Turek,
     IJPEDS 22, 2007); each operator allocates float64 arrays of its own.
@@ -321,26 +320,24 @@ def _multigrid(
 
     def vcycle(top: int, r: np.ndarray) -> np.ndarray:
         gs[top][masks[top]] = unscaled(h2 * 4**top * r, top)
-        for k in range(top, levels):  # pre-smooth, restrict the residual
+        for k in range(top, levels - 1):  # pre-smooth, restrict the residual by P^T
             np.multiply(gs[k], 0.2, out=xs[k])  # the first sweep, from zero
             smooth(k)
             t = residual(k)
-            if k + 1 < levels:  # P^T, one axis at a time
-                flat, w = t.ravel(), t.shape[1]
-                flat[1::2] *= 0.5  # columns, flat: the guard adds zeros
-                flat[::2] += flat[1::2]
-                flat[2::2] += flat[1:-1:2]
-                if fold:
-                    flat[::w] += flat[1::w]
-                even, odd, n = flat[::2], flat[1::2], w // 2  # rows, on the even columns
-                np.multiply(even, 0.5, out=odd)  # halves, where nothing is read any more
-                even[:-n] += odd[n:]  # of which only the even rows are gathered
-                even[n:] += odd[:-n]
-                np.multiply(t[::2, ::2], masks[k + 1][:, :-1], out=gs[k + 1][:, :-1])
-        xs[-1][masks[-1]] += coarsest(ts[-1][masks[-1]])
-        for k in reversed(range(top, levels)):  # prolong the correction, post-smooth
-            if k + 1 < levels:
-                xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
+            flat, w = t.ravel(), t.shape[1]
+            flat[1::2] *= 0.5  # columns, flat: the guard adds zeros
+            flat[::2] += flat[1::2]
+            flat[2::2] += flat[1:-1:2]
+            if fold:
+                flat[::w] += flat[1::w]
+            even, odd, n = flat[::2], flat[1::2], w // 2  # rows, on the even columns
+            np.multiply(even, 0.5, out=odd)  # halves, where nothing is read any more
+            even[:-n] += odd[n:]  # of which only the even rows are gathered
+            even[n:] += odd[:-n]
+            np.multiply(t[::2, ::2], masks[k + 1][:, :-1], out=gs[k + 1][:, :-1])
+        xs[-1][masks[-1]] = coarsest(gs[-1][masks[-1]])
+        for k in reversed(range(top, levels - 1)):  # prolong the correction, post-smooth
+            xs[k] += _prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
         return scaled(xs[top][masks[top]].astype(np.float64), top)
@@ -436,19 +433,19 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     A mask with an odd number of columns that equals its mirror image
     about the middle one, and whose half holds _MIN_ACTIVE nodes, is solved
     on that half, as the simple ground state is even (_multigrid's fold).
-    Full multigrid (Brandt, Math. Comp. 31, 1977) starts the loop: from
-    ones on the deepest level whose whole (unfolded) mask has _FMG_MIN_NODES
+    Full multigrid (Brandt, Math. Comp. 31, 1977) starts the loop: from ones
+    on the deepest level whose whole (unfolded) mask has _FMG_MIN_NODES
     across and active, each level is solved to _COARSE_TOL times box_min and
-    lifted to start the next, and level 0 to tol times box_min.  box_min is
-    the smallest eigenvalue of the Dirichlet Laplacian on the level's whole
-    box (mask.shape on level 0, padded below it), one three-point symbol per
-    axis.  The masked operator is a principal submatrix of that Laplacian,
-    so by Cauchy interlacing box_min bounds lambda1 from below, and the stop
-    gives a relative eigenresidual |A v - lambda v| / lambda <= tol, which
-    is checked again in float64 on the full mask.  Only this check raises,
-    also when the loop stalled (_STALL) short of its stop.  _MAX_OUTER caps
-    the LOBPCG iterations of each level; iterations reports how many ran on
-    level 0.
+    lifted to start the next, and level 0 to tol times box_min, its vector
+    normalized once, after the unfold.  box_min is the smallest eigenvalue
+    of the Dirichlet Laplacian on the level's whole box (mask.shape on level
+    0, padded below it), one three-point symbol per axis.  The masked
+    operator is a principal submatrix of that Laplacian, so by Cauchy
+    interlacing box_min bounds lambda1 from below, and the stop gives a
+    relative eigenresidual |A v - lambda v| / lambda <= tol, which is
+    checked again in float64 on the full mask.  Only this check raises, also
+    when the loop stalled (_STALL) short of its stop.  _MAX_OUTER caps the
+    LOBPCG iterations of each level; iterations counts level 0's.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise ParameterError("tolerance must be positive and finite")
@@ -470,7 +467,6 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
         box_min = sum((2.0 - 2.0 * math.cos(math.pi / (m + 1))) / (h2 * 4**k) for m in box)
         stop = (tol if k == 0 else _COARSE_TOL) * box_min
         v, iterations = _lopcg(operator(k), partial(vcycle, k), v, stop)
-        v = v / np.linalg.norm(v)
         v = lift(k - 1, v) if k else v  # the next finer level's start
     del masks, operator, vcycle, lift  # the hierarchy's arrays go before the check's
     if fold:  # the even extension, with the mirror column's scale undone
@@ -478,7 +474,7 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
         x[half] = v
         x[:, 0] /= math.sqrt(0.5)
         v = _unfold(x, fold)[mask]
-        v /= np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
     guarded = _guarded(mask)
     x = np.zeros(guarded.shape)
     x[guarded] = v

@@ -696,22 +696,20 @@ def reference_multigrid(mask, h2, fold):
 
     def vcycle(r):
         gs[0].ravel()[active] = h2 * r.ravel() / root
-        for k in range(levels):
+        for k in range(levels - 1):
             np.multiply(gs[k], 0.2, out=xs[k])
             smooth(k)
             t = residual(k)
-            if k + 1 < levels:
-                for v, mirror in ((t.T, fold), (t[:, ::2], False)):
-                    v[1::2] *= 0.5
-                    v[:-2:2] += v[1::2]
-                    v[2::2] += v[1::2]
-                    if mirror:
-                        v[0] += v[1]
-                np.multiply(t[::2, ::2], masks[k + 1], out=gs[k + 1])
-        xs[-1][masks[-1]] += coarsest(ts[-1][masks[-1]])
-        for k in reversed(range(levels)):
-            if k + 1 < levels:
-                xs[k] += reference_prolong(xs[k + 1], ts[k], masks[k])
+            for v, mirror in ((t.T, fold), (t[:, ::2], False)):
+                v[1::2] *= 0.5
+                v[:-2:2] += v[1::2]
+                v[2::2] += v[1::2]
+                if mirror:
+                    v[0] += v[1]
+            np.multiply(t[::2, ::2], masks[k + 1], out=gs[k + 1])
+        xs[-1][masks[-1]] = coarsest(gs[-1][masks[-1]])
+        for k in reversed(range(levels - 1)):
+            xs[k] += reference_prolong(xs[k + 1], ts[k], masks[k])
             smooth(k)
             smooth(k)
         return xs[0].ravel()[active].astype(np.float64) * root
@@ -770,6 +768,30 @@ def test_guarded_layout_matches_the_box_layout_to_the_bit(mask, h2, fold):
     coarse = refs[-1][2]
     whole = np.hstack((coarse[:, :0:-1], coarse)) if fold else coarse
     assert min(whole.shape) < _FMG_MIN_NODES
+
+
+def coarsest_cycle_cases():
+    # (mask, fold, the coarsest level)
+    cone = rasterize(generate_family("cone", 8.0), 1.0 / 16.0)
+    return [
+        (cone.mask, False, 1),
+        (Fold(cone).half, True, 0),
+        (np.ones((63, 31), dtype=bool), False, 0),
+    ]
+
+
+@pytest.mark.parametrize("mask, fold, k", coarsest_cycle_cases(), ids=["cone", "cone-folded", "fills-box"])
+def test_vcycle_solves_the_coarsest_level_exactly(mask, fold, k):
+    # on its coarsest level the cycle is the banded Cholesky solve alone, with
+    # no Jacobi sweep around it
+    h2 = 1.0 / 256.0
+    masks, _, vcycle, _ = _multigrid(mask, h2, fold)
+    assert len(masks) == k + 1
+    roots = np.where((np.nonzero(masks[k])[1] == 0) & fold, math.sqrt(0.5), 1.0)
+    solve = _coarsest_solve(_guarded(masks[k]), roots)
+    r = np.random.default_rng(23).standard_normal(roots.size)
+    expected = solve((h2 * 4**k * r / roots).astype(np.float32)).astype(np.float64) * roots
+    assert np.array_equal(vcycle(k, r), expected)
 
 
 def test_folded_operator_is_the_laplacian_on_even_functions():

@@ -88,22 +88,31 @@ def test_scaling(grid, s):
 STATISTIC_GRID_SLACK = 0.017
 
 
-@st.composite
-def convex_polygons(draw):
-    """Polygons inscribed in a sheared ellipse of axes a and 1, scaled to unit
-    inradius: 3 to 16 distinct whole-degree angles, so every vertex set is in
-    convex position, from triangles to near-disks."""
-    degrees = sorted(draw(st.lists(st.integers(0, 359), min_size=3, max_size=16, unique=True)))
-    a, shear = draw(st.floats(1.0, 16.0)), draw(st.floats(-1.0, 1.0))
-    t = np.radians(degrees)
+def inscribed_polygon(t, a=1.0, shear=0.0):
+    """The polygon at the increasing angles t on a sheared ellipse of axes a
+    and 1, scaled to unit inradius."""
     x, y = a * np.cos(t), np.sin(t)
     poly = ConvexPolygon(vertices=np.column_stack([x + shear * y, y]))
     return ConvexPolygon(vertices=poly.vertices / inradius(poly))
 
 
+@st.composite
+def convex_polygons(draw):
+    """Polygons inscribed in a sheared ellipse: 3 to 16 distinct whole-degree
+    angles, so every vertex set is in convex position, from triangles to
+    near-disks."""
+    degrees = sorted(draw(st.lists(st.integers(0, 359), min_size=3, max_size=16, unique=True)))
+    a, shear = draw(st.floats(1.0, 16.0)), draw(st.floats(-1.0, 1.0))
+    return inscribed_polygon(np.radians(degrees), a, shear)
+
+
 @PROPERTY
 @given(poly=convex_polygons())
-# the largest statistic of 3,000 targeted examples off the suite, 1.18281
+# near-disks: the regular 64-gon gives 1.19892, the largest statistic found
+# so far, and the 64-gon on an ellipse of axis 1.2 sheared by 0.3 gives 1.08290
+@example(poly=inscribed_polygon(2.0 * np.pi * np.arange(64) / 64))
+@example(poly=inscribed_polygon(2.0 * np.pi * np.arange(64) / 64, 1.2, 0.3))
+# the largest of 3,000 targeted examples off the suite, 1.18281, below the 64-gon's
 @example(
     poly=ConvexPolygon(
         vertices=np.array(
