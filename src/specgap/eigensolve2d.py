@@ -155,9 +155,9 @@ _MIN_ACTIVE = 5
 # most LOBPCG iterations on each level, the fine one included
 _MAX_OUTER = 2000
 # a level's solve ends after this many iterations without a new lowest
-# residual, as one whose float64 residual cannot reach its stop has stalled;
-# on vdberg's and gjCompare's grids at tol 1e-6 to 1e-13, no solve that
-# reached its stop went more than 2 iterations without a new low
+# residual, stalled at its float64 floor (smallest_eigenpair_2d); on vdberg's
+# and gjCompare's grids at tol 1e-6 to 1e-13, no solve that reached its stop
+# went more than 2 iterations without a new low
 _STALL = 5
 
 
@@ -285,7 +285,8 @@ def _multigrid(
     levels = max(1, ((min(mask.shape) - 1) // 16).bit_length())
     padded = np.pad(mask, [(0, -(m - 1) % (1 << (levels - 1))) for m in mask.shape])
     masks = [_guarded(padded[:: 1 << k, :: 1 << k]) for k in range(levels)]
-    xs, gs, ts = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(3))
+    xs, gs = ([np.zeros(m.shape, dtype=np.float32) for m in masks] for _ in range(2))
+    ts = [np.zeros(m.shape, dtype=np.float32) for m in masks[:-1]]  # no sweep on the coarsest
     edge = math.sqrt(0.5) if fold else 1.0
     # where each level's vectors hold column 0, the only entries the scale edge touches
     edges = [np.flatnonzero(np.nonzero(m)[1] == 0) for m in masks]
@@ -443,12 +444,15 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     operator is a principal submatrix of that Laplacian, so by Cauchy
     interlacing box_min bounds lambda1 from below, and the stop gives a
     relative eigenresidual |A v - lambda v| / lambda <= tol, which is
-    checked again in float64 on the full mask.  Only this check raises, also
-    when the loop stalled (_STALL) short of its stop.  _MAX_OUTER caps the
-    LOBPCG iterations of each level; iterations counts level 0's.
+    checked again in float64 on the full mask.  tol must lie in (0, 1): a
+    residual of 1 or more holds for a vector that is no eigenvector.  Rounding
+    in A v, |A| <= 8/h^2, stalls the residual at 0.6 to 0.85 eps (8/h^2) / lambda
+    on the grids measured, so a miss within twice that, the grid's float64
+    floor, is a ParameterError naming it; any other, also at the _MAX_OUTER
+    cap on each level's iterations, is a NumericError; iterations counts level 0's.
     """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise ParameterError("tolerance must be positive and finite")
+    if not (isinstance(tol, (int, float)) and 0.0 < tol < 1.0):
+        raise ParameterError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     if grid.activeCount < _MIN_ACTIVE:
         raise ParameterError(
             f"the mask has {grid.activeCount} active nodes; the solver needs at least {_MIN_ACTIVE}"
@@ -482,6 +486,12 @@ def smallest_eigenpair_2d(grid: MaskedGrid, tol: float = 1e-6) -> Eigenpair2D:
     lam = float(v @ av)
     res = float(np.linalg.norm(av - lam * v)) / lam
     if not res <= tol:
+        floor = 2.0 * np.finfo(float).eps * 8.0 / (h2 * lam)
+        if res <= floor:
+            raise ParameterError(
+                f"tol={tol:g} is under the float64 floor {floor:.3g} at spacing {grid.spacing:g}"
+                f" (residual {res:.3e} after {iterations} iterations); use tol >= {floor:.3g}"
+            )
         raise NumericError(
             f"LOBPCG missed tol={tol:g} after {iterations} of at most {_MAX_OUTER} iterations"
             f" (residual {res:.3e})"

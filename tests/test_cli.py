@@ -223,21 +223,44 @@ def test_constants_summary_holds_the_gap_to_the_exact_optimum(tmp_path):
 
 @pytest.mark.parametrize("command", ["vdberg", "gjCompare"])
 def test_tol_below_the_residual_floor_is_input_error(tmp_path, capsys, command):
-    # the float64 residual cannot reach 1e-15: rejected before any solve,
-    # which would stall short of its stop and exit 1
+    # the float64 residual cannot reach 1e-15: the first solve stalls within
+    # its grid's floor, which the message names, and nothing is written
     prefix = tmp_path / "t"
     assert main([command, "--set", "tol=1e-15", "--out", str(prefix)]) == 2
-    assert capsys.readouterr().err.startswith("input error: tol must be at least 1e-13, got 1e-15")
-    assert not (tmp_path / "t.json").exists()
-
-
-def test_solve_that_misses_its_tol_is_numeric_failure(tmp_path, capsys):
-    # 1e-13 is accepted, but the rectangle's float64 residual stalls near
-    # 4.5e-13: the solve raises NumericError, which exits 1 with no output
-    prefix = tmp_path / "t"
-    assert main(["gjCompare", "--set", "tol=1e-13", "--out", str(prefix)]) == 1
-    assert capsys.readouterr().err.startswith("numeric failure: LOBPCG missed tol=1e-13")
+    err = capsys.readouterr().err
+    assert err.startswith("input error: tol=1e-15 is under the float64 floor ")
+    assert "at spacing 0.015625" in err and "; use tol >= " in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, floor",
+    [
+        # the rectangle's float64 residual stalls near 4.6e-13, under its floor
+        (["gjCompare", "--set", "tol=1e-13"], "1.45e-12"),
+        # the D=8 cone's stalls near 1.3e-12, under its floor
+        (["vdberg", "--set", "D=8,16", "--set", "tol=1e-12"], "3.74e-12"),
+    ],
+    ids=["gjCompare", "vdberg"],
+)
+def test_solve_that_misses_its_tol_under_the_floor_is_input_error(tmp_path, capsys, argv, floor):
+    # the grid's floor 2 eps (8/h^2) / lambda puts such a tol out of reach:
+    # bad input, with the floor named in the message
+    prefix = tmp_path / "t"
+    assert main(argv + ["--out", str(prefix)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {argv[-1]} is under the float64 floor {floor} ")
+    assert err.rstrip().endswith(f"use tol >= {floor}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tol_a_coarse_grid_meets_runs(tmp_path):
+    # a coarse grid's floor is lower: at spacing 0.125 the rectangle meets
+    # 1e-14 (residual 9.5e-15, floor 2.3e-14)
+    prefix = tmp_path / "t"
+    argv = ["gjCompare", "--set", "spacing=0.125", "--set", "tol=1e-14", "--out", str(prefix)]
+    assert main(argv) == 0
+    assert load(prefix)[0]["config"]["tol"] == 1e-14
 
 
 @pytest.mark.parametrize("command", ["vdberg", "gjCompare"])
@@ -247,9 +270,20 @@ def test_tol_of_one_or_more_is_input_error(tmp_path, capsys, command, tol):
     # relative residual of 3.6, passed every check with exit 0
     prefix = tmp_path / "t"
     assert main([command, "--set", f"tol={tol}", "--out", str(prefix)]) == 2
-    message = f"input error: tol must be below 1, got {float(tol):g}"
+    message = f"input error: tol must lie strictly between 0 and 1, got {float(tol)!r}"
     assert capsys.readouterr().err.startswith(message)
-    assert not (tmp_path / "t.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["vdberg", "gjCompare"])
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_tol_of_zero_or_less_is_input_error(tmp_path, capsys, command, tol):
+    # coercion takes any finite number; the solver rejects these before it solves
+    prefix = tmp_path / "t"
+    assert main([command, "--set", f"tol={tol}", "--out", str(prefix)]) == 2
+    message = f"input error: tol must lie strictly between 0 and 1, got {float(tol)!r}"
+    assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_thm1_subset(tmp_path):
