@@ -8,7 +8,6 @@ range-checked, so it only computes.
 """
 
 import math
-from dataclasses import asdict
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +29,7 @@ from .eigensolve1d import Eigenpair1D, smallest_eigenpair
 from .eigensolve2d import Eigenpair2D, rasterize, smallest_eigenpair_2d
 from .errors import ParameterError
 from .potential import PotentialGrid, PotentialSpec, sample
-from .rearrange import RearrangementReport, verify_chain
+from .rearrange import verify_chain
 from .sublevel import SublevelReport, minimize_functional, width, width_profile
 
 _PI2 = math.pi**2
@@ -136,16 +135,17 @@ def _sandwich(name: str, lambda1: float, report: SublevelReport) -> Tuple[float,
     return upper, _check(name, lambda1, lo, upper * (1.0 + SANDWICH_SLACK))
 
 
-def _chain(name: str, grid: PotentialGrid, f: np.ndarray, report: RearrangementReport) -> dict:
-    """The check that each comparison holds within the allowance for ground
-    state f: its value is the worst margin, its upper bound the allowance."""
+def _chain(name: str, grid: PotentialGrid, f: np.ndarray, sides: dict) -> dict:
+    """The check that each comparison of verify_chain's sides holds within the
+    allowance for ground state f: its value is the worst margin, its upper
+    bound the allowance."""
     vrange = float(grid.values.max() - grid.values.min())
     fmax = float(np.max(np.abs(f)))
     slack = CHAIN_SLACK_FACTOR * grid.dx * vrange * fmax * fmax
     margin = max(
-        report.hlRight - report.hlLeft,
-        report.psLeft - report.psRight,
-        report.lambdaRearranged - report.lambdaOriginal,
+        sides["hlRight"] - sides["hlLeft"],
+        sides["psLeft"] - sides["psRight"],
+        sides["lambdaRearranged"] - sides["lambdaOriginal"],
     )
     return _check(name, margin, None, slack)
 
@@ -241,10 +241,10 @@ def rearrange_random_suite(count, knots, vmax, interval, n, seed):
         ys = rng.uniform(0.0, vmax, size=knots)
         grid = sample(PotentialSpec("samples", ys.tolist(), interval), n)
         pair = smallest_eigenpair(grid)
-        report = verify_chain(grid, pair)
-        c = _chain(f"draw{i}.chain", grid, pair.f, report)
+        chain = verify_chain(grid, pair)
+        c = _chain(f"draw{i}.chain", grid, pair.f, chain)
         checks.append(c)
-        rows.append({"seedIndex": i, **asdict(report), "slack": c["bound"][1], "pass": c["pass"]})
+        rows.append({"seedIndex": i, **chain, "slack": c["bound"][1], "pass": c["pass"]})
     failures = sum(1 - c["pass"] for c in checks)
     return {"count": len(rows), "failures": failures, "rows": rows, "checks": checks}, None
 

@@ -12,22 +12,10 @@ comparisons pick up O(dx) boundary terms, which pipeline's allowance covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from specgap.eigensolve1d import Eigenpair1D, smallest_eigenpair
 from specgap.potential import PotentialGrid
-
-
-@dataclass(frozen=True)
-class RearrangementReport:
-    hlLeft: float
-    hlRight: float
-    psLeft: float
-    psRight: float
-    lambdaOriginal: float
-    lambdaRearranged: float
 
 
 def _center_out_positions(m: int) -> np.ndarray:
@@ -59,9 +47,10 @@ def _gradient_energy(f: np.ndarray, dx: float) -> float:
     return float(np.sum(grad * grad) * dx)
 
 
-def verify_chain(grid: PotentialGrid, pair: Eigenpair1D) -> RearrangementReport:
-    """Both sides of each comparison for the ground state `pair` of `grid`;
-    the one solve is the rearranged potential's. Asserts nothing."""
+def verify_chain(grid: PotentialGrid, pair: Eigenpair1D) -> dict:
+    """Both sides of each comparison for the ground state `pair` of `grid`,
+    keyed in rearrangeCheck's CSV column order; the one solve is the
+    rearranged potential's. Asserts nothing."""
     dx = grid.dx
     f = pair.f
     V = grid.values[1:-1]
@@ -69,21 +58,15 @@ def verify_chain(grid: PotentialGrid, pair: Eigenpair1D) -> RearrangementReport:
     f_star = symmetric_decreasing(f)
     v_star = symmetric_increasing(V)
 
-    hl_left = float(np.sum(V * f * f) * dx)
-    hl_right = float(np.sum(v_star * f_star * f_star) * dx)
-    ps_left = _gradient_energy(f_star, dx)
-    ps_right = _gradient_energy(f, dx)
-
     boundary = float(grid.values.max())
     star_values = np.concatenate(([boundary], v_star, [boundary]))
     grid_star = PotentialGrid(a=grid.a, b=grid.b, values=star_values)
-    lambda_star = smallest_eigenpair(grid_star).lambda1
 
-    return RearrangementReport(
-        hlLeft=hl_left,
-        hlRight=hl_right,
-        psLeft=ps_left,
-        psRight=ps_right,
-        lambdaOriginal=pair.lambda1,
-        lambdaRearranged=lambda_star,
-    )
+    return {
+        "hlLeft": float(np.sum(V * f * f) * dx),
+        "hlRight": float(np.sum(v_star * f_star * f_star) * dx),
+        "psLeft": _gradient_energy(f_star, dx),
+        "psRight": _gradient_energy(f, dx),
+        "lambdaOriginal": pair.lambda1,
+        "lambdaRearranged": smallest_eigenpair(grid_star).lambda1,
+    }

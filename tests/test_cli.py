@@ -988,6 +988,34 @@ def test_module_entrypoint_smoke(tmp_path):
     assert (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs one BLAS thread")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # numpy's `@` and np.linalg.norm call OpenBLAS ddot and dnrm2, which
+    # split the sum across threads, so the last bits can move with the count
+    lines = [
+        ["vdberg", "--set", "D=8"],
+        ["eig1d", "--set", "kind=harmonic", "--set", "interval=-12,12", "--set", "n=20000"],
+    ]
+
+    def csv_bytes(threads):
+        csv = []
+        for i, argv in enumerate(lines):
+            prefix = f"{i}-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "specgap", *argv, "--out", prefix],
+                cwd=tmp_path,
+                env={**child_env(), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            csv.append(read_bytes(tmp_path / prefix, ".csv"))
+        return csv
+
+    assert csv_bytes("1") == csv_bytes("2")
+
+
 def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
     # start-up needs numpy and scipy.linalg only
     heavy = (
