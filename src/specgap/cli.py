@@ -22,12 +22,13 @@ import json
 import os
 import reprlib
 import sys
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import pipeline
 from .errors import GeometryError, NumericError, ParameterError
+from .g17 import FIELD, format_g17
 
 
 def _as_float(value) -> float:
@@ -148,12 +149,14 @@ class Command(NamedTuple):
     """A subcommand: its default config, its runner and its CSV header.
 
     The runner is called with the coerced config as keyword arguments, one
-    per default key, and returns (summary, rows). rows=None stands for the
-    header's columns of summary["rows"]; a failed check in summary["checks"] exits 1.
+    per default key, and returns (summary, columns): the CSV's columns, in
+    the header's order, as equal-length arrays or lists. columns=None stands
+    for the header's columns of summary["rows"]; a failed check in
+    summary["checks"] exits 1.
     """
 
     defaults: Dict[str, object]
-    runner: Callable[..., Tuple[dict, Optional[Iterable]]]
+    runner: Callable[..., Tuple[dict, Optional[Sequence]]]
     header: str
 
 
@@ -199,18 +202,46 @@ COMMANDS: Dict[str, Command] = {
 }
 
 
-def _write_outputs(prefix: str, payload: dict, header: str, rows) -> None:
+CSV_CHUNK_ROWS = 16_384  # rows formatted and written at once, so a CSV streams
+
+
+def _csv_rows(columns, text) -> bytearray:
+    """The CSV lines of equal-length columns: each cell's NUL-padded bytes,
+    verbatim where text is true and from format_g17 elsewhere, laid side
+    by side with the commas and the newline in one buffer, and the NULs
+    then dropped. A text cell is a name from a command's tables, never a NUL."""
+    count = len(columns[0])
+    cells = [
+        np.array([str(c).encode() for c in column]).view(np.uint8).reshape(count, -1)
+        if is_text else column
+        for column, is_text in zip(columns, text)
+    ]
+    widths = [cell.shape[1] if is_text else FIELD for cell, is_text in zip(cells, text)]
+    starts = np.cumsum([0] + widths) + np.arange(len(widths) + 1)  # a comma ends each cell
+    raw = bytearray(count * starts[-1])
+    lines = np.frombuffer(raw, np.uint8).reshape(count, -1)
+    lines[:, starts[1:] - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    for cell, is_text, start, width in zip(cells, text, starts, widths):
+        if is_text:
+            lines[:, start : start + width] = cell
+        else:
+            format_g17(cell, lines[:, start : start + width])
+    return raw.translate(None, b"\0")
+
+
+def _write_outputs(prefix: str, payload: dict, header: str, columns) -> None:
     with open(prefix + ".json", "w") as fh:
         # numpy scalars: np.float64 subclasses float, the rest go through .item()
         json.dump(payload, fh, indent=2, sort_keys=True, default=lambda o: o.item())
         fh.write("\n")
-    with open(prefix + ".csv", "w") as fh:
-        fh.write(header + "\n")
-        line = None  # one format per file, from its first row: text verbatim, else %.17g
-        for row in rows:
-            if line is None:
-                line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row) + "\n"
-            fh.write(line % tuple(row))
+    with open(prefix + ".csv", "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        count = len(columns[0])
+        # one format per column, from its first cell: text verbatim, else %.17g
+        text = [count > 0 and isinstance(column[0], str) for column in columns]
+        for start in range(0, count, CSV_CHUNK_ROWS):
+            fh.write(_csv_rows([c[start : start + CSV_CHUNK_ROWS] for c in columns], text))
 
 
 def _resolve(
@@ -257,7 +288,7 @@ def run(
             os.makedirs(os.path.dirname(output) or os.curdir, exist_ok=True)
         except OSError as exc:
             raise ParameterError(f"cannot write {output}: {exc}") from None
-        summary, rows = entry.runner(**arguments)
+        summary, columns = entry.runner(**arguments)
     except (ParameterError, GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -265,9 +296,8 @@ def run(
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
     summary["allPass"] = int(all(check["pass"] for check in summary["checks"]))
-    if rows is None:
-        columns = entry.header.split(",")
-        rows = (tuple(r[c] for c in columns) for r in summary["rows"])
+    if columns is None:
+        columns = [[r[c] for r in summary["rows"]] for c in entry.header.split(",")]
     payload = {
         "command": command,
         "input": input_path,
@@ -276,7 +306,7 @@ def run(
         "summary": summary,
     }
     try:
-        _write_outputs(output, payload, entry.header, rows)
+        _write_outputs(output, payload, entry.header, columns)
     except OSError as exc:
         print(f"input error: cannot write {output}: {exc}", file=sys.stderr)
         return 2

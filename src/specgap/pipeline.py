@@ -1,8 +1,9 @@
 """Shared run plumbing: benchmark suites, sweep loops, and named checks.
 
-Every function here returns plain dicts and lists so the CLI can dump
-them to JSON/CSV unchanged and the acceptance tests can inspect the
-same numbers the command line reports. A runner's verdicts are its summary["checks"].
+Every function here returns plain dicts and lists, and a runner its CSV
+columns as lists or arrays, so the CLI can dump them to JSON/CSV
+unchanged and the acceptance tests can inspect the same numbers the
+command line reports. A runner's verdicts are its summary["checks"].
 A runner takes its config keys as `cli.COERCE` leaves them, coerced and
 range-checked, so it only computes.
 """
@@ -85,7 +86,7 @@ def bound(kind, params, interval, n):
         "upperSharp": report.upperBoundSharp,
         "checks": [],
     }
-    return summary, zip(levels.tolist(), widths.tolist(), functional.tolist())
+    return summary, (levels, widths, functional)
 
 
 def eig1d(kind, params, interval, n):
@@ -99,7 +100,7 @@ def eig1d(kind, params, interval, n):
         "residual": pair.residual,
         "checks": [],
     }
-    return summary, zip(grid.nodes()[1:-1].tolist(), pair.f.tolist())
+    return summary, (grid.nodes()[1:-1], pair.f)
 
 
 def constant_triple(alpha, beta, gamma, budget, seed):
@@ -124,7 +125,7 @@ def constant_triple(alpha, beta, gamma, budget, seed):
         checks=[_check("feasible", summary["feasible"], 1, None)],
     )
     row = [triple.alpha, triple.beta, triple.gamma, float("nan") if value is None else value]
-    return summary, [row]
+    return summary, [[cell] for cell in row]
 
 
 def _sandwich(name: str, lambda1: float, report: SublevelReport) -> Tuple[float, dict]:
@@ -378,6 +379,10 @@ def gj_compare_run(D, spacing, tol):
         ratio = ((lam_gj - _PI2) / (t * t)) / lam_model
         checks.append(_check(f"D{d:.17g}.ratio", ratio, *GJ_RATIO_BAND))
         rows.append({"D": d, "lambdaGJ": lam_gj, "lambdaModel": lam_model, "ratio": ratio})
-    csv = [["rectProfile", 8.0, rect_error, checks[0]["pass"]]]
-    csv += [["coneRatio", r["D"], r["ratio"], c["pass"]] for r, c in zip(rows, checks[1:])]
+    csv = [
+        ["rectProfile"] + ["coneRatio"] * len(rows),
+        [8.0] + [r["D"] for r in rows],
+        [rect_error] + [r["ratio"] for r in rows],
+        [c["pass"] for c in checks],
+    ]
     return {"rectError": rect_error, "rows": rows, "checks": checks}, csv

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 import specgap
 from specgap import pipeline
-from specgap.cli import COMMANDS, INT_RANGE, _write_outputs, main, run
+from specgap.cli import COMMANDS, CSV_CHUNK_ROWS, INT_RANGE, _write_outputs, main, run
 from specgap.constants import exact_optimum
 from specgap.convexdomain import MAX_GRID_NODES
 
@@ -49,33 +50,33 @@ def read_bytes(prefix, ext):
 
 def _fmt(value) -> str:
     """The CSV cell of the earlier per-cell writer, kept as a test reference:
-    the writer's one line format per file must give the same bytes."""
+    the writer's one format per column must give the same bytes."""
     return value if isinstance(value, str) else format(value, ".17g")
 
 
-def reference_csv(header, rows):
+def reference_csv(header, columns):
+    rows = zip(*columns)
     return "".join([header + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows]).encode()
 
 
-def record_rows(monkeypatch, name):
-    """Wrap the command's runner so the test sees the rows it hands the writer.
+def record_columns(monkeypatch, name):
+    """Wrap the command's runner so the test sees the columns it hands the writer.
 
-    A runner that returns rows=None keeps doing so, so the summary-row
-    adapter in `run` still runs; the recorded rows are then the header's
+    A runner that returns columns=None keeps doing so, so the summary-row
+    adapter in `run` still runs; the recorded columns are then the header's
     columns of summary["rows"].
     """
     command = COMMANDS[name]
     recorded = []
 
     def runner(**arguments):
-        summary, rows = command.runner(**arguments)
-        if rows is None:
-            columns = command.header.split(",")
-            recorded.append([[r[c] for c in columns] for r in summary["rows"]])
+        summary, columns = command.runner(**arguments)
+        if columns is None:
+            header = command.header.split(",")
+            recorded.append([[r[c] for r in summary["rows"]] for c in header])
         else:
-            rows = list(rows)
-            recorded.append(rows)
-        return summary, rows
+            recorded.append(columns)
+        return summary, columns
 
     monkeypatch.setitem(COMMANDS, name, command._replace(runner=runner))
     return recorded
@@ -125,15 +126,15 @@ def test_eig1d_fine_harmonic_converges(tmp_path):
 def test_bound_csv_round_trips_at_fine_size(tmp_path, monkeypatch):
     # 17 significant digits give back every double; the benchmark finds the
     # yStar row by exact equality with the summary
-    recorded = record_rows(monkeypatch, "bound")
+    recorded = record_columns(monkeypatch, "bound")
     prefix = tmp_path / "fine"
     argv = ["bound", "--out", str(prefix)]
     argv += ["--set", "kind=harmonic", "--set", "interval=-12,12", "--set", "n=100000"]
     assert main(argv) == 0
-    [rows] = recorded
+    [columns] = recorded
     data, lines = load(prefix)
     cells = [tuple(map(float, line.split(","))) for line in lines[1:]]
-    assert cells == rows
+    assert cells == list(zip(*(np.asarray(c).tolist() for c in columns)))
     s = data["summary"]
     [at] = [row for row in cells if row[0] == s["yStar"]]
     assert at[1] == s["widthAtYStar"] and at[2] == s["fStar"]
@@ -492,6 +493,20 @@ def test_csv_field_format(tmp_path, value, text):
     assert read_bytes(prefix, ".csv") == reference_csv("v", [[value]]) == f"v\n{text}\n".encode()
 
 
+def test_csv_writer_streams(tmp_path):
+    # rows go out CSV_CHUNK_ROWS at a time: writing the 4.2 MB n=100000
+    # eig1d CSV peaked at 3.4-3.5 MB traced, against 20.6 MB in one chunk
+    _, columns = pipeline.eig1d("harmonic", (0.0,), (-12.0, 12.0), 100_000)
+    tracemalloc.start()
+    try:
+        _write_outputs(str(tmp_path / "e"), {}, "x,f", columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(tmp_path / "e.csv") > 4e6
+    assert peak < 7e6
+
+
 @pytest.mark.parametrize("resolution", [0, -3])
 def test_non_positive_resolution_is_input_error(tmp_path, capsys, resolution):
     prefix = tmp_path / "r"
@@ -659,16 +674,41 @@ _INFEASIBLE = {"alpha": 0.5, "beta": 0.25, "gamma": 2}  # objective nan, exits 1
     ids=sorted(COMMANDS) + ["constants-infeasible"],
 )
 def test_csv_matches_reference_format(tmp_path, monkeypatch, argv, status):
-    # the line format is taken from the first row, so every row must have
-    # the cell types of the first: a str in a number column would not format
-    recorded = record_rows(monkeypatch, argv[0])
+    # the format is taken from each column's first cell, so every cell of a
+    # column must have that cell's type: a str in a number column would not format
+    recorded = record_columns(monkeypatch, argv[0])
     prefix = tmp_path / "ref"
     assert main(argv + ["--out", str(prefix)]) == status
-    [rows] = recorded
-    assert rows and len({tuple(map(type, row)) for row in rows}) == 1
-    has_text = any(isinstance(v, str) for v in rows[0])
+    [columns] = recorded
+    header = COMMANDS[argv[0]].header
+    assert len(columns) == header.count(",") + 1
+    assert len({len(c) for c in columns}) == 1 and len(columns[0]) > 0
+    assert all(len(set(map(type, c))) == 1 for c in columns)
+    has_text = any(isinstance(c[0], str) for c in columns)
     assert has_text == (argv[0] in {"verifyThm1", "domainSweep", "gjCompare"})
-    assert read_bytes(prefix, ".csv") == reference_csv(COMMANDS[argv[0]].header, rows)
+    assert read_bytes(prefix, ".csv") == reference_csv(header, columns)
+
+
+_FINE = {
+    "harmonic": ["kind=harmonic", "interval=-12,12", "n=100000"],
+    "coneModel64": ["kind=coneModel", "params=64", "interval=0,64", "n=65536"],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_FINE))
+@pytest.mark.parametrize("command", ["bound", "eig1d"])
+def test_fine_csv_matches_reference_format(tmp_path, monkeypatch, command, grid):
+    # the benchmark's fine1d command lines: several chunks of numbers over
+    # dozens of decimal exponents, each cell as format(v, ".17g") writes it
+    recorded = record_columns(monkeypatch, command)
+    prefix = tmp_path / "fine"
+    argv = [command, "--out", str(prefix)]
+    for setting in _FINE[grid]:
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    [columns] = recorded
+    assert len(columns[0]) >= 4 * CSV_CHUNK_ROWS
+    assert read_bytes(prefix, ".csv") == reference_csv(COMMANDS[command].header, columns)
 
 
 # a band out of reach, or an infeasible triple, fails the named check: exit 1,
@@ -1017,10 +1057,11 @@ def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
-    # start-up needs numpy and scipy.linalg only
+    # start-up needs numpy and scipy.linalg only; the CSV number writer
+    # builds its tables from Python ints and numpy, without fractions or decimal
     heavy = (
         "scipy.optimize", "scipy.spatial", "scipy.ndimage", "scipy.fft", "scipy.special",
-        "scipy.sparse",
+        "scipy.sparse", "fractions", "decimal",
     )
     code = (
         "import sys, specgap.cli; "

@@ -261,7 +261,7 @@ def test_vdberg_verdict_fails_on_one_bad_row(key, value):
 
 
 def test_gj_compare_run_bands():
-    result, csv_rows = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 32.0, tol=1e-7)
+    result, csv_columns = pipeline.gj_compare_run(D=[16.0], spacing=1.0 / 32.0, tol=1e-7)
     assert 0 <= result["rectError"] <= 1e-2
     (row,) = result["rows"]
     assert row["D"] == 16.0
@@ -270,7 +270,9 @@ def test_gj_compare_run_bands():
         {"name": "rectError", "value": result["rectError"], "bound": [None, 1e-2], "pass": 1},
         {"name": "D16.ratio", "value": row["ratio"], "bound": [0.25, 4.0], "pass": 1},
     ]
-    assert csv_rows == [
-        ["rectProfile", 8.0, result["rectError"], 1],
-        ["coneRatio", 16.0, row["ratio"], 1],
+    assert csv_columns == [
+        ["rectProfile", "coneRatio"],
+        [8.0, 16.0],
+        [result["rectError"], row["ratio"]],
+        [1, 1],
     ]
